@@ -55,33 +55,16 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
       collect_latencies_(collect_latencies),
       load_balancing_(load_balancing),
       retry_(retry),
-      overload_(overload),
+      overload_(overload.CheckedValid()),
       instruments_(instruments),
       rpc_(rpc),
-      hedge_latency_(overload.hedge.latency_percentile > 0.0
-                         ? overload.hedge.latency_percentile / 100.0
-                         : 0.99) {
+      admission_(overload_.admission),
+      breakers_(overload_.breaker, invokers_.size(), &overload_ledger_),
+      hedge_(overload_.hedge) {
   FAAS_CHECK(queue_ != nullptr) << "controller needs an event queue";
   FAAS_CHECK(entities_ != nullptr) << "controller needs an entity index";
   FAAS_CHECK(!invokers_.empty()) << "controller needs at least one invoker";
   FAAS_CHECK(retry_.max_retries >= 0) << "negative retry budget";
-  FAAS_CHECK(overload_.admission.capacity >= 0) << "negative queue capacity";
-  FAAS_CHECK(overload_.hedge.latency_percentile >= 0.0 &&
-             overload_.hedge.latency_percentile < 100.0)
-      << "hedge percentile out of [0, 100)";
-  if (overload_.breaker.enabled) {
-    FAAS_CHECK(overload_.breaker.window > 0 &&
-               overload_.breaker.min_samples > 0 &&
-               overload_.breaker.half_open_probes > 0)
-        << "breaker window/samples/probes must be positive";
-    FAAS_CHECK(overload_.breaker.failure_threshold > 0.0 &&
-               overload_.breaker.failure_threshold <= 1.0)
-        << "breaker failure threshold out of (0, 1]";
-    breakers_.resize(invokers_.size());
-    for (BreakerState& breaker : breakers_) {
-      breaker.outcomes.assign(overload_.breaker.window, 0);
-    }
-  }
   for (Invoker* invoker : invokers_) {
     if (rpc_ != nullptr) {
       // Network mode: completions and failures ride the invoker's downlink
@@ -197,6 +180,21 @@ const Controller::AppStats& Controller::StatsFor(AppId app_id) const {
   return app_stats_[app_id.index()];
 }
 
+std::vector<size_t> Controller::InvokersByFreeMemory() const {
+  std::vector<size_t> order(invokers_.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+    const double free_a =
+        invokers_[a]->memory_capacity_mb() - invokers_[a]->memory_in_use_mb();
+    const double free_b =
+        invokers_[b]->memory_capacity_mb() - invokers_[b]->memory_in_use_mb();
+    return free_a > free_b;
+  });
+  return order;
+}
+
 Controller::DispatchOutcome Controller::Dispatch(
     AppState& state, const ActivationMessage& message, int exclude_invoker,
     int* accepted_invoker) {
@@ -211,13 +209,13 @@ Controller::DispatchOutcome Controller::Dispatch(
       saw_unhealthy = true;
       return false;
     }
-    if (!BreakerAdmits(index)) {
+    if (!breakers_.Admits(index)) {
       ++overload_ledger_.breaker_rejections;
       IncCounter(&ClusterInstruments::breaker_rejected);
       return false;
     }
     if (invokers_[index]->HandleActivation(message)) {
-      NoteDispatchAccepted(index);
+      breakers_.NoteDispatch(index);
       if (accepted_invoker != nullptr) {
         *accepted_invoker = static_cast<int>(index);
       }
@@ -227,18 +225,7 @@ Controller::DispatchOutcome Controller::Dispatch(
   };
   if (load_balancing_ == LoadBalancingPolicy::kLeastLoaded) {
     // Try invokers in order of free memory (most free first).
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) {
-      order[i] = i;
-    }
-    std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-      const double free_a =
-          invokers_[a]->memory_capacity_mb() - invokers_[a]->memory_in_use_mb();
-      const double free_b =
-          invokers_[b]->memory_capacity_mb() - invokers_[b]->memory_in_use_mb();
-      return free_a > free_b;
-    });
-    for (size_t index : order) {
+    for (size_t index : InvokersByFreeMemory()) {
       if (try_invoker(index)) {
         return DispatchOutcome::kAccepted;
       }
@@ -438,18 +425,7 @@ void Controller::StartNetworkScan(int64_t activation_id,
   if (load_balancing_ == LoadBalancingPolicy::kLeastLoaded) {
     // Free-memory order snapshotted at scan start (the probe walk takes
     // simulated time, but re-sorting mid-scan could revisit invokers).
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) {
-      order[i] = i;
-    }
-    std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-      const double free_a =
-          invokers_[a]->memory_capacity_mb() - invokers_[a]->memory_in_use_mb();
-      const double free_b =
-          invokers_[b]->memory_capacity_mb() - invokers_[b]->memory_in_use_mb();
-      return free_a > free_b;
-    });
-    for (size_t index : order) {
+    for (size_t index : InvokersByFreeMemory()) {
       if (static_cast<int>(index) != exclude_invoker) {
         pending.net_candidates.push_back(static_cast<int>(index));
       }
@@ -482,7 +458,7 @@ void Controller::AdvanceNetworkScan(int64_t activation_id) {
       pending.net_saw_unhealthy = true;
       continue;
     }
-    if (!BreakerAdmits(index)) {
+    if (!breakers_.Admits(index)) {
       ++overload_ledger_.breaker_rejections;
       IncCounter(&ClusterInstruments::breaker_rejected);
       continue;
@@ -511,7 +487,7 @@ void Controller::OnNetDispatchResponse(int64_t activation_id, int invoker,
   if (accepted) {
     // Half-open probe accounting happens when the controller LEARNS of the
     // accept (the response), not when the invoker accepted.
-    NoteDispatchAccepted(static_cast<size_t>(invoker));
+    breakers_.NoteDispatch(static_cast<size_t>(invoker));
   }
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
@@ -528,22 +504,10 @@ void Controller::OnNetDispatchResponse(int64_t activation_id, int invoker,
   pending.dispatched_invoker = invoker;
   if (pending.queued) {
     // Drain probe landed: the head leaves the admission queue.
-    pending.queued = false;
-    pending.shed_event.Cancel();
-    std::erase(admission_queue_, activation_id);
-    const double wait_ms =
-        (queue_->now() - pending.queued_since).seconds() * 1e3;
-    ++overload_ledger_.drained;
-    overload_ledger_.total_queue_wait_ms += wait_ms;
-    overload_ledger_.max_queue_wait_ms =
-        std::max(overload_ledger_.max_queue_wait_ms, wait_ms);
-    if (collect_latencies_) {
-      queue_wait_ms_.push_back(wait_ms);
-    }
-    ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
-    RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
-               queue_->now() - pending.queued_since, activation_id,
-               /*arg0=*/1);
+    admission_.EraseIf([activation_id](int64_t id) {
+      return id == activation_id;
+    });
+    NoteDrained(activation_id, pending);
   }
   MaybeArmHedge(activation_id);
   NetScanEnded(activation_id, /*reprobe_drain=*/true);
@@ -554,7 +518,8 @@ void Controller::OnNetDispatchGiveUp(int64_t activation_id, int invoker) {
   // is a bad outcome for the LINK, fed to the invoker's breaker whether or
   // not the activation still exists — repeated give-ups open the breaker
   // and keep later scans off the unreachable invoker.
-  RecordInvokerOutcome(invoker, /*bad=*/true);
+  ApplyBreakerTransition(
+      invoker, breakers_.RecordOutcome(invoker, /*bad=*/true, queue_->now()));
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
     NetScanEnded(activation_id, /*reprobe_drain=*/true);
@@ -609,24 +574,12 @@ void Controller::ProbeAdmissionHead() {
   if (net_drain_id_ != 0) {
     return;  // A head probe is already walking the cluster.
   }
-  const bool lifo =
-      overload_.admission.discipline == AdmissionDiscipline::kLifo;
-  while (!admission_queue_.empty()) {
-    const int64_t id =
-        lifo ? admission_queue_.back() : admission_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.queued) {
-      if (lifo) {
-        admission_queue_.pop_back();
-      } else {
-        admission_queue_.pop_front();
-      }
-      continue;  // Superseded (shed, timed out, or retried).
-    }
-    // The head stays in the deque while probing; acceptance erases it.
-    net_drain_id_ = id;
-    StartNetworkScan(id, /*exclude_invoker=*/-1);
-    return;
+  const int64_t* head =
+      admission_.LiveHead([this](int64_t id) { return IsQueued(id); });
+  if (head != nullptr) {
+    // The head stays in the queue while probing; acceptance erases it.
+    net_drain_id_ = *head;
+    StartNetworkScan(net_drain_id_, /*exclude_invoker=*/-1);
   }
 }
 
@@ -751,7 +704,10 @@ void Controller::OnFailure(const FailureMessage& message) {
   // Breakers learn from every failure the invoker reports, including those
   // of superseded attempts: the signal is about the invoker, not the
   // activation.
-  RecordInvokerOutcome(message.invoker_id, /*bad=*/true);
+  ApplyBreakerTransition(
+      message.invoker_id,
+      breakers_.RecordOutcome(message.invoker_id, /*bad=*/true,
+                              queue_->now()));
   auto it = pending_.find(message.activation_id);
   if (it == pending_.end()) {
     return;  // A superseded (already retried / timed-out) attempt.
@@ -777,15 +733,13 @@ void Controller::OnTimeout(int64_t activation_id) {
 }
 
 void Controller::OnCompletion(const CompletionMessage& message) {
-  if (!breakers_.empty()) {
-    // A completion slower than the latency threshold counts as a bad
-    // outcome (latency-tripped breakers); otherwise it is a good one that
-    // heals the window.
-    const bool bad = overload_.breaker.latency_threshold_ms > 0.0 &&
-                     message.total_latency.seconds() * 1e3 >
-                         overload_.breaker.latency_threshold_ms;
-    RecordInvokerOutcome(message.invoker_id, bad);
-  }
+  // A completion slower than the latency threshold counts as a bad outcome
+  // (latency-tripped breakers); otherwise it is a good one that heals the
+  // window.
+  ApplyBreakerTransition(
+      message.invoker_id,
+      breakers_.RecordCompletion(message.invoker_id, message.total_latency,
+                                 queue_->now()));
   auto pending_it = pending_.find(message.activation_id);
   if (pending_it == pending_.end()) {
     return;  // Zombie execution of a timed-out attempt: result discarded.
@@ -810,10 +764,7 @@ void Controller::OnCompletion(const CompletionMessage& message) {
     pending_it->second.hedge_partner = 0;
   }
   pending_it->second.hedge_event.Cancel();
-  if (overload_.hedge.enabled()) {
-    hedge_latency_.Add(
-        (queue_->now() - pending_it->second.created_at).seconds() * 1e3);
-  }
+  hedge_.Observe(queue_->now() - pending_it->second.created_at);
   const int attempts = pending_it->second.attempts;
   const FailureClass first_failure = pending_it->second.first_failure;
   pending_it->second.timeout_event.Cancel();
@@ -911,7 +862,7 @@ void Controller::OnCompletion(const CompletionMessage& message) {
 // --- Admission queue -------------------------------------------------------
 
 void Controller::OnCapacityReleased() {
-  if (!overload_.admission.enabled() || admission_queue_.empty() ||
+  if (!overload_.admission.enabled() || admission_.empty() ||
       drain_scheduled_) {
     return;
   }
@@ -930,89 +881,63 @@ void Controller::DrainAdmissionQueue() {
     ProbeAdmissionHead();
     return;
   }
-  const bool lifo =
-      overload_.admission.discipline == AdmissionDiscipline::kLifo;
-  while (!admission_queue_.empty()) {
-    const int64_t id =
-        lifo ? admission_queue_.back() : admission_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.queued) {
-      // Superseded (shed, timed out, or retried under a fresh id).
-      if (lifo) {
-        admission_queue_.pop_back();
-      } else {
-        admission_queue_.pop_front();
-      }
-      continue;
-    }
+  const auto is_queued = [this](int64_t id) { return IsQueued(id); };
+  while (const int64_t* head = admission_.LiveHead(is_queued)) {
+    const int64_t id = *head;
+    PendingActivation& pending = pending_.find(id)->second;
     // The activation already paid its controller->invoker hop before it was
     // parked, so drains dispatch directly.
-    AppState& state = apps_[it->second.app_id.index()];
-    const ActivationMessage message = BuildMessage(id, it->second);
+    AppState& state = apps_[pending.app_id.index()];
+    const ActivationMessage message = BuildMessage(id, pending);
     int accepted = -1;
     if (Dispatch(state, message, /*exclude_invoker=*/-1, &accepted) !=
         DispatchOutcome::kAccepted) {
       return;  // Still no room: wait for the next release.
     }
-    if (lifo) {
-      admission_queue_.pop_back();
-    } else {
-      admission_queue_.pop_front();
-    }
-    PendingActivation& pending = it->second;
-    pending.queued = false;
-    pending.shed_event.Cancel();
+    admission_.PopHead();
     pending.dispatched_invoker = accepted;
-    const double wait_ms =
-        (queue_->now() - pending.queued_since).seconds() * 1e3;
-    ++overload_ledger_.drained;
-    overload_ledger_.total_queue_wait_ms += wait_ms;
-    overload_ledger_.max_queue_wait_ms =
-        std::max(overload_ledger_.max_queue_wait_ms, wait_ms);
-    if (collect_latencies_) {
-      queue_wait_ms_.push_back(wait_ms);
-    }
-    ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
-    RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
-               queue_->now() - pending.queued_since, id, /*arg0=*/1);
+    NoteDrained(id, pending);
     MaybeArmHedge(id);
   }
 }
 
-void Controller::CompactAdmissionQueue() {
-  std::erase_if(admission_queue_, [this](int64_t id) {
-    auto it = pending_.find(id);
-    return it == pending_.end() || !it->second.queued;
-  });
+bool Controller::IsQueued(int64_t activation_id) const {
+  const auto it = pending_.find(activation_id);
+  return it != pending_.end() && it->second.queued;
+}
+
+void Controller::NoteDrained(int64_t activation_id,
+                             PendingActivation& pending) {
+  pending.queued = false;
+  pending.shed_event.Cancel();
+  const double wait_ms = SimClock::Ms(queue_->now() - pending.queued_since);
+  overload_ledger_.BookDrained(wait_ms);
+  if (collect_latencies_) {
+    queue_wait_ms_.push_back(wait_ms);
+  }
+  ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
+  RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
+             queue_->now() - pending.queued_since, activation_id,
+             /*arg0=*/1);
 }
 
 void Controller::EnqueueAdmission(int64_t activation_id) {
   auto it = pending_.find(activation_id);
   FAAS_CHECK(it != pending_.end()) << "queueing an unknown activation";
-  if (static_cast<int>(admission_queue_.size()) >=
-      overload_.admission.capacity) {
-    CompactAdmissionQueue();
+  if (admission_.full()) {
+    // Superseded ids still occupy slots; drop them before shedding.
+    admission_.EraseIf([this](int64_t id) { return !IsQueued(id); });
   }
-  if (static_cast<int>(admission_queue_.size()) >=
-      overload_.admission.capacity) {
-    if (overload_.admission.discipline == AdmissionDiscipline::kLifo) {
-      // LIFO sheds the oldest queued activation to admit the newcomer
-      // (fresh requests are the ones a caller is still waiting on).
-      const int64_t victim = admission_queue_.front();
-      admission_queue_.pop_front();
-      ShedActivation(victim, ShedReason::kQueueFull);
-    } else {
-      // FIFO/CoDel tail-drop the arrival.
-      ShedActivation(activation_id, ShedReason::kQueueFull);
-      return;
-    }
+  if (!admission_.Admit(activation_id, overload_ledger_,
+                        [this](int64_t victim) {
+                          ShedActivation(victim, ShedReason::kQueueFull);
+                        })) {
+    return;
   }
   PendingActivation& pending = it->second;
   pending.queued = true;
   pending.queued_since = queue_->now();
-  ++overload_ledger_.queued;
   IncCounter(&ClusterInstruments::queued);
-  admission_queue_.push_back(activation_id);
   if (overload_.admission.discipline == AdmissionDiscipline::kCoDel) {
     pending.shed_event = queue_->ScheduleAfter(
         overload_.admission.max_wait, [this, activation_id]() {
@@ -1045,17 +970,7 @@ void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
   RecordInstant(SpanName::kShed, activation_id,
                 static_cast<int64_t>(reason));
   IncCounter(&ClusterInstruments::shed);
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      ++overload_ledger_.shed_queue_full;
-      break;
-    case ShedReason::kDeadline:
-      ++overload_ledger_.shed_deadline;
-      break;
-    case ShedReason::kShutdown:
-      ++overload_ledger_.shed_at_shutdown;
-      break;
-  }
+  overload_ledger_.BookShed(reason);
   // Sheds are capacity losses, so they fold into the same per-app column
   // as pre-overload drops (Completed() stays consistent either way).
   ++stats.dropped;
@@ -1067,22 +982,8 @@ void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
 
 // --- Hedged dispatch -------------------------------------------------------
 
-Duration Controller::HedgeDelay() const {
-  const HedgeConfig& hedge = overload_.hedge;
-  // The percentile trigger needs a latency population before the estimate
-  // means anything; until then fall back to the fixed delay (or the floor).
-  if (hedge.latency_percentile > 0.0 && hedge_latency_.count() >= 32) {
-    const auto ms = static_cast<int64_t>(hedge_latency_.Value());
-    return std::max(hedge.min_after, Duration::Millis(ms));
-  }
-  if (hedge.after > Duration::Zero()) {
-    return hedge.after;
-  }
-  return hedge.min_after;
-}
-
 void Controller::MaybeArmHedge(int64_t activation_id) {
-  if (!overload_.hedge.enabled()) {
+  if (!hedge_.enabled()) {
     return;
   }
   auto it = pending_.find(activation_id);
@@ -1095,7 +996,7 @@ void Controller::MaybeArmHedge(int64_t activation_id) {
   }
   pending.hedge_event.Cancel();
   pending.hedge_event = queue_->ScheduleAfter(
-      HedgeDelay(), [this, activation_id]() { LaunchHedge(activation_id); });
+      hedge_.Delay(), [this, activation_id]() { LaunchHedge(activation_id); });
 }
 
 void Controller::LaunchHedge(int64_t primary_id) {
@@ -1164,126 +1065,28 @@ void Controller::LaunchHedge(int64_t primary_id) {
 
 // --- Circuit breakers ------------------------------------------------------
 
-bool Controller::BreakerAdmits(size_t invoker) const {
-  if (breakers_.empty()) {
-    return true;
-  }
-  const BreakerState& breaker = breakers_[invoker];
-  switch (breaker.mode) {
-    case BreakerMode::kClosed:
-      return true;
-    case BreakerMode::kOpen:
-      return false;
-    case BreakerMode::kHalfOpen:
-      return breaker.half_open_inflight < overload_.breaker.half_open_probes;
-  }
-  return true;
-}
-
-void Controller::NoteDispatchAccepted(size_t invoker) {
-  if (breakers_.empty()) {
-    return;
-  }
-  BreakerState& breaker = breakers_[invoker];
-  if (breaker.mode == BreakerMode::kHalfOpen) {
-    ++breaker.half_open_inflight;
-  }
-}
-
-void Controller::RecordInvokerOutcome(int invoker, bool bad) {
-  if (breakers_.empty() || invoker < 0 ||
-      static_cast<size_t>(invoker) >= breakers_.size()) {
-    return;
-  }
-  BreakerState& breaker = breakers_[static_cast<size_t>(invoker)];
-  switch (breaker.mode) {
-    case BreakerMode::kClosed: {
-      const int window = overload_.breaker.window;
-      if (breaker.window_count < window) {
-        ++breaker.window_count;
-      } else {
-        breaker.bad_count -= breaker.outcomes[breaker.window_pos];
-      }
-      breaker.outcomes[breaker.window_pos] = bad ? 1 : 0;
-      breaker.bad_count += bad ? 1 : 0;
-      breaker.window_pos = (breaker.window_pos + 1) % window;
-      if (breaker.window_count >= overload_.breaker.min_samples &&
-          static_cast<double>(breaker.bad_count) >=
-              overload_.breaker.failure_threshold *
-                  static_cast<double>(breaker.window_count)) {
-        OpenBreaker(static_cast<size_t>(invoker));
-      }
-      break;
+void Controller::ApplyBreakerTransition(int invoker,
+                                        BreakerTransition transition) {
+  switch (transition.kind) {
+    case BreakerTransition::kNone:
+      return;
+    case BreakerTransition::kClosed:
+      RecordInstant(SpanName::kBreakerTransition, invoker, /*arg0=*/0);
+      return;
+    case BreakerTransition::kOpened: {
+      IncCounter(&ClusterInstruments::breaker_opens);
+      RecordInstant(SpanName::kBreakerTransition, invoker, /*arg0=*/1);
+      const uint32_t epoch = transition.epoch;
+      queue_->ScheduleAfter(breakers_.open_duration(),
+                            [this, invoker, epoch]() {
+                              if (breakers_.HalfOpen(
+                                      static_cast<size_t>(invoker), epoch)) {
+                                RecordInstant(SpanName::kBreakerTransition,
+                                              invoker, /*arg0=*/2);
+                              }
+                            });
+      return;
     }
-    case BreakerMode::kHalfOpen:
-      if (breaker.half_open_inflight > 0) {
-        --breaker.half_open_inflight;
-      }
-      if (bad) {
-        OpenBreaker(static_cast<size_t>(invoker));
-      } else if (++breaker.half_open_good >=
-                 overload_.breaker.half_open_probes) {
-        CloseBreaker(static_cast<size_t>(invoker));
-      }
-      break;
-    case BreakerMode::kOpen:
-      break;  // Straggler outcome from before the trip.
-  }
-}
-
-void Controller::OpenBreaker(size_t invoker) {
-  BreakerState& breaker = breakers_[invoker];
-  breaker.mode = BreakerMode::kOpen;
-  if (!breaker.degraded) {
-    // Degraded-mode interval: from the first departure from closed until
-    // the breaker closes again (re-opens extend the same interval).
-    breaker.degraded = true;
-    breaker.degraded_since = queue_->now();
-  }
-  ++overload_ledger_.breaker_opens;
-  IncCounter(&ClusterInstruments::breaker_opens);
-  RecordInstant(SpanName::kBreakerTransition, static_cast<int64_t>(invoker),
-                /*arg0=*/1);
-  // The next closed phase starts with a fresh window.
-  std::fill(breaker.outcomes.begin(), breaker.outcomes.end(), 0);
-  breaker.window_pos = 0;
-  breaker.window_count = 0;
-  breaker.bad_count = 0;
-  breaker.half_open_inflight = 0;
-  breaker.half_open_good = 0;
-  breaker.half_open_event.Cancel();
-  breaker.half_open_event =
-      queue_->ScheduleAfter(overload_.breaker.open_duration,
-                            [this, invoker]() { HalfOpenBreaker(invoker); });
-}
-
-void Controller::HalfOpenBreaker(size_t invoker) {
-  BreakerState& breaker = breakers_[invoker];
-  if (breaker.mode != BreakerMode::kOpen) {
-    return;
-  }
-  breaker.mode = BreakerMode::kHalfOpen;
-  breaker.half_open_inflight = 0;
-  breaker.half_open_good = 0;
-  ++overload_ledger_.breaker_half_opens;
-  RecordInstant(SpanName::kBreakerTransition, static_cast<int64_t>(invoker),
-                /*arg0=*/2);
-}
-
-void Controller::CloseBreaker(size_t invoker) {
-  BreakerState& breaker = breakers_[invoker];
-  breaker.mode = BreakerMode::kClosed;
-  ++overload_ledger_.breaker_closes;
-  RecordInstant(SpanName::kBreakerTransition, static_cast<int64_t>(invoker),
-                /*arg0=*/0);
-  if (breaker.degraded) {
-    breaker.degraded = false;
-    const double degraded_ms =
-        (queue_->now() - breaker.degraded_since).seconds() * 1e3;
-    ++overload_ledger_.breaker_open_intervals;
-    overload_ledger_.total_breaker_open_ms += degraded_ms;
-    overload_ledger_.max_breaker_open_ms =
-        std::max(overload_ledger_.max_breaker_open_ms, degraded_ms);
   }
 }
 
@@ -1292,29 +1095,14 @@ void Controller::FinalizeOverload() {
     return;
   }
   // Activations still parked when the replay ends were never served.
-  while (!admission_queue_.empty()) {
-    const int64_t id = admission_queue_.front();
-    admission_queue_.pop_front();
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.queued) {
-      continue;
+  for (const int64_t id : admission_.TakeAll()) {
+    if (IsQueued(id)) {
+      ShedActivation(id, ShedReason::kShutdown);
     }
-    ShedActivation(id, ShedReason::kShutdown);
   }
   // A breaker still away from closed has an open-ended degraded interval;
   // close it at the end of the replay so the ledger accounts for it.
-  for (BreakerState& breaker : breakers_) {
-    if (!breaker.degraded) {
-      continue;
-    }
-    breaker.degraded = false;
-    const double degraded_ms =
-        (queue_->now() - breaker.degraded_since).seconds() * 1e3;
-    ++overload_ledger_.breaker_open_intervals;
-    overload_ledger_.total_breaker_open_ms += degraded_ms;
-    overload_ledger_.max_breaker_open_ms =
-        std::max(overload_ledger_.max_breaker_open_ms, degraded_ms);
-  }
+  breakers_.Finish(queue_->now());
 }
 
 void Controller::CheckpointPolicies() {

@@ -279,7 +279,7 @@ class Controller {
   const FaultLedger& ledger() const { return ledger_; }
   const OverloadLedger& overload_ledger() const { return overload_ledger_; }
   // Activations currently parked in the admission queue.
-  size_t admission_queue_depth() const { return admission_queue_.size(); }
+  size_t admission_queue_depth() const { return admission_.size(); }
   // Per-activation admission-queue waits, ms (drained activations only;
   // collected when per-sample latency collection is on).
   const std::vector<double>& queue_wait_ms() const { return queue_wait_ms_; }
@@ -324,27 +324,6 @@ class Controller {
     kTimeout,
     kOutage,
     kNetwork,  // Every reachable invoker's RPC spent its retransmit budget.
-  };
-  // Why a queued activation was shed (mirrors the OverloadLedger split).
-  enum class ShedReason { kQueueFull, kDeadline, kShutdown };
-  // Circuit-breaker state machine, one per invoker.
-  enum class BreakerMode { kClosed, kOpen, kHalfOpen };
-
-  struct BreakerState {
-    BreakerMode mode = BreakerMode::kClosed;
-    // Rolling outcome ring (1 = bad) evaluated while closed.
-    std::vector<int8_t> outcomes;
-    int window_pos = 0;
-    int window_count = 0;
-    int bad_count = 0;
-    // Half-open probe accounting: dispatches admitted vs good outcomes.
-    int half_open_inflight = 0;
-    int half_open_good = 0;
-    // Degraded-mode interval: set when the breaker first leaves closed,
-    // cleared (and tallied) when it closes again.
-    bool degraded = false;
-    TimePoint degraded_since;
-    EventQueue::Handle half_open_event;
   };
 
   struct AppState {
@@ -411,6 +390,8 @@ class Controller {
   // Handles a failed attempt: schedules a backoff retry if budget remains,
   // otherwise records the terminal outcome and forgets the activation.
   void FailAttempt(int64_t activation_id, FailureClass failure);
+  // Invoker indices, most free memory first (the least-loaded order).
+  std::vector<size_t> InvokersByFreeMemory() const;
   // Tries the home invoker first (container affinity, like OpenWhisk's
   // hash-based co-primary), then the rest round-robin.  Skips unhealthy
   // invokers, invokers whose breaker is not admitting, and
@@ -450,10 +431,12 @@ class Controller {
   void EnqueueAdmission(int64_t activation_id);
   // Serves queued activations (per discipline) while dispatches succeed.
   void DrainAdmissionQueue();
+  // True while `activation_id` is parked (not shed, retried or drained).
+  bool IsQueued(int64_t activation_id) const;
+  // A parked activation was dispatched: books its wait.
+  void NoteDrained(int64_t activation_id, PendingActivation& pending);
   // Terminal: removes a QUEUED activation and records the shed.
   void ShedActivation(int64_t activation_id, ShedReason reason);
-  // Drops ids whose pending entry is gone (superseded) from the deque.
-  void CompactAdmissionQueue();
 
   // --- Hedged dispatch ---
   // Builds the activation message for the current attempt of `pending`.
@@ -463,21 +446,10 @@ class Controller {
   void MaybeArmHedge(int64_t activation_id);
   // Fires the second attempt for primary `activation_id` (still pending).
   void LaunchHedge(int64_t activation_id);
-  // Delay before hedging: the fixed `after` knob, or the observed
-  // end-to-end latency percentile (floored at `min_after`).
-  Duration HedgeDelay() const;
 
   // --- Circuit breakers ---
-  // True when `invoker` may receive a dispatch (closed, or half-open with
-  // probe budget left).
-  bool BreakerAdmits(size_t invoker) const;
-  // Half-open probe accounting for an accepted dispatch.
-  void NoteDispatchAccepted(size_t invoker);
-  // Feeds one completion/failure outcome into the invoker's breaker.
-  void RecordInvokerOutcome(int invoker, bool bad);
-  void OpenBreaker(size_t invoker);
-  void HalfOpenBreaker(size_t invoker);
-  void CloseBreaker(size_t invoker);
+  // Telemetry for a breaker transition; an open arms the half-open event.
+  void ApplyBreakerTransition(int invoker, BreakerTransition transition);
 
   // --- Telemetry helpers (no-ops when instruments are absent) ---
   void RecordInstant(SpanName name, int64_t trace_id, int64_t arg0 = 0);
@@ -517,16 +489,15 @@ class Controller {
   // Admission queue of parked activation ids.  Superseded ids (retried or
   // shed entries) are skipped lazily, so membership is authoritative only
   // jointly with PendingActivation::queued.
-  std::deque<int64_t> admission_queue_;
+  AdmissionQueue<int64_t> admission_;
   bool drain_scheduled_ = false;
   // Network-mode drain: the activation id currently probing the cluster on
   // behalf of the admission queue (0 = no probe outstanding).
   int64_t net_drain_id_ = 0;
-  // Per-invoker breakers; sized only when the breaker is enabled.
-  std::vector<BreakerState> breakers_;
-  // Observed end-to-end completion latency for the percentile hedge
-  // trigger (fed only while hedging is enabled).
-  P2Quantile hedge_latency_;
+  // Per-invoker breakers (empty when the breaker is disabled).
+  BreakerBank<SimClock> breakers_;
+  // Fed the end-to-end completion latency while hedging is enabled.
+  HedgeTrigger<SimClock> hedge_;
   std::vector<double> queue_wait_ms_;
   int64_t total_dropped_ = 0;
   int64_t total_rejected_outage_ = 0;

@@ -17,7 +17,9 @@
 //      a different invoker after a latency threshold, first completion wins)
 //
 // — plus the OverloadLedger that tallies what they did (mirroring
-// FaultLedger, comparable so determinism tests can assert bit-identity).
+// FaultLedger, comparable so determinism tests can assert bit-identity),
+// and, at the bottom, the clock-free core of all three that both drivers
+// call: the simulator's Controller and the serve plane's AdmissionBridge.
 //
 // Disabled-by-default contract: a default OverloadControlConfig enables
 // nothing, schedules no events, draws no random numbers and registers no
@@ -27,11 +29,17 @@
 #ifndef SRC_CLUSTER_OVERLOAD_H_
 #define SRC_CLUSTER_OVERLOAD_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/time.h"
+#include "src/stats/p2_quantile.h"
 
 namespace faas {
 
@@ -115,7 +123,17 @@ struct OverloadControlConfig {
     return admission.enabled() || breaker.enabled || hedge.enabled() ||
            invoker_concurrency_cap > 0;
   }
+
+  // Empty when the config is usable, otherwise a one-line reason.  The
+  // tools' flag parser reports it and exits 2.
+  std::string Validate() const;
+  // Validate(), fatal on failure (both drivers' constructors); returns
+  // *this for member initializers.
+  const OverloadControlConfig& CheckedValid() const;
 };
+
+// Why a queued activation or request was shed.
+enum class ShedReason { kQueueFull, kDeadline, kShutdown };
 
 // Tally of everything the overload control plane observed during a replay.
 // Comparable so determinism tests can assert bit-identical ledgers; all-zero
@@ -160,6 +178,32 @@ struct OverloadLedger {
                        : 0.0;
   }
 
+  void BookShed(ShedReason reason) {
+    switch (reason) {
+      case ShedReason::kQueueFull:
+        ++shed_queue_full;
+        break;
+      case ShedReason::kDeadline:
+        ++shed_deadline;
+        break;
+      case ShedReason::kShutdown:
+        ++shed_at_shutdown;
+        break;
+    }
+  }
+  // One activation left the queue for a dispatch after `wait_ms`.
+  void BookDrained(double wait_ms) {
+    ++drained;
+    total_queue_wait_ms += wait_ms;
+    max_queue_wait_ms = std::max(max_queue_wait_ms, wait_ms);
+  }
+  // One degraded-mode interval of `open_ms` ended.
+  void BookBreakerInterval(double open_ms) {
+    ++breaker_open_intervals;
+    total_breaker_open_ms += open_ms;
+    max_breaker_open_ms = std::max(max_breaker_open_ms, open_ms);
+  }
+
   // Merge semantics for MergeLedger (src/common/resource_ledger.h): sums
   // everywhere except the two per-shard maxima.
   template <class V>
@@ -186,6 +230,338 @@ struct OverloadLedger {
   }
 
   bool operator==(const OverloadLedger&) const = default;
+};
+
+// ---- The shared core -------------------------------------------------------
+//
+// The core never schedules anything: a call that starts a timed phase
+// returns what the driver must arm.  Elapsed time crosses it only through a
+// clock-traits type, so each driver keeps its own rounding: the simulator's
+// Duration::seconds() * 1e3 is not the identity on integer ms and is pinned
+// by the committed cluster results; the serve plane divides ns by 1e6.
+
+struct SimClock {
+  using Time = TimePoint;
+  using Span = Duration;
+  static double Ms(Duration span) { return span.seconds() * 1e3; }
+  static Duration FromMs(double ms) {
+    return Duration::Millis(static_cast<int64_t>(ms));
+  }
+  static Duration From(Duration d) { return d; }
+};
+
+struct NsClock {
+  using Time = int64_t;
+  using Span = int64_t;
+  static double Ms(int64_t span_ns) {
+    return static_cast<double>(span_ns) / 1e6;
+  }
+  static int64_t FromMs(double ms) { return static_cast<int64_t>(ms * 1e6); }
+  static int64_t From(Duration d) { return d.millis() * 1'000'000; }
+};
+
+// The admission discipline over the driver's entries (activation ids,
+// parked requests).  Sojourn deadlines stay with the drivers.
+template <class Entry>
+class AdmissionQueue {
+ public:
+  explicit AdmissionQueue(const AdmissionQueueConfig& config)
+      : capacity_(static_cast<size_t>(std::max(config.capacity, 0))),
+        lifo_(config.discipline == AdmissionDiscipline::kLifo) {}
+
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+  bool full() const { return entries_.size() >= capacity_; }
+
+  // The entry served next: the newest under LIFO, the oldest otherwise.
+  Entry& Head() { return lifo_ ? entries_.back() : entries_.front(); }
+  void PopHead() {
+    if (lifo_) {
+      entries_.pop_back();
+    } else {
+      entries_.pop_front();
+    }
+  }
+  // Pops superseded entries off the serving end; null once empty.
+  template <class IsLive>
+  Entry* LiveHead(IsLive&& is_live) {
+    while (!entries_.empty()) {
+      Entry& head = Head();
+      if (is_live(head)) {
+        return &head;
+      }
+      PopHead();
+    }
+    return nullptr;
+  }
+
+  // Queues `entry` and books it.  A full queue sheds first: LIFO evicts its
+  // OLDEST entry, FIFO and CoDel tail-drop the arrival.  `shed(victim)` runs
+  // for the loser and books the shed; false when that was the arrival.
+  template <class ShedFn>
+  bool Admit(Entry entry, OverloadLedger& ledger, ShedFn&& shed) {
+    if (full()) {
+      if (!lifo_) {
+        shed(entry);
+        return false;
+      }
+      Entry oldest = std::move(entries_.front());
+      entries_.pop_front();
+      shed(oldest);
+    }
+    entries_.push_back(std::move(entry));
+    ++ledger.queued;
+    return true;
+  }
+
+  template <class Pred>
+  void EraseIf(Pred&& pred) {
+    std::erase_if(entries_, pred);
+  }
+  // Empties the queue, oldest first (shutdown shedding).
+  std::deque<Entry> TakeAll() { return std::exchange(entries_, {}); }
+
+ private:
+  size_t capacity_;
+  bool lifo_;
+  std::deque<Entry> entries_;
+};
+
+// On kOpened the driver arms a timer for the open duration and passes
+// `epoch` back to HalfOpen when it fires.
+struct BreakerTransition {
+  enum Kind : uint8_t { kNone, kOpened, kClosed };
+  Kind kind = kNone;
+  uint32_t epoch = 0;
+};
+
+// One circuit breaker per dispatch target (invoker or executor).  Every
+// outcome a target reports counts, zombies included: the signal is about
+// the target.  Books into the driver's ledger, which must outlive the bank.
+template <class Clock>
+class BreakerBank {
+ public:
+  using Time = typename Clock::Time;
+  using Span = typename Clock::Span;
+
+  // Empty (admits everything, ignores outcomes) unless enabled.
+  BreakerBank(const CircuitBreakerConfig& config, size_t targets,
+              OverloadLedger* ledger)
+      : config_(config), ledger_(ledger) {
+    if (config_.enabled) {
+      breakers_.resize(targets);
+      for (Breaker& breaker : breakers_) {
+        breaker.outcomes.assign(static_cast<size_t>(config_.window), 0);
+      }
+    }
+  }
+
+  bool enabled() const { return !breakers_.empty(); }
+  // Targets whose breaker is open (half-open ones excluded).
+  int open_count() const { return open_count_; }
+  Span open_duration() const { return Clock::From(config_.open_duration); }
+
+  // Closed, or half-open with probe budget left.
+  bool Admits(size_t target) const {
+    if (breakers_.empty()) {
+      return true;
+    }
+    const Breaker& breaker = breakers_[target];
+    return breaker.mode == Mode::kClosed ||
+           (breaker.mode == Mode::kHalfOpen &&
+            breaker.half_open_inflight < config_.half_open_probes);
+  }
+
+  // Half-open probe accounting for a dispatch `target` accepted.
+  void NoteDispatch(size_t target) {
+    if (!breakers_.empty() && breakers_[target].mode == Mode::kHalfOpen) {
+      ++breakers_[target].half_open_inflight;
+    }
+  }
+
+  // A completion: bad when slower end to end than the latency threshold.
+  BreakerTransition RecordCompletion(int target, Span latency, Time now) {
+    const bool bad = config_.latency_threshold_ms > 0.0 &&
+                     Clock::Ms(latency) > config_.latency_threshold_ms;
+    return RecordOutcome(target, bad, now);
+  }
+
+  BreakerTransition RecordOutcome(int target, bool bad, Time now) {
+    if (target < 0 || static_cast<size_t>(target) >= breakers_.size()) {
+      return {};
+    }
+    Breaker& breaker = breakers_[static_cast<size_t>(target)];
+    switch (breaker.mode) {
+      case Mode::kClosed: {
+        const int window = config_.window;
+        if (breaker.window_count < window) {
+          ++breaker.window_count;
+        } else {
+          breaker.bad_count -= breaker.outcomes[breaker.window_pos];
+        }
+        breaker.outcomes[breaker.window_pos] = bad ? 1 : 0;
+        breaker.bad_count += bad ? 1 : 0;
+        breaker.window_pos = (breaker.window_pos + 1) % window;
+        if (breaker.window_count >= config_.min_samples &&
+            static_cast<double>(breaker.bad_count) >=
+                config_.failure_threshold *
+                    static_cast<double>(breaker.window_count)) {
+          return Open(breaker, now);
+        }
+        return {};
+      }
+      case Mode::kHalfOpen:
+        // Any outcome in half-open releases a probe slot.
+        if (breaker.half_open_inflight > 0) {
+          --breaker.half_open_inflight;
+        }
+        if (bad) {
+          return Open(breaker, now);
+        }
+        if (++breaker.half_open_good >= config_.half_open_probes) {
+          breaker.mode = Mode::kClosed;
+          ++ledger_->breaker_closes;
+          EndInterval(breaker, now);
+          return {BreakerTransition::kClosed, breaker.epoch};
+        }
+        return {};
+      case Mode::kOpen:
+        return {};  // Straggler outcome from before the trip.
+    }
+    return {};
+  }
+
+  // The open-duration timer fired; false when the epoch is stale.
+  bool HalfOpen(size_t target, uint32_t epoch) {
+    Breaker& breaker = breakers_[target];
+    if (breaker.mode != Mode::kOpen || breaker.epoch != epoch) {
+      return false;
+    }
+    breaker.mode = Mode::kHalfOpen;
+    --open_count_;
+    breaker.half_open_inflight = 0;
+    breaker.half_open_good = 0;
+    ++ledger_->breaker_half_opens;
+    return true;
+  }
+
+  // The target was rebuilt: closed, fresh window, interval booked, timers
+  // invalidated.
+  void Reset(size_t target, Time now) {
+    if (breakers_.empty()) {
+      return;
+    }
+    Breaker& breaker = breakers_[target];
+    if (breaker.mode == Mode::kOpen) {
+      --open_count_;
+    }
+    breaker.mode = Mode::kClosed;
+    ClearWindow(breaker);
+    ++breaker.epoch;
+    EndInterval(breaker, now);
+  }
+
+  // End of run: books every degraded interval still open.
+  void Finish(Time now) {
+    for (Breaker& breaker : breakers_) {
+      EndInterval(breaker, now);
+    }
+  }
+
+ private:
+  enum class Mode : uint8_t { kClosed, kOpen, kHalfOpen };
+
+  struct Breaker {
+    Mode mode = Mode::kClosed;
+    // Rolling outcome ring (1 = bad), evaluated while closed.
+    std::vector<int8_t> outcomes;
+    int window_pos = 0;
+    int window_count = 0;
+    int bad_count = 0;
+    // Half-open probes admitted vs good outcomes seen.
+    int half_open_inflight = 0;
+    int half_open_good = 0;
+    // Bumped by every open and reset; validates the driver's timers.
+    uint32_t epoch = 0;
+    // Degraded-mode interval: from the first departure from closed to the
+    // next close (re-opens extend it).
+    bool degraded = false;
+    Time degraded_since{};
+  };
+
+  BreakerTransition Open(Breaker& breaker, Time now) {
+    breaker.mode = Mode::kOpen;
+    ++open_count_;
+    if (!breaker.degraded) {
+      breaker.degraded = true;
+      breaker.degraded_since = now;
+    }
+    ++ledger_->breaker_opens;
+    // The next closed phase starts with a fresh window.
+    ClearWindow(breaker);
+    ++breaker.epoch;
+    return {BreakerTransition::kOpened, breaker.epoch};
+  }
+
+  static void ClearWindow(Breaker& breaker) {
+    std::fill(breaker.outcomes.begin(), breaker.outcomes.end(), 0);
+    breaker.window_pos = 0;
+    breaker.window_count = 0;
+    breaker.bad_count = 0;
+    breaker.half_open_inflight = 0;
+    breaker.half_open_good = 0;
+  }
+
+  void EndInterval(Breaker& breaker, Time now) {
+    if (breaker.degraded) {
+      breaker.degraded = false;
+      ledger_->BookBreakerInterval(Clock::Ms(now - breaker.degraded_since));
+    }
+  }
+
+  CircuitBreakerConfig config_;
+  OverloadLedger* ledger_;
+  std::vector<Breaker> breakers_;
+  int open_count_ = 0;
+};
+
+// How long a cold-start-prone attempt runs before a second one launches.
+template <class Clock>
+class HedgeTrigger {
+ public:
+  using Span = typename Clock::Span;
+
+  explicit HedgeTrigger(const HedgeConfig& config)
+      : config_(config),
+        latency_ms_(config.latency_percentile > 0.0
+                        ? config.latency_percentile / 100.0
+                        : 0.99) {}
+
+  bool enabled() const { return config_.enabled(); }
+
+  // One end-to-end completion latency (ignored while hedging is off).
+  void Observe(Span latency) {
+    if (enabled()) {
+      latency_ms_.Add(Clock::Ms(latency));
+    }
+  }
+
+  // The observed percentile floored at `min_after` once it has 32 samples,
+  // else the fixed `after` delay, else the floor.
+  Span Delay() const {
+    if (config_.latency_percentile > 0.0 && latency_ms_.count() >= 32) {
+      return std::max(Clock::From(config_.min_after),
+                      Clock::FromMs(latency_ms_.Value()));
+    }
+    if (config_.after > Duration::Zero()) {
+      return Clock::From(config_.after);
+    }
+    return Clock::From(config_.min_after);
+  }
+
+ private:
+  HedgeConfig config_;
+  P2Quantile latency_ms_;
 };
 
 }  // namespace faas

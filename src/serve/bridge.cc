@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/serve/clock.h"
-
 namespace faas {
 namespace {
 
@@ -30,9 +28,10 @@ AdmissionBridge::AdmissionBridge(const AdmissionBridgeConfig& config,
       latency_(latency),
       executors_(std::max(config.num_executors, 1)),
       pool_stride_(std::max<uint32_t>(config.num_functions_hint, 1)),
-      hedge_latency_ms_(config.overload.hedge.latency_percentile > 0.0
-                            ? config.overload.hedge.latency_percentile / 100.0
-                            : 0.99),
+      // Validated before the first core is built from it.
+      admission_(config_.overload.CheckedValid().admission),
+      breakers_(config_.overload.breaker, executors_.size(), &ledger_),
+      hedge_(config_.overload.hedge),
       service_ns_(static_cast<int64_t>(config.service_time_us) * 1'000),
       cold_ns_(static_cast<int64_t>(config.cold_start_us) * 1'000),
       keep_alive_ns_(config.keep_alive_ms * 1'000'000),
@@ -42,11 +41,6 @@ AdmissionBridge::AdmissionBridge(const AdmissionBridgeConfig& config,
       watchdog_interval_ns_(config.watchdog.interval.millis() * 1'000'000),
       degrade_min_dwell_ns_(config.degrade.min_dwell.millis() * 1'000'000) {
   pools_.resize(executors_.size() * pool_stride_);
-  if (config_.overload.breaker.enabled) {
-    for (Executor& e : executors_) {
-      e.outcomes.assign(std::max(config_.overload.breaker.window, 1), 0);
-    }
-  }
 }
 
 void AdmissionBridge::StartClock(int64_t now_ns) {
@@ -215,7 +209,7 @@ int AdmissionBridge::PickExecutor(uint32_t function_id, int exclude) {
       ++recovery_.unhealthy_skips;
       continue;
     }
-    if (breakers && !BreakerAdmits(e)) {
+    if (breakers && !breakers_.Admits(static_cast<size_t>(ex))) {
       ++ledger_.breaker_rejections;
       continue;
     }
@@ -235,11 +229,7 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
   Executor& e = executors_[executor];
   ++e.inflight;
   ++inflight_;
-  bool probe = false;
-  if (config_.overload.breaker.enabled && e.mode == BreakerMode::kHalfOpen) {
-    ++e.half_open_inflight;
-    probe = true;
-  }
+  breakers_.NoteDispatch(static_cast<size_t>(executor));
 
   // Warm-pool lookup.  Idle expiries are pushed in completion order, so the
   // deque is ascending: trim expired containers off the cold end, then any
@@ -293,25 +283,15 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
     } else {
       ++stats_.served_warm;
     }
-    const double latency_ms =
-        static_cast<double>(now_ns - arrival_ns) / 1e6;
-    if (config_.overload.breaker.enabled) {
-      const double threshold = config_.overload.breaker.latency_threshold_ms;
-      RecordOutcome(executor, threshold > 0.0 && latency_ms > threshold,
-                    probe, now_ns);
-    }
-    if (config_.overload.hedge.enabled()) {
-      hedge_latency_ms_.Add(latency_ms);
-    }
+    RecordBreakerOutcome(executor, now_ns - arrival_ns, now_ns);
+    hedge_.Observe(now_ns - arrival_ns);
     if (latency_ != nullptr) {
       latency_->Record(now_ns - arrival_ns);
     }
     EmitReply(conn_token, frame.request_id, ReplyStatus::kOk,
               cold ? LatencyClass::kCold : LatencyClass::kWarm, arrival_ns,
               now_ns);
-    if (!queue_.empty() && !in_drain_) {
-      DrainQueue(now_ns);
-    }
+    MaybeDrain(now_ns);
     return;
   }
 
@@ -323,7 +303,6 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
   pending.executor = executor;
   pending.cold = cold;
   pending.is_hedge = is_hedge;
-  pending.half_open_probe = probe;
   pending.deadline_us = frame.deadline_us;
   pending.complete_ns = now_ns + total_ns;
   const uint64_t key = AllocPending(pending);
@@ -335,21 +314,20 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
   }
   wheel_->Schedule(now_ns + total_ns, &AdmissionBridge::CompletionTimer, this,
                    key);
-  if (!is_hedge && cold && config_.overload.hedge.enabled() &&
-      executors_.size() > 1) {
+  if (!is_hedge && cold && hedge_.enabled() && executors_.size() > 1) {
     if (config_.degrade.enabled && degrade_tier_ >= 1) {
       // Tier 1: hedging is the first load we shed.
       ++recovery_.hedges_suppressed;
     } else {
-      wheel_->Schedule(now_ns + HedgeDelayNs(), &AdmissionBridge::HedgeTimer,
+      wheel_->Schedule(now_ns + hedge_.Delay(), &AdmissionBridge::HedgeTimer,
                        this, key);
     }
   }
 }
 
-void AdmissionBridge::CompletionTimer(void* ctx, uint64_t data) {
-  auto* bridge = static_cast<AdmissionBridge*>(ctx);
-  bridge->Complete(data, MonotonicNowNs());
+void AdmissionBridge::CompletionTimer(void* ctx, uint64_t data,
+                                      int64_t now_ns) {
+  static_cast<AdmissionBridge*>(ctx)->Complete(data, now_ns);
 }
 
 void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
@@ -376,13 +354,9 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
     // Lost the hedge race: the execution ran to completion as a zombie and
     // only now returns its slot and container (controller semantics).
     ++stats_.hedge_zombies;
-    if (p->half_open_probe && config_.overload.breaker.enabled) {
-      --e.half_open_inflight;
-    }
+    RecordBreakerOutcome(p->executor, now_ns - p->arrival_ns, now_ns);
     FreePending(key);
-    if (!queue_.empty() && !in_drain_) {
-      DrainQueue(now_ns);
-    }
+    MaybeDrain(now_ns);
     return;
   }
 
@@ -403,15 +377,8 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
   } else {
     ++stats_.served_warm;
   }
-  const double latency_ms = static_cast<double>(now_ns - p->arrival_ns) / 1e6;
-  if (config_.overload.breaker.enabled) {
-    const double threshold = config_.overload.breaker.latency_threshold_ms;
-    RecordOutcome(p->executor, threshold > 0.0 && latency_ms > threshold,
-                  p->half_open_probe, now_ns);
-  }
-  if (config_.overload.hedge.enabled()) {
-    hedge_latency_ms_.Add(latency_ms);
-  }
+  RecordBreakerOutcome(p->executor, now_ns - p->arrival_ns, now_ns);
+  hedge_.Observe(now_ns - p->arrival_ns);
   if (latency_ != nullptr) {
     latency_->Record(now_ns - p->arrival_ns);
   }
@@ -419,14 +386,40 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
             p->cold ? LatencyClass::kCold : LatencyClass::kWarm,
             p->arrival_ns, now_ns);
   FreePending(key);
-  if (!queue_.empty() && !in_drain_) {
-    DrainQueue(now_ns);
+  MaybeDrain(now_ns);
+}
+
+void AdmissionBridge::RecordBreakerOutcome(int executor, int64_t latency_ns,
+                                           int64_t now_ns) {
+  if (!breakers_.enabled()) {
+    return;
+  }
+  const BreakerTransition transition =
+      breakers_.RecordCompletion(executor, latency_ns, now_ns);
+  if (transition.kind == BreakerTransition::kOpened) {
+    wheel_->Schedule(now_ns + breakers_.open_duration(),
+                     &AdmissionBridge::BreakerTimer, this,
+                     PackKey(static_cast<uint32_t>(executor),
+                             transition.epoch));
   }
 }
 
-void AdmissionBridge::HedgeTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::BreakerTimer(void* ctx, uint64_t data,
+                                   int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
-  bridge->LaunchHedge(data, MonotonicNowNs());
+  // A re-open or reset since this timer was armed mints a new epoch; stale
+  // timers must not half-open the newer open interval early.
+  if (!bridge->breakers_.HalfOpen(static_cast<uint32_t>(data),
+                                  static_cast<uint32_t>(data >> 32))) {
+    return;
+  }
+  bridge->last_now_ns_ = now_ns;
+  // Probes arrive via normal dispatch; the queue may hold candidates.
+  bridge->MaybeDrain(now_ns);
+}
+
+void AdmissionBridge::HedgeTimer(void* ctx, uint64_t data, int64_t now_ns) {
+  static_cast<AdmissionBridge*>(ctx)->LaunchHedge(data, now_ns);
 }
 
 void AdmissionBridge::LaunchHedge(uint64_t key, int64_t now_ns) {
@@ -439,12 +432,14 @@ void AdmissionBridge::LaunchHedge(uint64_t key, int64_t now_ns) {
     ++recovery_.hedges_suppressed;
     return;
   }
+  // Launched counts every hedge, placed or not (controller semantics), so
+  // wins + primary wins + unplaced == launched.
+  ++ledger_.hedges_launched;
   const int executor = PickExecutor(p->function_id, p->executor);
   if (executor < 0) {
     ++ledger_.hedges_unplaced;
     return;
   }
-  ++ledger_.hedges_launched;
   RequestFrame frame;
   frame.request_id = p->request_id;
   frame.function_id = p->function_id;
@@ -455,97 +450,63 @@ void AdmissionBridge::LaunchHedge(uint64_t key, int64_t now_ns) {
   Execute(executor, conn_token, frame, arrival_ns, now_ns, true, key);
 }
 
-int64_t AdmissionBridge::HedgeDelayNs() {
-  const HedgeConfig& hedge = config_.overload.hedge;
-  const int64_t min_after_ns = hedge.min_after.millis() * 1'000'000;
-  if (hedge.latency_percentile > 0.0 && hedge_latency_ms_.count() >= 32) {
-    const auto estimate_ns =
-        static_cast<int64_t>(hedge_latency_ms_.Value() * 1e6);
-    return std::max(min_after_ns, estimate_ns);
-  }
-  if (hedge.after > Duration::Zero()) {
-    return hedge.after.millis() * 1'000'000;
-  }
-  return min_after_ns;
-}
-
 void AdmissionBridge::Enqueue(uint64_t conn_token, const RequestFrame& frame,
                               int64_t now_ns) {
-  const AdmissionQueueConfig& adm = config_.overload.admission;
-  if (queue_.size() >= static_cast<size_t>(adm.capacity)) {
-    if (adm.discipline == AdmissionDiscipline::kLifo) {
-      // LIFO sheds the OLDEST queued request to admit the newcomer.
-      const QueuedRequest old = queue_.front();
-      queue_.pop_front();
-      ++ledger_.shed_queue_full;
-      EmitReply(old.conn_token, old.request_id, ReplyStatus::kShedQueueFull,
-                LatencyClass::kUnknown, old.arrival_ns, now_ns);
-    } else {
-      ++ledger_.shed_queue_full;
-      EmitReply(conn_token, frame.request_id, ReplyStatus::kShedQueueFull,
-                LatencyClass::kUnknown, now_ns, now_ns);
-      return;
-    }
+  const QueuedRequest arrival{conn_token, frame.request_id, frame.function_id,
+                              frame.deadline_us, now_ns};
+  const bool queued = admission_.Admit(
+      arrival, ledger_, [this, now_ns](const QueuedRequest& victim) {
+        ledger_.BookShed(ShedReason::kQueueFull);
+        EmitReply(victim.conn_token, victim.request_id,
+                  ReplyStatus::kShedQueueFull, LatencyClass::kUnknown,
+                  victim.arrival_ns, now_ns);
+      });
+  if (queued) {
+    ArmQueueSweep(now_ns);
   }
-  queue_.push_back(QueuedRequest{conn_token, frame.request_id,
-                                 frame.function_id, frame.deadline_us,
-                                 now_ns});
-  ++ledger_.queued;
-  ArmQueueSweep(now_ns);
 }
 
 void AdmissionBridge::DrainQueue(int64_t now_ns) {
   const AdmissionQueueConfig& adm = config_.overload.admission;
-  const bool lifo = adm.discipline == AdmissionDiscipline::kLifo;
   const bool codel = adm.discipline == AdmissionDiscipline::kCoDel;
-  const int64_t max_wait_ns = adm.max_wait.millis() * 1'000'000;
+  const int64_t max_wait_ns = NsClock::From(adm.max_wait);
   in_drain_ = true;
-  while (!queue_.empty()) {
-    QueuedRequest& head = lifo ? queue_.back() : queue_.front();
+  while (!admission_.empty()) {
+    const QueuedRequest head = admission_.Head();
     const int64_t age_ns = now_ns - head.arrival_ns;
-    ReplyStatus shed = ReplyStatus::kOk;
-    if (codel && age_ns > max_wait_ns) {
-      shed = ReplyStatus::kShedDeadline;
-    } else if (head.deadline_us > 0 &&
-               age_ns > static_cast<int64_t>(head.deadline_us) * 1'000) {
-      shed = ReplyStatus::kShedDeadline;
-    }
-    if (shed != ReplyStatus::kOk) {
-      ++ledger_.shed_deadline;
-      EmitReply(head.conn_token, head.request_id, shed,
+    if ((codel && age_ns > max_wait_ns) ||
+        (head.deadline_us > 0 &&
+         age_ns > static_cast<int64_t>(head.deadline_us) * 1'000)) {
+      admission_.PopHead();
+      ledger_.BookShed(ShedReason::kDeadline);
+      EmitReply(head.conn_token, head.request_id, ReplyStatus::kShedDeadline,
                 LatencyClass::kUnknown, head.arrival_ns, now_ns);
-      if (lifo) {
-        queue_.pop_back();
-      } else {
-        queue_.pop_front();
-      }
       continue;
     }
     const int executor = PickExecutor(head.function_id, -1);
     if (executor < 0) {
       break;
     }
-    const QueuedRequest req = head;
-    if (lifo) {
-      queue_.pop_back();
-    } else {
-      queue_.pop_front();
-    }
-    ++ledger_.drained;
-    const double wait_ms = static_cast<double>(age_ns) / 1e6;
-    ledger_.total_queue_wait_ms += wait_ms;
-    ledger_.max_queue_wait_ms = std::max(ledger_.max_queue_wait_ms, wait_ms);
+    admission_.PopHead();
+    ledger_.BookDrained(NsClock::Ms(age_ns));
     RequestFrame frame;
-    frame.request_id = req.request_id;
-    frame.function_id = req.function_id;
-    frame.deadline_us = req.deadline_us;
-    Execute(executor, req.conn_token, frame, req.arrival_ns, now_ns, false, 0);
+    frame.request_id = head.request_id;
+    frame.function_id = head.function_id;
+    frame.deadline_us = head.deadline_us;
+    Execute(executor, head.conn_token, frame, head.arrival_ns, now_ns, false,
+            0);
   }
   in_drain_ = false;
 }
 
+void AdmissionBridge::MaybeDrain(int64_t now_ns) {
+  if (!admission_.empty() && !in_drain_) {
+    DrainQueue(now_ns);
+  }
+}
+
 void AdmissionBridge::ArmQueueSweep(int64_t now_ns) {
-  if (queue_sweep_armed_ || queue_.empty() || draining_) {
+  if (queue_sweep_armed_ || admission_.empty() || draining_) {
     return;
   }
   queue_sweep_armed_ = true;
@@ -553,141 +514,25 @@ void AdmissionBridge::ArmQueueSweep(int64_t now_ns) {
                    &AdmissionBridge::QueueSweepTimer, this, 0);
 }
 
-void AdmissionBridge::QueueSweepTimer(void* ctx, uint64_t /*data*/) {
+void AdmissionBridge::QueueSweepTimer(void* ctx, uint64_t /*data*/,
+                                      int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   bridge->queue_sweep_armed_ = false;
   if (bridge->draining_) {
     return;
   }
-  const int64_t now_ns = MonotonicNowNs();
   bridge->last_now_ns_ = now_ns;
-  if (!bridge->in_drain_) {
-    bridge->DrainQueue(now_ns);
-  }
+  bridge->MaybeDrain(now_ns);
   bridge->ArmQueueSweep(now_ns);
 }
 
-bool AdmissionBridge::BreakerAdmits(const Executor& e) const {
-  switch (e.mode) {
-    case BreakerMode::kClosed:
-      return true;
-    case BreakerMode::kOpen:
-      return false;
-    case BreakerMode::kHalfOpen:
-      return e.half_open_inflight < config_.overload.breaker.half_open_probes;
-  }
-  return true;
-}
-
-void AdmissionBridge::RecordOutcome(int executor, bool bad,
-                                    bool was_half_open_probe, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  const CircuitBreakerConfig& cfg = config_.overload.breaker;
-  if (was_half_open_probe) {
-    --e.half_open_inflight;
-    if (e.mode == BreakerMode::kHalfOpen) {
-      if (bad) {
-        OpenBreaker(executor, now_ns);
-      } else if (++e.half_open_good >= cfg.half_open_probes) {
-        CloseBreaker(executor, now_ns);
-      }
-    }
-    return;
-  }
-  if (e.mode != BreakerMode::kClosed) {
-    return;  // Straggler outcome while open/half-open: not part of a window.
-  }
-  const int8_t value = bad ? 1 : 0;
-  if (e.window_count == static_cast<int>(e.outcomes.size())) {
-    e.bad_count -= e.outcomes[e.window_pos];
-  } else {
-    ++e.window_count;
-  }
-  e.outcomes[e.window_pos] = value;
-  e.bad_count += value;
-  e.window_pos = (e.window_pos + 1) % static_cast<int>(e.outcomes.size());
-  if (e.window_count >= cfg.min_samples &&
-      static_cast<double>(e.bad_count) >=
-          cfg.failure_threshold * static_cast<double>(e.window_count)) {
-    OpenBreaker(executor, now_ns);
-  }
-}
-
-void AdmissionBridge::OpenBreaker(int executor, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  if (e.mode != BreakerMode::kOpen) {
-    ++open_breakers_;
-  }
-  e.mode = BreakerMode::kOpen;
-  ++e.breaker_epoch;
-  e.half_open_inflight = 0;
-  e.half_open_good = 0;
-  ++ledger_.breaker_opens;
-  if (!e.degraded) {
-    e.degraded = true;
-    e.degraded_since_ns = now_ns;
-  }
-  const int64_t open_ns =
-      config_.overload.breaker.open_duration.millis() * 1'000'000;
-  wheel_->Schedule(now_ns + open_ns, &AdmissionBridge::BreakerTimer, this,
-                   PackKey(static_cast<uint32_t>(executor), e.breaker_epoch));
-}
-
-void AdmissionBridge::BreakerTimer(void* ctx, uint64_t data) {
-  auto* bridge = static_cast<AdmissionBridge*>(ctx);
-  const auto executor = static_cast<int>(static_cast<uint32_t>(data));
-  const auto epoch = static_cast<uint32_t>(data >> 32);
-  Executor& e = bridge->executors_[executor];
-  // A re-open since this timer was armed mints a new epoch; stale timers
-  // must not half-open the newer open interval early.
-  if (e.breaker_epoch != epoch || e.mode != BreakerMode::kOpen) {
-    return;
-  }
-  bridge->HalfOpenBreaker(executor, MonotonicNowNs());
-}
-
-void AdmissionBridge::HalfOpenBreaker(int executor, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  if (e.mode == BreakerMode::kOpen) {
-    --open_breakers_;
-  }
-  e.mode = BreakerMode::kHalfOpen;
-  e.half_open_inflight = 0;
-  e.half_open_good = 0;
-  ++ledger_.breaker_half_opens;
-  last_now_ns_ = now_ns;
-  // Probes arrive via normal dispatch; the queue may hold candidates.
-  if (!queue_.empty() && !in_drain_) {
-    DrainQueue(now_ns);
-  }
-}
-
-void AdmissionBridge::CloseBreaker(int executor, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  e.mode = BreakerMode::kClosed;
-  std::fill(e.outcomes.begin(), e.outcomes.end(), 0);
-  e.window_pos = 0;
-  e.window_count = 0;
-  e.bad_count = 0;
-  ++ledger_.breaker_closes;
-  if (e.degraded) {
-    const double open_ms =
-        static_cast<double>(now_ns - e.degraded_since_ns) / 1e6;
-    ++ledger_.breaker_open_intervals;
-    ledger_.total_breaker_open_ms += open_ms;
-    ledger_.max_breaker_open_ms =
-        std::max(ledger_.max_breaker_open_ms, open_ms);
-    e.degraded = false;
-  }
-}
-
-void AdmissionBridge::ChaosCrashTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosCrashTimer(void* ctx, uint64_t data,
+                                      int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
   }
   const serve::ExecCrashEvent& event = bridge->config_.chaos.crashes[data];
-  const int64_t now_ns = MonotonicNowNs();
   bridge->CrashExecutor(event.executor, now_ns);
   // Heal keyed by the post-crash epoch: a watchdog rebuild in between
   // bumps it and this heal becomes a no-op.
@@ -698,7 +543,8 @@ void AdmissionBridge::ChaosCrashTimer(void* ctx, uint64_t data) {
               bridge->executors_[event.executor].health_epoch));
 }
 
-void AdmissionBridge::ChaosHealTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosHealTimer(void* ctx, uint64_t data,
+                                     int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
@@ -709,16 +555,16 @@ void AdmissionBridge::ChaosHealTimer(void* ctx, uint64_t data) {
   if (e.health != ExecHealth::kCrashed || e.health_epoch != epoch) {
     return;
   }
-  bridge->RestartExecutor(executor, MonotonicNowNs(), false);
+  bridge->RestartExecutor(executor, now_ns, false);
 }
 
-void AdmissionBridge::ChaosStallTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosStallTimer(void* ctx, uint64_t data,
+                                      int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
   }
   const serve::ExecStallEvent& event = bridge->config_.chaos.stalls[data];
-  const int64_t now_ns = MonotonicNowNs();
   bridge->StallExecutor(event.executor, now_ns);
   bridge->wheel_->Schedule(
       now_ns + event.duration.millis() * 1'000'000,
@@ -727,7 +573,8 @@ void AdmissionBridge::ChaosStallTimer(void* ctx, uint64_t data) {
               bridge->executors_[event.executor].health_epoch));
 }
 
-void AdmissionBridge::ChaosUnstallTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosUnstallTimer(void* ctx, uint64_t data,
+                                        int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
@@ -738,15 +585,16 @@ void AdmissionBridge::ChaosUnstallTimer(void* ctx, uint64_t data) {
   if (e.health != ExecHealth::kStalled || e.health_epoch != epoch) {
     return;  // The watchdog already rebuilt the shard.
   }
-  bridge->UnstallExecutor(executor, MonotonicNowNs());
+  bridge->UnstallExecutor(executor, now_ns);
 }
 
-void AdmissionBridge::WatchdogTimer(void* ctx, uint64_t /*data*/) {
+void AdmissionBridge::WatchdogTimer(void* ctx, uint64_t /*data*/,
+                                    int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
   }
-  bridge->WatchdogScan(MonotonicNowNs());
+  bridge->WatchdogScan(now_ns);
 }
 
 void AdmissionBridge::CrashExecutor(int executor, int64_t now_ns) {
@@ -762,30 +610,8 @@ void AdmissionBridge::CrashExecutor(int executor, int64_t now_ns) {
   ++e.health_epoch;
   FailInflightOn(executor, now_ns);
   QuarantinePools(executor, now_ns);
-  // The shard rejoins with a fresh breaker; close the books on an open
-  // interval so OverloadLedger dwell accounting stays consistent.
-  if (config_.overload.breaker.enabled) {
-    if (e.mode == BreakerMode::kOpen) {
-      --open_breakers_;
-    }
-    e.mode = BreakerMode::kClosed;
-    std::fill(e.outcomes.begin(), e.outcomes.end(), 0);
-    e.window_pos = 0;
-    e.window_count = 0;
-    e.bad_count = 0;
-    e.half_open_inflight = 0;
-    e.half_open_good = 0;
-    ++e.breaker_epoch;
-    if (e.degraded) {
-      const double open_ms =
-          static_cast<double>(now_ns - e.degraded_since_ns) / 1e6;
-      ++ledger_.breaker_open_intervals;
-      ledger_.total_breaker_open_ms += open_ms;
-      ledger_.max_breaker_open_ms =
-          std::max(ledger_.max_breaker_open_ms, open_ms);
-      e.degraded = false;
-    }
-  }
+  // The shard rejoins with a fresh breaker.
+  breakers_.Reset(static_cast<size_t>(executor), now_ns);
   if (config_.degrade.enabled) {
     UpdateDegrade(now_ns);
   }
@@ -820,9 +646,7 @@ void AdmissionBridge::UnstallExecutor(int executor, int64_t now_ns) {
   for (const uint64_t key : frozen) {
     Complete(key, now_ns);
   }
-  if (!queue_.empty() && !in_drain_) {
-    DrainQueue(now_ns);
-  }
+  MaybeDrain(now_ns);
 }
 
 void AdmissionBridge::RestartExecutor(int executor, int64_t now_ns,
@@ -833,19 +657,7 @@ void AdmissionBridge::RestartExecutor(int executor, int64_t now_ns,
     // suspect and quarantined, the breaker window restarts.
     FailInflightOn(executor, now_ns);
     QuarantinePools(executor, now_ns);
-    if (config_.overload.breaker.enabled) {
-      if (e.mode == BreakerMode::kOpen) {
-        --open_breakers_;
-      }
-      e.mode = BreakerMode::kClosed;
-      std::fill(e.outcomes.begin(), e.outcomes.end(), 0);
-      e.window_pos = 0;
-      e.window_count = 0;
-      e.bad_count = 0;
-      e.half_open_inflight = 0;
-      e.half_open_good = 0;
-      ++e.breaker_epoch;
-    }
+    breakers_.Reset(static_cast<size_t>(executor), now_ns);
     ++recovery_.watchdog_restarts;
   } else {
     ++recovery_.crash_restarts;
@@ -863,10 +675,9 @@ void AdmissionBridge::RestartExecutor(int executor, int64_t now_ns,
     UpdateDegrade(now_ns);
   }
   // Fresh slots: rescue parked work instead of waiting for the sweep.
-  if ((!by_watchdog || config_.watchdog.rescue_queued) && !queue_.empty() &&
-      !in_drain_) {
+  if (!by_watchdog || config_.watchdog.rescue_queued) {
     const int64_t drained_before = ledger_.drained;
-    DrainQueue(now_ns);
+    MaybeDrain(now_ns);
     recovery_.requests_rescued += ledger_.drained - drained_before;
   }
 }
@@ -966,10 +777,10 @@ double AdmissionBridge::DegradePressure() const {
   double pressure = 0.0;
   const AdmissionQueueConfig& adm = config_.overload.admission;
   if (adm.enabled() && adm.capacity > 0) {
-    pressure = static_cast<double>(queue_.size()) /
+    pressure = static_cast<double>(admission_.size()) /
                static_cast<double>(adm.capacity);
   }
-  const int bad = open_breakers_ + unhealthy_;
+  const int bad = breakers_.open_count() + unhealthy_;
   if (bad > 0) {
     pressure = std::max(pressure, static_cast<double>(bad) /
                                       static_cast<double>(executors_.size()));
@@ -1026,12 +837,11 @@ void AdmissionBridge::Drain(int64_t now_ns) {
         static_cast<double>(now_ns - tier_since_ns_) / 1e6;
     tier_since_ns_ = now_ns;
   }
-  for (const QueuedRequest& req : queue_) {
-    ++ledger_.shed_at_shutdown;
+  for (const QueuedRequest& req : admission_.TakeAll()) {
+    ledger_.BookShed(ShedReason::kShutdown);
     EmitReply(req.conn_token, req.request_id, ReplyStatus::kShedShutdown,
               LatencyClass::kUnknown, req.arrival_ns, now_ns);
   }
-  queue_.clear();
   // Settle warm-pool idle time not yet observed by a trim or a warm hit.
   // Entries pushed by completions after this point charge nothing.
   for (FunctionPool& pool : pools_) {
@@ -1046,17 +856,7 @@ void AdmissionBridge::Drain(int64_t now_ns) {
     pool.idle_expiry_ns.clear();
   }
   // Close the books on breakers still degraded at shutdown.
-  for (Executor& e : executors_) {
-    if (e.degraded) {
-      const double open_ms =
-          static_cast<double>(now_ns - e.degraded_since_ns) / 1e6;
-      ++ledger_.breaker_open_intervals;
-      ledger_.total_breaker_open_ms += open_ms;
-      ledger_.max_breaker_open_ms =
-          std::max(ledger_.max_breaker_open_ms, open_ms);
-      e.degraded = false;
-    }
-  }
+  breakers_.Finish(now_ns);
 }
 
 }  // namespace faas

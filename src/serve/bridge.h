@@ -1,17 +1,18 @@
 // AdmissionBridge: the cluster controller's admission path on a wall clock.
 //
 // The serving front-end (src/serve/server.h) terminates TCP and hands every
-// decoded request to one of these.  The bridge is the controller's overload
-// machinery — bounded admission queue with FIFO/LIFO/CoDel shedding,
-// per-executor concurrency caps and circuit breakers, hedged dispatch with
-// first-completion-wins — re-run against CLOCK_MONOTONIC instead of the
-// simulator's virtual EventQueue.  It reuses the cluster's configuration
-// and accounting types verbatim (OverloadControlConfig, AdmissionDiscipline,
-// OverloadLedger from src/cluster/overload.h), so a discipline swept in the
-// simulator and a discipline served over sockets are the same knobs and the
-// same ledger fields; what changes is only the substrate: future work goes
-// through a TimerWheel, and "executors" are concurrency shards standing in
-// for invokers (execution itself is simulated as a timer at
+// decoded request to one of these.  The bridge is the second driver of the
+// controller's overload core (src/cluster/overload.h) — bounded admission
+// queue with FIFO/LIFO/CoDel shedding, per-executor concurrency caps and
+// circuit breakers, hedged dispatch with first-completion-wins — run against
+// CLOCK_MONOTONIC instead of the simulator's virtual EventQueue.  The queue
+// discipline, breaker state machine and hedge trigger are the controller's
+// own code, as are the configuration and the ledger, so a discipline swept
+// in the simulator and a discipline served over sockets are the same knobs,
+// the same rules and the same ledger fields; what changes is only the
+// substrate: timers go through a TimerWheel (each callback runs on the time
+// the wheel was advanced to), and "executors" are concurrency shards
+// standing in for invokers (execution itself is simulated as a timer at
 // service_time + cold-start penalty, with a per-function warm-container
 // pool under a fixed keep-alive deciding cold vs warm).
 //
@@ -35,7 +36,6 @@
 #include "src/serve/idempotency.h"
 #include "src/serve/timer_wheel.h"
 #include "src/serve/wire.h"
-#include "src/stats/p2_quantile.h"
 #include "src/telemetry/latency_recorder.h"
 
 namespace faas {
@@ -117,6 +117,9 @@ class AdmissionBridge {
   AdmissionBridge(const AdmissionBridgeConfig& config, TimerWheel* wheel,
                   ReplyFn reply_fn, void* reply_ctx,
                   LatencyRecorder* latency = nullptr);
+  // The breaker bank books into ledger_ and timers carry `this`.
+  AdmissionBridge(const AdmissionBridge&) = delete;
+  AdmissionBridge& operator=(const AdmissionBridge&) = delete;
 
   // Admission entry point for one decoded request at wall time `now_ns`.
   void OnRequest(uint64_t conn_token, const RequestFrame& frame,
@@ -135,7 +138,7 @@ class AdmissionBridge {
   void StartClock(int64_t now_ns);
 
   int64_t inflight() const { return inflight_; }
-  size_t queue_depth() const { return queue_.size(); }
+  size_t queue_depth() const { return admission_.size(); }
   const OverloadLedger& ledger() const { return ledger_; }
   const BridgeStats& stats() const { return stats_; }
   const RecoveryLedger& recovery() const { return recovery_; }
@@ -148,26 +151,13 @@ class AdmissionBridge {
   const ResourceLedger& resources() const { return resources_; }
 
  private:
-  enum class BreakerMode : uint8_t { kClosed, kOpen, kHalfOpen };
   enum class ExecHealth : uint8_t { kUp, kCrashed, kStalled };
 
   struct Executor {
     int32_t inflight = 0;
-    // Circuit breaker (sized/used only when overload.breaker.enabled).
-    BreakerMode mode = BreakerMode::kClosed;
-    std::vector<int8_t> outcomes;  // Rolling ring, 1 = bad.
-    int window_pos = 0;
-    int window_count = 0;
-    int bad_count = 0;
-    int half_open_inflight = 0;
-    int half_open_good = 0;
-    uint32_t breaker_epoch = 0;  // Validates open->half-open timers.
-    bool degraded = false;
-    int64_t degraded_since_ns = 0;
     // Chaos / self-healing shard state.  health_epoch validates the chaos
-    // heal/unstall timers the same way breaker_epoch validates half-opens:
-    // a watchdog restart bumps it, so a stale heal cannot resurrect a shard
-    // the watchdog already rebuilt.
+    // heal/unstall timers: a watchdog restart bumps it, so a stale heal
+    // cannot resurrect a shard the watchdog already rebuilt.
     ExecHealth health = ExecHealth::kUp;
     uint32_t health_epoch = 0;
     int64_t down_since_ns = 0;
@@ -194,7 +184,6 @@ class AdmissionBridge {
     bool cold = false;
     bool dead = false;      // Lost the hedge race; completes as a zombie.
     bool is_hedge = false;
-    bool half_open_probe = false;
     uint64_t partner = 0;   // Packed key of the live hedge partner (0=none).
     uint32_t deadline_us = 0;
     // Scheduled completion instant; the watchdog flags executions overdue
@@ -221,12 +210,16 @@ class AdmissionBridge {
                uint64_t primary_key);
   void Complete(uint64_t key, int64_t now_ns);
   void LaunchHedge(uint64_t key, int64_t now_ns);
-  int64_t HedgeDelayNs();
+  // Feeds one completion on `executor` to its breaker (every completion
+  // counts, hedge zombies included) and arms the half-open timer on a trip.
+  void RecordBreakerOutcome(int executor, int64_t latency_ns, int64_t now_ns);
 
   // --- admission queue ---
   void Enqueue(uint64_t conn_token, const RequestFrame& frame,
                int64_t now_ns);
   void DrainQueue(int64_t now_ns);
+  // DrainQueue unless the queue is empty or a drain is already walking it.
+  void MaybeDrain(int64_t now_ns);
   void ArmQueueSweep(int64_t now_ns);
 
   // --- chaos / self-healing ---
@@ -248,14 +241,6 @@ class AdmissionBridge {
   void UpdateDegrade(int64_t now_ns);
   double DegradePressure() const;
 
-  // --- breakers ---
-  bool BreakerAdmits(const Executor& e) const;
-  void RecordOutcome(int executor, bool bad, bool was_half_open_probe,
-                     int64_t now_ns);
-  void OpenBreaker(int executor, int64_t now_ns);
-  void HalfOpenBreaker(int executor, int64_t now_ns);
-  void CloseBreaker(int executor, int64_t now_ns);
-
   // --- plumbing ---
   FunctionPool& PoolFor(int executor, uint32_t function_id);
   uint64_t AllocPending(const Pending& pending);
@@ -265,15 +250,15 @@ class AdmissionBridge {
                  LatencyClass latency_class, int64_t arrival_ns,
                  int64_t now_ns);
 
-  static void CompletionTimer(void* ctx, uint64_t data);
-  static void HedgeTimer(void* ctx, uint64_t data);
-  static void BreakerTimer(void* ctx, uint64_t data);
-  static void QueueSweepTimer(void* ctx, uint64_t data);
-  static void ChaosCrashTimer(void* ctx, uint64_t data);
-  static void ChaosHealTimer(void* ctx, uint64_t data);
-  static void ChaosStallTimer(void* ctx, uint64_t data);
-  static void ChaosUnstallTimer(void* ctx, uint64_t data);
-  static void WatchdogTimer(void* ctx, uint64_t data);
+  static void CompletionTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void HedgeTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void BreakerTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void QueueSweepTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosCrashTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosHealTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosStallTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosUnstallTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void WatchdogTimer(void* ctx, uint64_t data, int64_t now_ns);
 
   AdmissionBridgeConfig config_;
   TimerWheel* wheel_;
@@ -286,7 +271,9 @@ class AdmissionBridge {
   // the current stride.
   std::vector<FunctionPool> pools_;
   uint32_t pool_stride_ = 0;
-  std::deque<QueuedRequest> queue_;
+  AdmissionQueue<QueuedRequest> admission_;
+  BreakerBank<NsClock> breakers_;
+  HedgeTrigger<NsClock> hedge_;
   bool queue_sweep_armed_ = false;
   // Re-entrancy guard: Execute()'s inline-completion path may free a slot
   // while DrainQueue is already walking the queue.
@@ -297,7 +284,6 @@ class AdmissionBridge {
   int64_t inflight_ = 0;
   int64_t last_now_ns_ = 0;
 
-  P2Quantile hedge_latency_ms_;
   int64_t service_ns_ = 0;
   int64_t cold_ns_ = 0;
   int64_t keep_alive_ns_ = 0;
@@ -308,8 +294,7 @@ class AdmissionBridge {
   int64_t chaos_start_ns_ = 0;  // StartClock() epoch for plan offsets.
   int64_t stall_threshold_ns_ = 0;
   int64_t watchdog_interval_ns_ = 0;
-  int open_breakers_ = 0;    // Executors in BreakerMode::kOpen.
-  int unhealthy_ = 0;        // Executors with health != kUp.
+  int unhealthy_ = 0;  // Executors with health != kUp.
   int degrade_tier_ = 0;
   int64_t tier_since_ns_ = 0;
   int64_t degrade_min_dwell_ns_ = 0;

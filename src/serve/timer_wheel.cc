@@ -64,7 +64,7 @@ void TimerWheel::Advance(int64_t now_ns) {
       slot.resize(keep);
       pending_ -= firing_.size();
       for (const Timer& timer : firing_) {
-        timer.fn(timer.ctx, timer.data);
+        timer.fn(timer.ctx, timer.data, now_ns);
       }
     }
     return;
@@ -88,7 +88,7 @@ void TimerWheel::Advance(int64_t now_ns) {
     slot.resize(keep);
     pending_ -= firing_.size();
     for (const Timer& timer : firing_) {
-      timer.fn(timer.ctx, timer.data);
+      timer.fn(timer.ctx, timer.data, now_ns);
     }
   }
 }

@@ -32,7 +32,10 @@ namespace faas {
 
 class TimerWheel {
  public:
-  using Callback = void (*)(void* ctx, uint64_t data);
+  // `now_ns` is the time passed to the Advance that fires the timer (never
+  // below its deadline), so callees run on the wheel's clock, synthetic or
+  // real, instead of reading one of their own.
+  using Callback = void (*)(void* ctx, uint64_t data, int64_t now_ns);
 
   // `tick_ns` is the firing granularity; `num_slots` (rounded up to a power
   // of two) times the tick is one rotation.  Timers beyond one rotation are
@@ -43,7 +46,7 @@ class TimerWheel {
   // firing, which is noise).
   explicit TimerWheel(int64_t tick_ns = 64 * 1024, size_t num_slots = 4096);
 
-  // Registers `fn(ctx, data)` to fire once `deadline_ns` is reached.
+  // Registers `fn(ctx, data, now)` to fire once `deadline_ns` is reached.
   // Deadlines in the past fire on the next Advance.
   void Schedule(int64_t deadline_ns, Callback fn, void* ctx, uint64_t data);
 

@@ -1,6 +1,11 @@
 #include "tools/flags.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "tools/overload_flags.h"
 
 namespace faas {
 namespace {
@@ -91,6 +96,65 @@ TEST(FlagParserTest, LastValueWins) {
   FlagParser flags;
   ASSERT_TRUE(flags.Parse(args.argc(), args.argv()));
   EXPECT_EQ(flags.GetInt("apps", 0), 2);
+}
+
+TEST(FlagParserTest, ReportsFlagsNeverRead) {
+  // A renamed flag (serve's old --hedge-ms) must not be silently ignored.
+  ArgvBuilder args({"--apps", "5", "--hedge-ms", "10", "--verbose"});
+  FlagParser flags;
+  ASSERT_TRUE(flags.Parse(args.argc(), args.argv()));
+  EXPECT_EQ(flags.GetInt("apps", 0), 5);
+  EXPECT_TRUE(flags.Has("verbose"));
+  EXPECT_FALSE(flags.Has("absent"));  // Asking about absent flags is fine.
+  EXPECT_FALSE(flags.CheckAllRead());
+  flags.GetInt("hedge-ms", 0);
+  EXPECT_TRUE(flags.CheckAllRead());
+}
+
+bool ParseOverload(std::vector<std::string> argv,
+                   OverloadControlConfig* config) {
+  ArgvBuilder args(std::move(argv));
+  FlagParser flags;
+  return flags.Parse(args.argc(), args.argv()) &&
+         ParseOverloadFlags(flags, config) && flags.CheckAllRead();
+}
+
+TEST(OverloadFlagsTest, RejectsOutOfRangeKnobs) {
+  OverloadControlConfig config;
+  EXPECT_FALSE(ParseOverload({"--hedge-percentile", "150"}, &config));
+  config = {};
+  EXPECT_FALSE(ParseOverload({"--admission-queue", "-5"}, &config));
+  config = {};
+  EXPECT_FALSE(ParseOverload({"--breaker-window", "0"}, &config));
+  config = {};
+  EXPECT_FALSE(ParseOverload({"--admission-discipline", "random"}, &config));
+  config = {};
+  EXPECT_FALSE(ParseOverload({"--hedge", "soon"}, &config));
+}
+
+TEST(OverloadFlagsTest, OneSpellingPerKnobWithDurationSuffixes) {
+  OverloadControlConfig config;
+  ASSERT_TRUE(ParseOverload(
+      {"--hedge", "5ms", "--queue-max-wait", "2s", "--concurrency-cap", "8",
+       "--admission-queue", "64", "--admission-discipline", "lifo"},
+      &config));
+  EXPECT_EQ(config.hedge.after, Duration::Millis(5));
+  EXPECT_EQ(config.admission.max_wait, Duration::Seconds(2));
+  EXPECT_EQ(config.invoker_concurrency_cap, 8);
+  EXPECT_EQ(config.admission.capacity, 64);
+  EXPECT_EQ(config.admission.discipline, AdmissionDiscipline::kLifo);
+  EXPECT_FALSE(config.breaker.enabled);
+
+  // --breaker-open alone turns the breakers on.
+  config = {};
+  ASSERT_TRUE(ParseOverload({"--breaker-open", "250ms"}, &config));
+  EXPECT_TRUE(config.breaker.enabled);
+  EXPECT_EQ(config.breaker.open_duration, Duration::Millis(250));
+
+  // The spellings serve used to take are unknown now.
+  config = {};
+  EXPECT_FALSE(ParseOverload({"--cap", "8"}, &config));
+  EXPECT_FALSE(ParseOverload({"--breaker-open-ms", "250"}, &config));
 }
 
 }  // namespace

@@ -553,5 +553,175 @@ TEST(OverloadClusterTest, LedgerIsDeterministicAcrossThreadCounts) {
   }
 }
 
+// ---- Shared core (driven by both the Controller and AdmissionBridge) ------
+
+TEST(OverloadCoreTest, ValidateRejectsOutOfRangeKnobs) {
+  EXPECT_EQ(OverloadControlConfig{}.Validate(), "");
+  OverloadControlConfig config;
+  config.hedge.latency_percentile = 150.0;
+  EXPECT_NE(config.Validate(), "");
+  config = {};
+  config.admission.capacity = -5;
+  EXPECT_NE(config.Validate(), "");
+  config = {};
+  config.breaker.enabled = true;
+  config.breaker.window = 0;
+  EXPECT_NE(config.Validate(), "");
+  // A disabled breaker's knobs are never used, so never checked.
+  config.breaker.enabled = false;
+  EXPECT_EQ(config.Validate(), "");
+}
+
+CircuitBreakerConfig SmallBreaker() {
+  CircuitBreakerConfig config;
+  config.enabled = true;
+  config.window = 4;
+  config.min_samples = 2;
+  config.failure_threshold = 0.5;
+  config.half_open_probes = 2;
+  return config;
+}
+
+TEST(OverloadCoreTest, BreakerOpensHalfOpensAndCloses) {
+  OverloadLedger ledger;
+  BreakerBank<SimClock> bank(SmallBreaker(), 2, &ledger);
+  const TimePoint t0 = TimePoint::Origin();
+  EXPECT_EQ(bank.RecordOutcome(0, /*bad=*/true, t0).kind,
+            BreakerTransition::kNone);  // Below min_samples.
+  const BreakerTransition opened = bank.RecordOutcome(0, true, t0);
+  ASSERT_EQ(opened.kind, BreakerTransition::kOpened);
+  EXPECT_FALSE(bank.Admits(0));
+  EXPECT_TRUE(bank.Admits(1));  // Breakers are per target.
+  EXPECT_EQ(bank.open_count(), 1);
+  EXPECT_EQ(bank.RecordOutcome(0, false, t0).kind, BreakerTransition::kNone)
+      << "stragglers while open are ignored";
+
+  ASSERT_TRUE(bank.HalfOpen(0, opened.epoch));
+  EXPECT_EQ(bank.open_count(), 0);
+  EXPECT_TRUE(bank.Admits(0));
+  const TimePoint t1 = t0 + Duration::Millis(1'500);
+  EXPECT_EQ(bank.RecordOutcome(0, false, t1).kind, BreakerTransition::kNone);
+  EXPECT_EQ(bank.RecordOutcome(0, false, t1).kind, BreakerTransition::kClosed);
+  EXPECT_TRUE(bank.Admits(0));
+
+  EXPECT_EQ(ledger.breaker_opens, 1);
+  EXPECT_EQ(ledger.breaker_half_opens, 1);
+  EXPECT_EQ(ledger.breaker_closes, 1);
+  EXPECT_EQ(ledger.breaker_open_intervals, 1);
+  EXPECT_DOUBLE_EQ(ledger.total_breaker_open_ms, 1'500.0);
+}
+
+TEST(OverloadCoreTest, HalfOpenAdmitsAtMostProbeLimit) {
+  OverloadLedger ledger;
+  BreakerBank<NsClock> bank(SmallBreaker(), 1, &ledger);
+  bank.RecordOutcome(0, true, 0);
+  const BreakerTransition opened = bank.RecordOutcome(0, true, 0);
+  ASSERT_TRUE(bank.HalfOpen(0, opened.epoch));
+  bank.NoteDispatch(0);
+  EXPECT_TRUE(bank.Admits(0));
+  bank.NoteDispatch(0);
+  EXPECT_FALSE(bank.Admits(0)) << "both probe slots are taken";
+  // Any outcome in half-open releases a slot, probe or not.
+  EXPECT_EQ(bank.RecordOutcome(0, false, 0).kind, BreakerTransition::kNone);
+  EXPECT_TRUE(bank.Admits(0));
+  // A bad probe re-opens; the degraded interval keeps running.
+  EXPECT_EQ(bank.RecordOutcome(0, true, 5'000'000).kind,
+            BreakerTransition::kOpened);
+  EXPECT_EQ(ledger.breaker_open_intervals, 0);
+  bank.Finish(/*now=*/7'000'000);
+  EXPECT_EQ(ledger.breaker_open_intervals, 1);
+  EXPECT_DOUBLE_EQ(ledger.total_breaker_open_ms, 7.0);
+}
+
+TEST(OverloadCoreTest, StaleEpochDoesNotHalfOpen) {
+  OverloadLedger ledger;
+  BreakerBank<NsClock> bank(SmallBreaker(), 1, &ledger);
+  bank.RecordOutcome(0, true, 0);
+  const BreakerTransition first = bank.RecordOutcome(0, true, 0);
+  ASSERT_TRUE(bank.HalfOpen(0, first.epoch));
+  const BreakerTransition second = bank.RecordOutcome(0, true, 0);
+  ASSERT_EQ(second.kind, BreakerTransition::kOpened);
+  EXPECT_NE(second.epoch, first.epoch);
+  EXPECT_FALSE(bank.HalfOpen(0, first.epoch)) << "a stale timer fired";
+  EXPECT_FALSE(bank.Admits(0));
+  EXPECT_TRUE(bank.HalfOpen(0, second.epoch));
+
+  // A reset (the target was rebuilt) closes, books the interval, and
+  // invalidates every timer armed before it.
+  const BreakerTransition third = bank.RecordOutcome(0, true, 0);
+  ASSERT_EQ(third.kind, BreakerTransition::kOpened);
+  bank.Reset(0, 2'000'000);
+  EXPECT_TRUE(bank.Admits(0));
+  EXPECT_EQ(bank.open_count(), 0);
+  EXPECT_FALSE(bank.HalfOpen(0, third.epoch));
+  EXPECT_EQ(ledger.breaker_open_intervals, 1);
+  EXPECT_EQ(ledger.breaker_closes, 0) << "a reset is not a close";
+}
+
+TEST(OverloadCoreTest, LifoShedsOldestToAdmitNewcomer) {
+  AdmissionQueueConfig config;
+  config.capacity = 2;
+  config.discipline = AdmissionDiscipline::kLifo;
+  AdmissionQueue<int> queue(config);
+  OverloadLedger ledger;
+  std::vector<int> shed;
+  const auto record = [&shed](int victim) { shed.push_back(victim); };
+  EXPECT_TRUE(queue.Admit(1, ledger, record));
+  EXPECT_TRUE(queue.Admit(2, ledger, record));
+  EXPECT_TRUE(queue.Admit(3, ledger, record));
+  EXPECT_EQ(shed, (std::vector<int>{1}));
+  EXPECT_EQ(ledger.queued, 3);
+  EXPECT_EQ(queue.Head(), 3);  // Newest served first.
+  queue.PopHead();
+  EXPECT_EQ(queue.Head(), 2);
+}
+
+TEST(OverloadCoreTest, FifoAndCoDelTailDropTheArrival) {
+  for (const AdmissionDiscipline discipline :
+       {AdmissionDiscipline::kFifo, AdmissionDiscipline::kCoDel}) {
+    AdmissionQueueConfig config;
+    config.capacity = 2;
+    config.discipline = discipline;
+    AdmissionQueue<int> queue(config);
+    OverloadLedger ledger;
+    std::vector<int> shed;
+    const auto record = [&shed](int victim) { shed.push_back(victim); };
+    EXPECT_TRUE(queue.Admit(1, ledger, record));
+    EXPECT_TRUE(queue.Admit(2, ledger, record));
+    EXPECT_FALSE(queue.Admit(3, ledger, record));
+    EXPECT_EQ(shed, (std::vector<int>{3}));
+    EXPECT_EQ(ledger.queued, 2);
+    EXPECT_EQ(queue.Head(), 1);  // Oldest served first.
+    // Superseded entries are skipped off the serving end.
+    EXPECT_EQ(*queue.LiveHead([](int entry) { return entry != 1; }), 2);
+    EXPECT_EQ(queue.size(), 1u);
+  }
+}
+
+TEST(OverloadCoreTest, HedgeDelayKeepsEachClocksRounding) {
+  HedgeConfig config;
+  config.after = Duration::Millis(40);
+  EXPECT_EQ(HedgeTrigger<SimClock>(config).Delay(), Duration::Millis(40));
+  EXPECT_EQ(HedgeTrigger<NsClock>(config).Delay(), 40'000'000);
+
+  // The percentile trigger waits for 32 samples, then floors the estimate
+  // at min_after; each clock truncates it at its own resolution.
+  config.after = Duration::Zero();
+  config.latency_percentile = 50.0;
+  config.min_after = Duration::Millis(1);
+  HedgeTrigger<SimClock> sim(config);
+  HedgeTrigger<NsClock> wall(config);
+  for (int i = 0; i < 31; ++i) {
+    sim.Observe(Duration::Millis(7));
+    wall.Observe(7'500'000);
+  }
+  EXPECT_EQ(sim.Delay(), Duration::Millis(1));
+  EXPECT_EQ(wall.Delay(), 1'000'000);
+  sim.Observe(Duration::Millis(7));
+  wall.Observe(7'500'000);
+  EXPECT_EQ(sim.Delay(), Duration::Millis(7));
+  EXPECT_EQ(wall.Delay(), 7'500'000);
+}
+
 }  // namespace
 }  // namespace faas

@@ -1,6 +1,6 @@
 // Timer wheel: ordering, rounds (deadlines beyond one rotation), past-due
-// scheduling, callbacks that re-schedule, and NextDeadlineNs for the epoll
-// sleep computation.
+// scheduling, callbacks that re-schedule, the Advance time handed to each
+// callback, and NextDeadlineNs for the epoll sleep computation.
 
 #include "src/serve/timer_wheel.h"
 
@@ -16,10 +16,14 @@ namespace {
 
 struct Fired {
   std::vector<uint64_t>* order;
+  // The Advance time each callback was handed, parallel to `order`.
+  std::vector<int64_t> delivered_ns = {};
 };
 
-void RecordFire(void* ctx, uint64_t data) {
-  static_cast<Fired*>(ctx)->order->push_back(data);
+void RecordFire(void* ctx, uint64_t data, int64_t now_ns) {
+  auto* fired = static_cast<Fired*>(ctx);
+  fired->order->push_back(data);
+  fired->delivered_ns.push_back(now_ns);
 }
 
 TEST(TimerWheelTest, FiresAtOrAfterDeadline) {
@@ -34,6 +38,8 @@ TEST(TimerWheelTest, FiresAtOrAfterDeadline) {
   wheel.Advance(1'100);
   ASSERT_EQ(order.size(), 1u);
   EXPECT_EQ(order[0], 1u);
+  EXPECT_EQ(ctx.delivered_ns, (std::vector<int64_t>{1'100}))
+      << "callbacks run on the time Advance was given";
   EXPECT_EQ(wheel.pending(), 0u);
 }
 
@@ -81,7 +87,7 @@ struct Reschedule {
   int64_t next_deadline;
 };
 
-void FireAndReschedule(void* ctx, uint64_t data) {
+void FireAndReschedule(void* ctx, uint64_t data, int64_t /*now_ns*/) {
   auto* r = static_cast<Reschedule*>(ctx);
   r->order->push_back(data);
   if (data < 3) {
@@ -142,6 +148,9 @@ TEST(TimerWheelTest, RandomizedAgainstReferenceOrder) {
       wheel.Advance(now);
       for (size_t i = before; i < order.size(); ++i) {
         EXPECT_LE(deadlines[order[i]], now) << "fired before its deadline";
+        EXPECT_EQ(ctx.delivered_ns[i], now);
+        EXPECT_GE(ctx.delivered_ns[i], deadlines[order[i]])
+            << "delivered time below the deadline";
       }
     }
     ASSERT_EQ(order.size(), static_cast<size_t>(n));

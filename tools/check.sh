@@ -20,6 +20,8 @@
 # merges, plus the loopback watchdog/degrade/drain-under-stall tests) rides
 # the TSan and ASan serving legs: TSan crosses the watchdog timers with
 # Snapshot/Stop, ASan watches the frozen-key and dedupe-shard storage.
+# The overload core runs in all three legs from both drivers (overload_test,
+# serve_overload_test; matched by Overload|CircuitBreaker|Hedge).
 # --quick adds a pareto_sweep smoke over a small generated trace and a
 # 2-second serve_chaos hostile-client battery (garbage, truncation,
 # half-frame RST, slowloris, oversize) against an in-process loopback
@@ -72,7 +74,7 @@ else
       controller_test telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
-      latency_recorder_test resource_ledger_test
+      serve_overload_test latency_recorder_test resource_ledger_test
   # gtest_discover_tests registers suite names (not target names), so match
   # the suites those binaries contain.
   (cd build-tsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
@@ -88,7 +90,7 @@ else
       faults_test network_test overload_test controller_test cluster_test \
       sweep_stream_test generator_shard_test \
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
-      telemetry_integration_test resource_ledger_test
+      telemetry_integration_test resource_ledger_test serve_overload_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
       -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger')
 fi
@@ -104,7 +106,7 @@ else
       faults_test network_test controller_test cluster_test overload_test \
       telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
-      latency_recorder_test resource_ledger_test
+      serve_overload_test latency_recorder_test resource_ledger_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep rotates shard arenas.

@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
                          "--max-resident-shards must be positive\n");
     return 2;
   }
+  const std::string out_path =
+      flags.GetString("out", "results/pareto_frontier.csv");
 
   // Policy grid: fixed keep-alives (10-minute baseline first — it defines
   // 100% normalized waste), then hybrid ranges with and without pre-warm.
@@ -149,6 +151,9 @@ int main(int argc, char** argv) {
     config.seed = static_cast<uint64_t>(flags.GetInt("gen-seed", 42));
     config.instants_rate_cap_per_day = flags.GetDouble("gen-rate-cap", 4000.0);
     config.flash_crowd_count = 0;  // GeneratorShardSource requirement.
+    if (!flags.CheckAllRead()) {
+      return 2;
+    }
     generator = std::make_unique<WorkloadGenerator>(config);
     source = std::make_unique<GeneratorShardSource>(*generator, shard_apps);
     std::printf("generator: %d sampled apps, %d days, seed %llu "
@@ -158,6 +163,9 @@ int main(int argc, char** argv) {
   } else {
     CsvReadOptions read_options;
     read_options.skip_malformed = flags.GetBool("skip-malformed", false);
+    if (!flags.CheckAllRead()) {
+      return 2;
+    }
     auto read = ReadTraceCsv(flags.GetString("trace", ""), read_options);
     if (!read.ok) {
       std::fprintf(stderr, "failed to read trace: %s\n", read.error.c_str());
@@ -203,8 +211,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string out_path =
-      flags.GetString("out", "results/pareto_frontier.csv");
   {
     const std::filesystem::path parent =
         std::filesystem::path(out_path).parent_path();

@@ -60,19 +60,9 @@
 // accepting ms/s/m/h/d suffixes.  The report adds the failure ledger
 // (crashes, retries, timeouts, abandoned/lost activations, degraded time).
 //
-// Overload control plane — any of these also selects the cluster simulator
-// and adds the overload ledger to the report:
-//   --overload                enable the default bundle (admission queue of
-//                             64 FIFO + circuit breakers)
-//   --admission-queue N       bounded admission queue of N entries
-//   --admission-discipline P  fifo | lifo | codel (default fifo)
-//   --queue-max-wait D        shed queued work older than D (default 30s)
-//   --hedge D                 hedged dispatch after a fixed delay D
-//   --hedge-percentile P      hedge after the live e2e latency percentile P
-//   --concurrency-cap N       per-invoker concurrent-execution cap
-//   --breaker                 per-invoker circuit breakers (defaults)
-//   --breaker-window N --breaker-threshold F --breaker-open D
-//   --breaker-latency-ms X    count completions slower than X ms as bad
+// Overload control plane — --overload (the default bundle: admission queue
+// of 64 FIFO + circuit breakers) or any flag of tools/overload_flags.h also
+// selects the cluster simulator and adds the overload ledger to the report.
 //
 // Flash crowds — inject synchronized burst trains into the loaded trace
 // before evaluation (deterministic given --flash-seed):
@@ -110,6 +100,7 @@
 #include "src/workload/arrival.h"
 #include "src/workload/generator.h"
 #include "tools/flags.h"
+#include "tools/overload_flags.h"
 
 namespace {
 
@@ -173,20 +164,6 @@ std::unique_ptr<PolicyFactory> MakeFactory(std::string_view name,
     }
   }
   return nullptr;
-}
-
-// Reads a duration flag with ms/s/m/h/d suffixes (bare numbers = seconds).
-std::optional<Duration> GetDurationFlag(const FlagParser& flags,
-                                        const std::string& name) {
-  if (!flags.Has(name)) {
-    return std::nullopt;
-  }
-  const auto parsed = ParseDuration(flags.GetString(name, ""));
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "--%s: bad duration '%s'\n", name.c_str(),
-                 flags.GetString(name, "").c_str());
-  }
-  return parsed;
 }
 
 // Background stderr heartbeat driven by the live telemetry counters: the
@@ -366,14 +343,10 @@ class SignalFlushGuard {
 // True when any overload-control or flash-crowd flag was passed (each one
 // routes evaluation through the cluster simulator, like the fault flags).
 bool HasOverloadFlags(const FlagParser& flags) {
-  static const char* kFlags[] = {
-      "overload",        "admission-queue",    "admission-discipline",
-      "queue-max-wait",  "hedge",              "hedge-percentile",
-      "concurrency-cap", "breaker",            "breaker-window",
-      "breaker-threshold", "breaker-open",     "breaker-latency-ms",
-      "flash-crowds",
-  };
-  for (const char* name : kFlags) {
+  if (flags.Has("overload") || flags.Has("flash-crowds")) {
+    return true;
+  }
+  for (const char* name : kOverloadFlagNames) {
     if (flags.Has(name)) {
       return true;
     }
@@ -485,86 +458,6 @@ bool ParseNetworkFlags(const FlagParser& flags, ClusterConfig* config,
   return true;
 }
 
-// Fills `overload` from the command line.  Returns false (after printing a
-// diagnostic) on a malformed flag.
-bool ParseOverloadFlags(const FlagParser& flags,
-                        OverloadControlConfig* overload) {
-  if (flags.GetBool("overload", false)) {
-    // Default bundle: a modest FIFO queue plus breakers; hedging stays
-    // opt-in because it adds load to an already-loaded cluster.
-    overload->admission.capacity = 64;
-    overload->breaker.enabled = true;
-  }
-  if (flags.Has("admission-queue")) {
-    overload->admission.capacity =
-        static_cast<int>(flags.GetInt("admission-queue", 0));
-    if (overload->admission.capacity <= 0) {
-      std::fprintf(stderr, "--admission-queue must be positive\n");
-      return false;
-    }
-  }
-  if (flags.Has("admission-discipline")) {
-    const auto discipline = ParseAdmissionDiscipline(
-        flags.GetString("admission-discipline", ""));
-    if (!discipline.has_value()) {
-      std::fprintf(stderr,
-                   "--admission-discipline: want fifo, lifo or codel\n");
-      return false;
-    }
-    overload->admission.discipline = *discipline;
-  }
-  if (const auto max_wait = GetDurationFlag(flags, "queue-max-wait")) {
-    overload->admission.max_wait = *max_wait;
-  } else if (flags.Has("queue-max-wait")) {
-    return false;
-  }
-  if (const auto hedge = GetDurationFlag(flags, "hedge")) {
-    overload->hedge.after = *hedge;
-  } else if (flags.Has("hedge")) {
-    return false;
-  }
-  if (flags.Has("hedge-percentile")) {
-    overload->hedge.latency_percentile =
-        flags.GetDouble("hedge-percentile", 0.0);
-    if (overload->hedge.latency_percentile <= 0.0 ||
-        overload->hedge.latency_percentile >= 100.0) {
-      std::fprintf(stderr, "--hedge-percentile must be in (0, 100)\n");
-      return false;
-    }
-  }
-  if (flags.Has("concurrency-cap")) {
-    overload->invoker_concurrency_cap =
-        static_cast<int>(flags.GetInt("concurrency-cap", 0));
-    if (overload->invoker_concurrency_cap <= 0) {
-      std::fprintf(stderr, "--concurrency-cap must be positive\n");
-      return false;
-    }
-  }
-  if (flags.GetBool("breaker", false) || flags.Has("breaker-window") ||
-      flags.Has("breaker-threshold") || flags.Has("breaker-open") ||
-      flags.Has("breaker-latency-ms")) {
-    overload->breaker.enabled = true;
-  }
-  if (flags.Has("breaker-window")) {
-    overload->breaker.window =
-        static_cast<int>(flags.GetInt("breaker-window", 20));
-  }
-  if (flags.Has("breaker-threshold")) {
-    overload->breaker.failure_threshold =
-        flags.GetDouble("breaker-threshold", 0.5);
-  }
-  if (const auto open = GetDurationFlag(flags, "breaker-open")) {
-    overload->breaker.open_duration = *open;
-  } else if (flags.Has("breaker-open")) {
-    return false;
-  }
-  if (flags.Has("breaker-latency-ms")) {
-    overload->breaker.latency_threshold_ms =
-        flags.GetDouble("breaker-latency-ms", 0.0);
-  }
-  return true;
-}
-
 // Evaluates the requested policies on the cluster simulator under a fault
 // plan and prints the outcome split plus the failure ledger per policy.
 int RunChaosEvaluation(const FlagParser& flags, const Trace& trace,
@@ -631,6 +524,13 @@ int RunChaosEvaluation(const FlagParser& flags, const Trace& trace,
     return 2;
   }
 
+  if (flags.GetBool("overload", false)) {
+    // Default bundle: a modest FIFO queue plus breakers; hedging stays
+    // opt-in because it adds load to an already-loaded cluster.  Explicit
+    // overload flags override it.
+    config.overload.admission.capacity = 64;
+    config.overload.breaker.enabled = true;
+  }
   if (!ParseOverloadFlags(flags, &config.overload)) {
     return 2;
   }
@@ -645,6 +545,9 @@ int RunChaosEvaluation(const FlagParser& flags, const Trace& trace,
   // cost model is priced in), keeping default telemetry exports unchanged.
   config.resource_telemetry =
       flags.GetBool("resource-telemetry", false) || config.cost.enabled();
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
   std::printf("\nchaos evaluation: %d invokers, %zu crashes, %zu wipes, "
               "%zu spikes, %zu flaky windows, retries=%d\n",
               config.num_invokers, config.faults.crashes.size(),
@@ -1009,17 +912,23 @@ int main(int argc, char** argv) {
     return WriteTelemetryOutputs(flags, telemetry.get());
   }
 
-  std::vector<PolicyPoint> points;
+  int shard_apps = 0;
+  int max_resident = 0;
   if (stream) {
-    const int shard_apps = static_cast<int>(flags.GetInt("shard-apps", 1024));
-    const int max_resident =
-        static_cast<int>(flags.GetInt("max-resident-shards", 2));
+    shard_apps = static_cast<int>(flags.GetInt("shard-apps", 1024));
+    max_resident = static_cast<int>(flags.GetInt("max-resident-shards", 2));
     if (shard_apps <= 0 || max_resident <= 0) {
       std::fprintf(stderr,
                    "--shard-apps and --max-resident-shards must be "
                    "positive\n");
       return 2;
     }
+  }
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
+  std::vector<PolicyPoint> points;
+  if (stream) {
     std::unique_ptr<ShardSource> source;
     if (gen_mode) {
       source = std::make_unique<GeneratorShardSource>(*generator, shard_apps);

@@ -7,9 +7,9 @@
 // simulated executions finish, reply bytes flush, and the telemetry
 // exporters write their files before the process exits.
 //
-//   serve --port 7433 --loops 2 --executors 4 --cap 64 \
-//         --admission-queue 512 --admission-discipline codel \
-//         --service-us 200 --cold-us 5000 \
+//   serve --port 7433 --loops 2 --executors 4 --concurrency-cap 64
+//         --admission-queue 512 --admission-discipline codel
+//         --service-us 200 --cold-us 5000
 //         --metrics-out serve_metrics.prom --latency-out serve_latency.csv
 //
 // Flags:
@@ -19,17 +19,10 @@
 //   --pin                      pin loops to NUMA-interleaved CPUs
 //   --duration D=0             stop after D seconds (0 = run until signal)
 //   --stats-interval D=5       seconds between stderr stats lines (0 = off)
-// admission path (same knobs as policy_eval's overload plane):
+// admission path:
 //   --executors N=2            concurrency shards standing in for invokers
-//   --cap N=0                  per-executor concurrent-execution cap
-//   --admission-queue N=0      bounded admission queue (0 = reject instead)
-//   --admission-discipline P   fifo | lifo | codel (default fifo)
-//   --queue-max-wait-ms X=30000  CoDel sojourn bound / queue age shed
-//   --breaker                  per-executor circuit breakers
-//   --breaker-window N --breaker-threshold F --breaker-open-ms X
-//   --breaker-latency-ms X     completions slower than X ms count as bad
-//   --hedge-ms X               hedge cold requests after a fixed delay
-//   --hedge-percentile P       hedge after the live latency percentile P
+//   plus policy_eval's overload flags (tools/overload_flags.h), per executor;
+//   --admission-queue 0 (the default) rejects instead of queueing
 // simulated execution:
 //   --service-us X=0           per-request service time (0 = inline ingest)
 //   --cold-us X=0              extra cold-start penalty
@@ -68,6 +61,7 @@
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
 #include "tools/flags.h"
+#include "tools/overload_flags.h"
 
 namespace {
 
@@ -76,19 +70,6 @@ using namespace faas;
 volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int /*signum*/) { g_stop = 1; }
-
-bool ParseDiscipline(const std::string& name, AdmissionDiscipline* out) {
-  if (name == "fifo") {
-    *out = AdmissionDiscipline::kFifo;
-  } else if (name == "lifo") {
-    *out = AdmissionDiscipline::kLifo;
-  } else if (name == "codel") {
-    *out = AdmissionDiscipline::kCoDel;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 // Folds a final ServeStats into a registry so the serving counters ride the
 // standard Prometheus exporter, then appends the latency histogram.
@@ -217,13 +198,14 @@ int main(int argc, char** argv) {
         stderr,
         "usage: serve [--host H=127.0.0.1] [--port P=7433] [--loops N=0]\n"
         "             [--pin] [--duration D=0] [--stats-interval D=5]\n"
-        "             [--executors N=2] [--cap N=0] [--admission-queue N=0]\n"
+        "             [--executors N=2] [--concurrency-cap N=0]\n"
+        "             [--admission-queue N=0]\n"
         "             [--admission-discipline fifo|lifo|codel]\n"
-        "             [--queue-max-wait-ms X=30000]\n"
+        "             [--queue-max-wait D=30s]\n"
         "             [--breaker] [--breaker-window N] "
         "[--breaker-threshold F]\n"
-        "             [--breaker-open-ms X] [--breaker-latency-ms X]\n"
-        "             [--hedge-ms X] [--hedge-percentile P]\n"
+        "             [--breaker-open D] [--breaker-latency-ms X]\n"
+        "             [--hedge D] [--hedge-percentile P]\n"
         "             [--service-us X=0] [--cold-us X=0] "
         "[--keep-alive-ms X=10000]\n"
         "             [--chaos SPEC] [--chaos-seed S=42]\n"
@@ -249,33 +231,9 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("service-us", 0));
   bridge.cold_start_us = static_cast<uint32_t>(flags.GetInt("cold-us", 0));
   bridge.keep_alive_ms = flags.GetInt("keep-alive-ms", 10'000);
-  bridge.overload.invoker_concurrency_cap =
-      static_cast<int>(flags.GetInt("cap", 0));
-  bridge.overload.admission.capacity =
-      static_cast<int>(flags.GetInt("admission-queue", 0));
-  if (!ParseDiscipline(flags.GetString("admission-discipline", "fifo"),
-                       &bridge.overload.admission.discipline)) {
-    std::fprintf(stderr, "bad --admission-discipline (fifo|lifo|codel)\n");
+  if (!ParseOverloadFlags(flags, &bridge.overload)) {
     return 2;
   }
-  bridge.overload.admission.max_wait =
-      Duration::Millis(flags.GetInt("queue-max-wait-ms", 30'000));
-  if (flags.GetBool("breaker", false) || flags.Has("breaker-window") ||
-      flags.Has("breaker-threshold") || flags.Has("breaker-latency-ms")) {
-    CircuitBreakerConfig& breaker = bridge.overload.breaker;
-    breaker.enabled = true;
-    breaker.window = static_cast<int>(flags.GetInt("breaker-window", 20));
-    breaker.failure_threshold = flags.GetDouble("breaker-threshold", 0.5);
-    breaker.open_duration =
-        Duration::Millis(flags.GetInt("breaker-open-ms", 30'000));
-    breaker.latency_threshold_ms = flags.GetDouble("breaker-latency-ms", 0.0);
-  }
-  if (flags.Has("hedge-ms")) {
-    bridge.overload.hedge.after =
-        Duration::Millis(flags.GetInt("hedge-ms", 0));
-  }
-  bridge.overload.hedge.latency_percentile =
-      flags.GetDouble("hedge-percentile", 0.0);
 
   if (flags.Has("chaos")) {
     std::string parse_error;
@@ -319,6 +277,13 @@ int main(int argc, char** argv) {
   }
   const bool recovery_on = !bridge.chaos.Empty() || bridge.watchdog.enabled ||
                            bridge.degrade.enabled || bridge.dedupe != nullptr;
+  const int64_t duration_s = flags.GetInt("duration", 0);
+  const int64_t stats_interval_s = flags.GetInt("stats-interval", 5);
+  const std::string metrics_out = flags.GetString("metrics-out", "");
+  const std::string latency_out = flags.GetString("latency-out", "");
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
 
   // Library code uses MSG_NOSIGNAL, but injected resets can still surface
   // EPIPE through racing writes; never let SIGPIPE kill the process.
@@ -349,8 +314,6 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  const int64_t duration_s = flags.GetInt("duration", 0);
-  const int64_t stats_interval_s = flags.GetInt("stats-interval", 5);
   int64_t elapsed_ms = 0;
   int64_t last_stats_ms = 0;
   int64_t last_served = 0;
@@ -420,16 +383,16 @@ int main(int argc, char** argv) {
         static_cast<long long>(r.degrade_max_tier));
   }
 
-  if (flags.Has("metrics-out")) {
-    WriteMetrics(stats, recovery_on, flags.GetString("metrics-out", ""));
+  if (!metrics_out.empty()) {
+    WriteMetrics(stats, recovery_on, metrics_out);
   }
-  if (flags.Has("latency-out")) {
-    std::ofstream out(flags.GetString("latency-out", ""), std::ios::binary);
+  if (!latency_out.empty()) {
+    std::ofstream out(latency_out, std::ios::binary);
     if (out.is_open()) {
       WriteLatencyCsv("serve_latency", stats.latency, out);
     } else {
       std::fprintf(stderr, "cannot open %s for writing\n",
-                   flags.GetString("latency-out", "").c_str());
+                   latency_out.c_str());
     }
   }
   return 0;

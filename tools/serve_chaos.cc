@@ -274,15 +274,24 @@ int main(int argc, char** argv) {
         "[--attacks garbage,truncate,halfframe-rst,slowloris,oversize]\n");
     return flags.Has("help") ? 0 : 2;
   }
+  std::string host = flags.GetString("host", "127.0.0.1");
+  uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 7433));
+  const bool self_hosted = flags.GetBool("self", false);
+  const int probe_timeout_ms =
+      static_cast<int>(flags.GetInt("probe-timeout-ms", 1'000));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const std::string chosen = flags.GetString("attacks", "all");
+  const int64_t duration_ms = flags.GetInt("duration-ms", 2'000);
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
   std::signal(SIGINT, &OnSignal);
   std::signal(SIGTERM, &OnSignal);
   std::signal(SIGPIPE, SIG_IGN);  // RST attacks EPIPE our own writes too.
 
   // Hermetic mode: bring up a small loopback server to attack.
   std::unique_ptr<ServeServer> self;
-  std::string host = flags.GetString("host", "127.0.0.1");
-  uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 7433));
-  if (flags.GetBool("self", false)) {
+  if (self_hosted) {
     ServeConfig config;
     config.port = 0;
     config.num_loops = 2;
@@ -307,11 +316,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const int probe_timeout_ms =
-      static_cast<int>(flags.GetInt("probe-timeout-ms", 1'000));
   Battery battery;
   battery.addr = addr;
-  battery.rng.seed(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  battery.rng.seed(seed);
   battery.timeout_ms = probe_timeout_ms;
 
   struct Attack {
@@ -325,7 +332,6 @@ int main(int argc, char** argv) {
       {"slowloris", &Battery::Slowloris},
       {"oversize", &Battery::Oversize},
   };
-  const std::string chosen = flags.GetString("attacks", "all");
   std::vector<Attack> attacks;
   for (const Attack& attack : all) {
     if (chosen == "all" ||
@@ -344,7 +350,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const int64_t duration_ms = flags.GetInt("duration-ms", 2'000);
   const int64_t end_ns = MonotonicNowNs() + duration_ms * 1'000'000;
   int64_t rounds = 0;
   int64_t attacks_run = 0;

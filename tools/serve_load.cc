@@ -103,6 +103,10 @@ int main(int argc, char** argv) {
     config.retry.jitter = flags.GetDouble("retry-jitter", 0.5);
     config.retry.max_attempts = static_cast<int>(flags.GetInt("retry-max", 4));
   }
+  const std::string latency_out = flags.GetString("latency-out", "");
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
   std::signal(SIGINT, &OnSignal);
   std::signal(SIGTERM, &OnSignal);
   std::signal(SIGPIPE, SIG_IGN);  // Reset-injected servers EPIPE mid-write.
@@ -166,13 +170,13 @@ int main(int argc, char** argv) {
               static_cast<double>(result.latency.max_ns()) / 1e6,
               static_cast<long long>(result.latency.count()));
 
-  if (flags.Has("latency-out")) {
-    std::ofstream out(flags.GetString("latency-out", ""), std::ios::binary);
+  if (!latency_out.empty()) {
+    std::ofstream out(latency_out, std::ios::binary);
     if (out.is_open()) {
       WriteLatencyCsv("serve_load_e2e", result.latency, out);
     } else {
       std::fprintf(stderr, "cannot open %s for writing\n",
-                   flags.GetString("latency-out", "").c_str());
+                   latency_out.c_str());
     }
   }
   return 0;

@@ -41,6 +41,10 @@ int main(int argc, char** argv) {
       Duration::Minutes(flags.GetInt("flash-minutes", 10));
   config.flash_crowd_fraction = flags.GetDouble("flash-fraction", 0.3);
   config.flash_crowd_events_per_function = flags.GetDouble("flash-events", 80.0);
+  const std::string out = flags.GetString("out", "");
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
 
   std::printf("generating %d apps over %d days (seed %llu)...\n",
               config.num_apps, config.days,
@@ -52,7 +56,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string out = flags.GetString("out", "");
   const std::string error = WriteTraceCsv(trace, out);
   if (!error.empty()) {
     std::fprintf(stderr, "write failed: %s\n", error.c_str());

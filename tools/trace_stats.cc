@@ -154,13 +154,17 @@ int main(int argc, char** argv) {
     return flags.Has("help") ? 0 : 2;
   }
 
+  const bool summary_metrics = flags.GetBool("summary-metrics", false);
+  if (!flags.CheckAllRead()) {
+    return 2;
+  }
   const auto read = ReadTraceCsv(flags.GetString("trace", ""));
   if (!read.ok) {
     std::fprintf(stderr, "failed to read trace: %s\n", read.error.c_str());
     return 1;
   }
   const Trace& trace = read.value;
-  if (flags.GetBool("summary-metrics", false)) {
+  if (summary_metrics) {
     EmitSummaryMetrics(trace);
     return 0;
   }
