@@ -13,10 +13,11 @@
 // can never go back down.
 //
 // Writes BENCH_sweep.json ({mode, threads, wall_ms, invocations_per_sec,
-// speedup_vs_seed, rss_peak_mb} rows plus the host core count and the
-// 8-thread parallel efficiency) so successive PRs can track the perf
-// trajectory.  Override the output path with FAAS_BENCH_SWEEP_JSON; set it
-// to "off" to skip the file.
+// speedup_vs_seed, rss_peak_mb} rows, the 8-thread parallel efficiency, and
+// a host block with the core count, CPU model and build type) so successive
+// changes can track the perf trajectory; rows are comparable only between
+// files with the same host block.  Override the output path with
+// FAAS_BENCH_SWEEP_JSON; set it to "off" to skip the file.
 
 #include <chrono>
 #include <cstdio>
@@ -60,6 +61,39 @@ double PeakRssMb() {
 #else
   return 0.0;
 #endif
+}
+
+#ifndef FAAS_BUILD_TYPE
+#define FAAS_BUILD_TYPE "unknown"
+#endif
+
+// The first "model name" of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) {
+      continue;
+    }
+    const size_t colon = line.find(':');
+    const size_t start = colon == std::string::npos
+                             ? colon
+                             : line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+// `text` as a JSON string literal.
+std::string JsonString(const std::string& text) {
+  std::string quoted = "\"";
+  for (char c : text) {
+    if (c == '"' || c == '\\') {
+      quoted += '\\';
+    }
+    quoted += c;
+  }
+  return quoted + "\"";
 }
 
 struct Row {
@@ -210,6 +244,9 @@ int main() {
   std::printf("8-thread parallel efficiency: %.2f (speedup/8; needs >= 8 "
               "cores to be meaningful)\n",
               efficiency_8t);
+  const std::string cpu_model = CpuModel();
+  std::printf("host: %d cores, %s, %s build\n", cores, cpu_model.c_str(),
+              FAAS_BUILD_TYPE);
 
   const char* env = std::getenv("FAAS_BENCH_SWEEP_JSON");
   const std::string path = env != nullptr ? env : "BENCH_sweep.json";
@@ -218,7 +255,9 @@ int main() {
     out << "{\n  \"bench\": \"sweep_throughput\",\n";
     out << "  \"policies\": " << factories.size() << ",\n";
     out << "  \"invocations_per_policy\": " << invocations << ",\n";
-    out << "  \"cores\": " << cores << ",\n";
+    out << "  \"host\": {\"cores\": " << cores
+        << ", \"cpu_model\": " << JsonString(cpu_model)
+        << ", \"build_type\": " << JsonString(FAAS_BUILD_TYPE) << "},\n";
     out << "  \"parallel_efficiency_8t\": " << efficiency_8t << ",\n";
     out << "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {

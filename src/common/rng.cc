@@ -5,12 +5,6 @@
 
 namespace faas {
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 uint64_t SplitMix64(uint64_t& state) {
   uint64_t z = (state += 0x9E3779B97F4A7C15ull);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -25,24 +19,7 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
 Rng Rng::Fork() { return Rng(Next() ^ 0xD2B74407B1CE6E93ull); }
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
 
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
@@ -96,12 +73,6 @@ double Rng::NextGaussian() {
   spare_gaussian_ = v * mul;
   has_spare_gaussian_ = true;
   return u * mul;
-}
-
-double Rng::NextExponential(double rate) {
-  assert(rate > 0.0);
-  // 1 - NextDouble() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - NextDouble()) / rate;
 }
 
 double Rng::NextLogNormal(double mu, double sigma) {

@@ -10,6 +10,8 @@
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -32,6 +34,9 @@ class Rng {
   static constexpr result_type max() { return ~0ull; }
 
   result_type operator()() { return Next(); }
+  // The draw hot path (Next, NextDouble, NextExponential) is defined inline
+  // below: workload generation makes several draws per candidate arrival,
+  // and an out-of-line call per draw cost more than the draw itself.
   uint64_t Next();
 
   // Derives an independent generator; calling Fork() repeatedly yields a
@@ -64,10 +69,37 @@ class Rng {
   size_t WeightedIndex(const std::vector<double>& weights);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   double spare_gaussian_ = 0.0;
   bool has_spare_gaussian_ = false;
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 random mantissa bits -> uniform double in [0, 1).
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::NextExponential(double rate) {
+  assert(rate > 0.0);
+  // 1 - NextDouble() is in (0, 1], so the log is finite.
+  return -std::log(1.0 - NextDouble()) / rate;
+}
 
 }  // namespace faas
 

@@ -16,10 +16,16 @@
 // needs (id, average memory).  The arenas are self-contained: the source
 // Trace may be destroyed after Compile returns.
 //
-// Replay over a CompiledTrace is bit-identical to the legacy per-app merge:
-// the merge enumerates functions in the same order and sorts with the same
-// time-only comparator, so the instant sequence (and, with execution times
-// enabled, the paired durations) match the seed path exactly.
+// Each app's span is the std::stable_sort by time of its functions' (time,
+// exec) pairs concatenated in function order: one linear merge of the
+// per-function runs, which the generator already emits sorted.  Equal
+// instants from different functions therefore come out in function order.
+// The legacy per-app merge (MergeInvocations in simulator.cc) uses an
+// unstable std::sort and may order such ties differently, but replay cannot
+// tell: a tie group is classified at its first member, sets exec_end to
+// t + max(exec) whatever the order, gives the policy one idle gap, and the
+// ledger sums integer exec_ms.  The instant sequence is identical, so
+// replay over a CompiledTrace is bit-identical to the legacy path.
 
 #ifndef SRC_SIM_COMPILED_TRACE_H_
 #define SRC_SIM_COMPILED_TRACE_H_
@@ -76,7 +82,7 @@ struct CompiledTrace {
   // app-only index over the range (apps interned in trace order, functions
   // not interned), so span i is AppId(i) exactly as in Compile.  The merged
   // (time, exec) sequences are bit-identical to the corresponding spans of
-  // Compile(trace): same insertion order, same time-only comparator.
+  // Compile(trace): both run the same stable merge.
   static void CompileRangeInto(const Trace& trace, size_t begin_app,
                                size_t end_app, CompiledTrace* out);
 };

@@ -19,6 +19,59 @@ DiurnalProfile::DiurnalProfile(const GeneratorConfig& config)
       weekend_dampening_(config.weekend_dampening),
       peak_hour_(config.peak_hour_utc) {
   FAAS_CHECK(baseline_ > 0.0 && baseline_ <= 1.0) << "baseline in (0,1]";
+  FAAS_CHECK(weekend_dampening_ >= 0.0 && weekend_dampening_ <= 1.0)
+      << "weekend dampening in [0,1]";
+  FAAS_CHECK(peak_hour_ >= 0.0 && peak_hour_ < 24.0) << "peak hour in [0,24)";
+
+  // The average over the hourly grid of one week.  Hour-of-day values
+  // repeat every day, so 24 evaluations give every term of the 168-term sum
+  // exactly (MultiplierAt(i h) is hourly[i % 24], dampened on weekend days).
+  double hourly[24];
+  for (int hour = 0; hour < 24; ++hour) {
+    hourly[hour] = MultiplierAt(TimePoint(int64_t{hour} * 3'600'000));
+  }
+  constexpr int kGrid = 24 * 7;
+  double sum = 0.0;
+  for (int i = 0; i < kGrid; ++i) {
+    const double multiplier = hourly[i % 24];
+    sum += i / 24 >= 5 ? Dampen(multiplier) : multiplier;
+  }
+  week_average_ = sum / kGrid;
+
+  // Minute-edge values of the weekday profile (days 0 and 1 are weekdays;
+  // edge kMinutesPerDay, midnight, closes the last minute).  The band only
+  // has to bound MultiplierAt, not reproduce it, so the edges skip its
+  // fmod/cos/pow: cos(phase) advances by one fixed rotation per minute and
+  // hump^1.5 is hump * sqrt(hump).  That is ~15x cheaper than 1441 exact
+  // calls (this runs in every generator's constructor) and stays within
+  // ~1e-12 of them; the 1e-9 slack covers it, and the rounding of the
+  // exact evaluation inside the band, many times over.
+  const double slope_per_minute =
+      (1.0 - baseline_) * 1.5 * 0.5 * (2.0 * M_PI / 24.0) / 60.0;
+  const double half_width = 0.5 * slope_per_minute + 1e-9;
+  const double step = 2.0 * M_PI / static_cast<double>(kMinutesPerDay);
+  const double cos_step = std::cos(step);
+  const double sin_step = std::sin(step);
+  double cos_phase = std::cos(-2.0 * M_PI * peak_hour_ / 24.0);
+  double sin_phase = std::sin(-2.0 * M_PI * peak_hour_ / 24.0);
+  const auto edge_value = [&] {
+    const double hump = std::max(0.0, 0.5 * (1.0 + cos_phase));
+    const double next_cos = cos_phase * cos_step - sin_phase * sin_step;
+    sin_phase = sin_phase * cos_step + cos_phase * sin_step;
+    cos_phase = next_cos;
+    return baseline_ + (1.0 - baseline_) * hump * std::sqrt(hump);
+  };
+  bands_.resize(static_cast<size_t>(2 * kMinutesPerDay));
+  double left = edge_value();
+  for (int64_t minute = 0; minute < kMinutesPerDay; ++minute) {
+    const double right = edge_value();
+    const double mid = 0.5 * (left + right);
+    const Band weekday{mid - half_width, mid + half_width};
+    bands_[static_cast<size_t>(minute)] = weekday;
+    bands_[static_cast<size_t>(kMinutesPerDay + minute)] = {
+        Dampen(weekday.lower), Dampen(weekday.upper)};
+    left = right;
+  }
 }
 
 double DiurnalProfile::MultiplierAt(TimePoint t) const {
@@ -35,12 +88,8 @@ double DiurnalProfile::MultiplierAt(TimePoint t) const {
   double hump = 0.5 * (1.0 + std::cos(phase));  // In [0, 1], peak at peak_hour.
   // Sharpen the hump slightly so the peak is pronounced, as in Figure 4.
   hump = std::pow(hump, 1.5);
-  double multiplier = baseline_ + (1.0 - baseline_) * hump;
-  if (weekend) {
-    // Weekends keep the baseline but shrink the diurnal swing.
-    multiplier = baseline_ + (multiplier - baseline_) * weekend_dampening_;
-  }
-  return multiplier;
+  const double multiplier = baseline_ + (1.0 - baseline_) * hump;
+  return weekend ? Dampen(multiplier) : multiplier;
 }
 
 std::vector<TimePoint> GeneratePeriodicArrivals(Duration period,
@@ -60,7 +109,10 @@ std::vector<TimePoint> GeneratePeriodicArrivals(Duration period,
     }
     arrivals.emplace_back(instant);
   }
-  std::sort(arrivals.begin(), arrivals.end());
+  if (jitter_ms > 0.0) {
+    // Without jitter the loop already emitted ascending instants.
+    std::sort(arrivals.begin(), arrivals.end());
+  }
   return arrivals;
 }
 
@@ -72,20 +124,10 @@ std::vector<TimePoint> GeneratePoissonArrivals(double mean_rate_per_day,
   if (mean_rate_per_day <= 0.0) {
     return arrivals;
   }
-  // The diurnal multiplier's time average over a week is needed so that the
-  // realised mean rate matches the request.  Estimate it once on a coarse
-  // grid (hourly over one week is exact enough for a smooth profile).
-  double avg_multiplier = 0.0;
-  constexpr int kGrid = 24 * 7;
-  for (int i = 0; i < kGrid; ++i) {
-    avg_multiplier += profile.MultiplierAt(
-        TimePoint(static_cast<int64_t>(i) * 3'600'000));
-  }
-  avg_multiplier /= kGrid;
-
-  // Lewis-Shedler thinning with majorant rate = peak (multiplier 1).
+  // Lewis-Shedler thinning with majorant rate = peak (multiplier 1), scaled
+  // by the week average so the realised mean rate matches the request.
   const double peak_rate_per_ms =
-      (mean_rate_per_day / avg_multiplier) / kMillisPerDay;
+      (mean_rate_per_day / profile.week_average()) / kMillisPerDay;
   arrivals.reserve(static_cast<size_t>(
       mean_rate_per_day * horizon.millis() / kMillisPerDay * 1.1) + 4);
   double t_ms = 0.0;
@@ -96,7 +138,7 @@ std::vector<TimePoint> GeneratePoissonArrivals(double mean_rate_per_day,
       break;
     }
     const TimePoint candidate(static_cast<int64_t>(t_ms));
-    if (rng.NextDouble() < profile.MultiplierAt(candidate)) {
+    if (profile.Accepts(candidate, rng.NextDouble())) {
       arrivals.push_back(candidate);
     }
   }

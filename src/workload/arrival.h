@@ -10,6 +10,8 @@
 #ifndef SRC_WORKLOAD_ARRIVAL_H_
 #define SRC_WORKLOAD_ARRIVAL_H_
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -19,20 +21,85 @@
 namespace faas {
 
 // Platform load multiplier over time, normalised so the PEAK is 1.0.
+//
+// Thinning asks `u < MultiplierAt(t)` once per candidate arrival, and each
+// exact evaluation is an fmod, a cos and a pow.  The profile therefore also
+// keeps a per-minute-of-day envelope: a [lower, upper] band that provably
+// contains every MultiplierAt value inside the minute.  The band is centred
+// on the mean of the profile at the two minute edges and is one minute's
+// worth of the profile's Lipschitz bound wide (|d hump^1.5 / dt| <= 1.5 *
+// 0.5 * 2*pi/24 per hour, scaled by the swing 1 - baseline), plus a
+// rounding slack.  Weekend minutes map the weekday band through the same
+// monotone dampening MultiplierAt applies, so the bound carries over.
+// Accepts() decides outside the band from the envelope and evaluates the
+// exact multiplier only inside it (about 0.2 % of candidates at the default
+// baseline), so its answer is always exactly `u < MultiplierAt(t)`.
 class DiurnalProfile {
  public:
+  // Bounds on MultiplierAt over one minute: lower <= m <= upper.
+  struct Band {
+    double lower = 0.0;
+    double upper = 0.0;
+  };
+
   explicit DiurnalProfile(const GeneratorConfig& config);
 
   // Multiplier in (0, 1] at an instant (day 0 = Monday by convention; the
   // paper's trace starts Monday July 15th, 2019).
   double MultiplierAt(TimePoint t) const;
 
+  // The envelope band of the minute holding `t`.  Before the origin (never
+  // a thinning candidate) the band is unbounded, so Accepts falls through
+  // to the exact comparison.
+  Band BandAt(TimePoint t) const {
+    const int64_t ms = t.millis_since_origin();
+    if (ms < 0) {
+      return {-kInfinity, kInfinity};
+    }
+    const bool weekend = (ms / kDayMs) % 7 >= 5;
+    const int64_t minute = (ms % kDayMs) / kMinuteMs;
+    return bands_[static_cast<size_t>((weekend ? kMinutesPerDay : 0) +
+                                      minute)];
+  }
+
+  // Thinning test: exactly `u < MultiplierAt(t)`, decided from the envelope
+  // unless `u` falls inside the minute's band.
+  bool Accepts(TimePoint t, double u) const {
+    const Band band = BandAt(t);
+    if (u < band.lower) {
+      return true;
+    }
+    if (u >= band.upper) {
+      return false;
+    }
+    return u < MultiplierAt(t);
+  }
+
+  // Mean multiplier over one week on an hourly grid (exact enough for a
+  // smooth profile); thinning divides by it so the realised mean rate
+  // matches the request.
+  double week_average() const { return week_average_; }
   double baseline() const { return baseline_; }
 
  private:
+  static constexpr int64_t kDayMs = 86'400'000;
+  static constexpr int64_t kMinuteMs = 60'000;
+  static constexpr int64_t kMinutesPerDay = 1'440;
+  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+  // Weekends keep the baseline but shrink the diurnal swing.  Monotone
+  // non-decreasing in `multiplier` (weekend_dampening_ >= 0), which is what
+  // lets the envelope reuse the weekday bands.
+  double Dampen(double multiplier) const {
+    return baseline_ + (multiplier - baseline_) * weekend_dampening_;
+  }
+
   double baseline_;
   double weekend_dampening_;
   double peak_hour_;
+  double week_average_ = 0.0;
+  // kMinutesPerDay weekday bands, then the same minutes' weekend bands.
+  std::vector<Band> bands_;
 };
 
 // Periodic arrivals: period `period`, phase uniform in [0, period), plus an

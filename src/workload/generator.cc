@@ -46,6 +46,7 @@ std::string MakeId(const char* prefix, int index) {
 
 WorkloadGenerator::WorkloadGenerator(GeneratorConfig config)
     : config_(std::move(config)),
+      profile_(config_),
       rate_model_(config_),
       root_rng_(config_.seed) {
   BuildComboTables();
@@ -244,7 +245,6 @@ std::vector<TimePoint> WorkloadGenerator::GenerateInvocationsWithPatternChange(
 std::vector<TimePoint> WorkloadGenerator::GenerateInvocations(
     TriggerType trigger, double rate_per_day, Duration horizon,
     Rng& rng) const {
-  const DiurnalProfile profile(config_);
   GeneratorConfig::BehaviorMix mix =
       config_.behavior_by_trigger[static_cast<size_t>(trigger)];
   // Behaviour is rate-dependent: the burst-with-long-gap pattern belongs to
@@ -294,14 +294,14 @@ std::vector<TimePoint> WorkloadGenerator::GenerateInvocations(
     return GeneratePeriodicArrivals(period, horizon, rng, jitter);
   }
   if (u < mix.periodic + mix.poisson) {
-    return GeneratePoissonArrivals(rate_per_day, horizon, profile, rng);
+    return GeneratePoissonArrivals(rate_per_day, horizon, profile_, rng);
   }
   // Bursty: vary the burst size and intra-burst spacing per function so the
   // CV spectrum is a spread rather than a spike.
   const double events_per_burst = rng.UniformDouble(3.0, 16.0);
   const Duration intra_iat =
       Duration::FromSecondsF(rng.UniformDouble(5.0, 120.0));
-  return GenerateBurstyArrivals(rate_per_day, horizon, profile, rng,
+  return GenerateBurstyArrivals(rate_per_day, horizon, profile_, rng,
                                 events_per_burst, intra_iat);
 }
 

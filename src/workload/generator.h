@@ -26,6 +26,7 @@
 
 #include "src/common/rng.h"
 #include "src/trace/types.h"
+#include "src/workload/arrival.h"
 #include "src/workload/config.h"
 #include "src/workload/rate_model.h"
 
@@ -107,6 +108,8 @@ class WorkloadGenerator {
   std::optional<AppTrace> MaterializeApp(int app_index) const;
 
   GeneratorConfig config_;
+  // Built once: its week average and thinning envelope serve every function.
+  DiurnalProfile profile_;
   RateModel rate_model_;
   Rng root_rng_;
 

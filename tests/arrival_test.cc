@@ -1,6 +1,8 @@
 #include "src/workload/arrival.h"
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +56,167 @@ TEST(DiurnalProfileTest, WeekendDampened) {
   const double weekend = profile.MultiplierAt(
       TimePoint((int64_t{5} * 24 + 15) * 3'600'000));
   EXPECT_LT(weekend, weekday);
+}
+
+TEST(DiurnalProfileDeathTest, RejectsWeekendDampeningOutsideUnitInterval) {
+  GeneratorConfig config;
+  config.weekend_dampening = -0.1;
+  EXPECT_DEATH(DiurnalProfile{config}, "weekend dampening");
+  config.weekend_dampening = 1.5;
+  EXPECT_DEATH(DiurnalProfile{config}, "weekend dampening");
+}
+
+TEST(DiurnalProfileDeathTest, RejectsPeakHourOutsideDay) {
+  GeneratorConfig config;
+  config.peak_hour_utc = -0.5;
+  EXPECT_DEATH(DiurnalProfile{config}, "peak hour");
+  config.peak_hour_utc = 24.0;
+  EXPECT_DEATH(DiurnalProfile{config}, "peak hour");
+}
+
+constexpr int64_t kMinuteMs = 60'000;
+constexpr int64_t kHourMs = 3'600'000;
+constexpr int64_t kDayMs = 86'400'000;
+
+// Profiles the envelope must stay exact under: the default, fractional peak
+// hours (minute edges then fall off the hump's symmetry), a flat profile
+// (a zero-slope band), and both extremes of the weekend dampening.
+std::vector<GeneratorConfig> EnvelopeConfigs() {
+  std::vector<GeneratorConfig> configs(1);
+  for (double peak : {0.0, 15.5, 23.99}) {
+    configs.emplace_back().peak_hour_utc = peak;
+  }
+  configs.emplace_back().diurnal_baseline = 1.0;
+  for (double dampening : {0.0, 1.0}) {
+    configs.emplace_back().weekend_dampening = dampening;
+  }
+  return configs;
+}
+
+// Checks Accepts(t, u) == (u < MultiplierAt(t)) for u at the multiplier,
+// at the band's own bounds, and at the neighbours of all three.  Counts
+// every mismatch in `mismatches` and describes the first few in `errors`.
+void CheckAcceptsAt(const DiurnalProfile& profile, TimePoint t,
+                    std::ostringstream& errors, int& mismatches) {
+  const double m = profile.MultiplierAt(t);
+  const DiurnalProfile::Band band = profile.BandAt(t);
+  for (double at : {m, band.lower, band.upper}) {
+    for (double u : {at, std::nextafter(at, -1.0), std::nextafter(at, 2.0)}) {
+      if (profile.Accepts(t, u) == (u < m)) {
+        continue;
+      }
+      if (++mismatches <= 10) {
+        errors << "t=" << t.millis_since_origin() << " u=" << u
+               << " m=" << m << " band=[" << band.lower << ", "
+               << band.upper << "]\n";
+      }
+    }
+  }
+}
+
+TEST(DiurnalProfileTest, EnvelopeAcceptsExactlyBelowMultiplier) {
+  for (const GeneratorConfig& config : EnvelopeConfigs()) {
+    const DiurnalProfile profile(config);
+    std::ostringstream errors;
+    errors.precision(17);
+    int mismatches = 0;
+    for (int64_t day = 0; day < 14; ++day) {
+      for (int64_t minute = 0; minute <= 1440; ++minute) {
+        const int64_t edge = day * kDayMs + minute * kMinuteMs;
+        for (int64_t offset : {-1, 0, 1}) {
+          if (edge + offset >= 0) {
+            CheckAcceptsAt(profile, TimePoint(edge + offset), errors,
+                           mismatches);
+          }
+        }
+      }
+      // The peak and trough instants and the minutes holding them.
+      const auto peak_ms =
+          static_cast<int64_t>(config.peak_hour_utc * kHourMs);
+      for (int64_t at : {peak_ms, (peak_ms + 12 * kHourMs) % kDayMs}) {
+        for (int64_t offset : {int64_t{0}, kMinuteMs / 2, kMinuteMs - 1}) {
+          CheckAcceptsAt(profile,
+                         TimePoint(day * kDayMs + at / kMinuteMs * kMinuteMs +
+                                   offset),
+                         errors, mismatches);
+        }
+        CheckAcceptsAt(profile, TimePoint(day * kDayMs + at), errors,
+                       mismatches);
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "peak " << config.peak_hour_utc << " baseline "
+                             << config.diurnal_baseline << " dampening "
+                             << config.weekend_dampening << "\n"
+                             << errors.str();
+  }
+}
+
+TEST(DiurnalProfileTest, EnvelopeContainsMultiplierEverywhere) {
+  // Dense interior sampling (every 7 s, off the minute grid) over two weeks.
+  for (const GeneratorConfig& config : EnvelopeConfigs()) {
+    const DiurnalProfile profile(config);
+    int outside = 0;
+    for (int64_t ms = 0; ms < 14 * kDayMs; ms += 7'001) {
+      const TimePoint t(ms);
+      const double m = profile.MultiplierAt(t);
+      const DiurnalProfile::Band band = profile.BandAt(t);
+      outside += (band.lower <= m && m <= band.upper) ? 0 : 1;
+    }
+    EXPECT_EQ(outside, 0) << "peak " << config.peak_hour_utc;
+  }
+}
+
+TEST(DiurnalProfileTest, WeekAverageMatchesHourlyGridSum) {
+  for (const GeneratorConfig& config : EnvelopeConfigs()) {
+    const DiurnalProfile profile(config);
+    double average = 0.0;
+    constexpr int kGrid = 24 * 7;
+    for (int i = 0; i < kGrid; ++i) {
+      average += profile.MultiplierAt(TimePoint(int64_t{i} * kHourMs));
+    }
+    average /= kGrid;
+    EXPECT_EQ(profile.week_average(), average) << "peak "
+                                               << config.peak_hour_utc;
+  }
+}
+
+TEST(DiurnalProfileTest, BeforeOriginFallsBackToExactComparison) {
+  const DiurnalProfile profile{GeneratorConfig{}};
+  const TimePoint t(-5 * kMinuteMs);
+  const double m = profile.MultiplierAt(t);
+  EXPECT_TRUE(profile.Accepts(t, std::nextafter(m, -1.0)));
+  EXPECT_FALSE(profile.Accepts(t, m));
+}
+
+TEST(PoissonArrivalsTest, ThinningMatchesExactMultiplierComparison) {
+  // The thinning loop with every candidate compared against MultiplierAt
+  // directly: the envelope must not change a single accepted instant.
+  for (const GeneratorConfig& config : EnvelopeConfigs()) {
+    const DiurnalProfile profile(config);
+    const double rate = 5'000.0;
+    const Duration horizon = Duration::Days(14);
+    Rng rng(511);
+    Rng reference_rng = rng;
+    const std::vector<TimePoint> arrivals =
+        GeneratePoissonArrivals(rate, horizon, profile, rng);
+
+    std::vector<TimePoint> expected;
+    const double peak_rate_per_ms =
+        (rate / profile.week_average()) / static_cast<double>(kDayMs);
+    double t_ms = 0.0;
+    while (true) {
+      t_ms += reference_rng.NextExponential(peak_rate_per_ms);
+      if (t_ms >= static_cast<double>(horizon.millis())) {
+        break;
+      }
+      const TimePoint candidate(static_cast<int64_t>(t_ms));
+      if (reference_rng.NextDouble() < profile.MultiplierAt(candidate)) {
+        expected.push_back(candidate);
+      }
+    }
+    EXPECT_EQ(arrivals, expected) << "peak " << config.peak_hour_utc;
+    EXPECT_EQ(rng.Next(), reference_rng.Next()) << "draw count differs";
+  }
 }
 
 TEST(PeriodicArrivalsTest, RespectsPeriodAndHorizon) {

@@ -1,13 +1,17 @@
 #include "src/sim/compiled_trace.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
 #include "src/sim/simulator.h"
+#include "src/trace/entity_index.h"
 #include "src/workload/generator.h"
 
 namespace faas {
@@ -20,6 +24,70 @@ Trace MakeSeededTrace() {
   config.seed = 77;
   config.instants_rate_cap_per_day = 1500.0;
   return WorkloadGenerator(config).Generate();
+}
+
+// An app whose streams exercise every merge case: equal instants across
+// three functions with different average execution times, a duplicate
+// instant inside one function, an empty function, and an unsorted stream.
+AppTrace MakeTieApp() {
+  AppTrace app;
+  app.owner_id = "tie-owner";
+  app.app_id = "tie-app";
+  app.memory = {128.0, 120.0, 140.0, 1};
+  const auto add = [&app](const char* id, double average_ms,
+                          std::vector<int64_t> instants) {
+    FunctionTrace function;
+    function.function_id = id;
+    for (int64_t t : instants) {
+      function.invocations.emplace_back(t);
+    }
+    function.execution.average_ms = average_ms;
+    function.execution.minimum_ms = average_ms;
+    function.execution.maximum_ms = average_ms;
+    function.execution.count = function.InvocationCount();
+    app.functions.push_back(std::move(function));
+  };
+  add("f0", 250.0, {1'000, 60'000, 120'000, 4'000'000});
+  add("f1", 4'000.0, {1'000, 60'000, 60'000, 3'600'000, 4'000'000});
+  add("f2", 700.0, {});
+  add("f3", 90'000.0, {1'000, 120'000, 3'600'000, 7'200'000});
+  add("f4", 1'500.0, {5'400'000, 1'000, 60'000, 7'200'000});
+  return app;
+}
+
+// The merge contract: std::stable_sort by time of the functions' (time,
+// exec) pairs concatenated in function order.
+std::vector<std::pair<int64_t, int64_t>> StableSortedPairs(const AppTrace& app) {
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (const FunctionTrace& function : app.functions) {
+    for (TimePoint t : function.invocations) {
+      pairs.emplace_back(t.millis_since_origin(),
+                         static_cast<int64_t>(function.execution.average_ms));
+    }
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& lhs, const auto& rhs) {
+                     return lhs.first < rhs.first;
+                   });
+  return pairs;
+}
+
+std::vector<std::pair<int64_t, int64_t>> SpanPairs(
+    const CompiledTrace& compiled, size_t app) {
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  const CompiledTrace::AppSpan span = compiled.spans[app];
+  for (size_t i = span.begin; i < span.end; ++i) {
+    pairs.emplace_back(compiled.times_ms[i], compiled.exec_ms[i]);
+  }
+  return pairs;
+}
+
+// The seeded trace plus the hand-built tie app.
+Trace MakeTraceWithTieApp() {
+  Trace trace = MakeSeededTrace();
+  trace.apps.push_back(MakeTieApp());
+  trace.entities = EntityIndex::Build(trace);
+  return trace;
 }
 
 void ExpectSameAppResult(const AppSimResult& legacy,
@@ -73,11 +141,36 @@ TEST(CompiledTraceTest, ParallelCompileMatchesSequential) {
   }
 }
 
+TEST(CompiledTraceTest, MergeIsStableSortOfFunctionStreams) {
+  const Trace trace = MakeTraceWithTieApp();
+  const size_t tie = trace.apps.size() - 1;
+  const auto expected = StableSortedPairs(trace.apps[tie]);
+  ASSERT_EQ(expected.size(), 17u);
+
+  EXPECT_EQ(SpanPairs(CompiledTrace::Compile(trace), tie), expected);
+  EXPECT_EQ(SpanPairs(CompiledTrace::Compile(trace, 4), tie), expected);
+  // A recycled arena: compile the whole trace, then just the tie app.
+  CompiledTrace shard;
+  CompiledTrace::CompileRangeInto(trace, 0, trace.apps.size(), &shard);
+  EXPECT_EQ(SpanPairs(shard, tie), expected);
+  CompiledTrace::CompileRangeInto(trace, tie, tie + 1, &shard);
+  ASSERT_EQ(shard.num_apps(), 1u);
+  EXPECT_EQ(SpanPairs(shard, 0), expected);
+  // Every generated app obeys the same contract.
+  const CompiledTrace compiled = CompiledTrace::Compile(trace);
+  for (size_t a = 0; a < trace.apps.size(); ++a) {
+    EXPECT_EQ(SpanPairs(compiled, a), StableSortedPairs(trace.apps[a]))
+        << "app " << a;
+  }
+}
+
 class CompiledReplayEquivalenceTest
     : public ::testing::TestWithParam<SimulatorOptions> {};
 
 TEST_P(CompiledReplayEquivalenceTest, MatchesLegacyPerAppMerge) {
-  const Trace trace = MakeSeededTrace();
+  // The tie app makes the legacy unstable std::sort and the compiled stable
+  // merge order cross-function ties differently; replay must not notice.
+  const Trace trace = MakeTraceWithTieApp();
   const CompiledTrace compiled = CompiledTrace::Compile(trace);
   const ColdStartSimulator simulator(GetParam());
   const FixedKeepAliveFactory fixed(Duration::Minutes(10));
