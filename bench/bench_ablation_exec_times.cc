@@ -4,11 +4,12 @@
 // times to show the assumption does not change who wins.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 
 namespace {
 
@@ -16,12 +17,12 @@ void RunOnce(const faas::Trace& trace, bool use_execution_times) {
   using namespace faas;
   SimulatorOptions options;
   options.use_execution_times = use_execution_times;
-  const ColdStartSimulator simulator(options);
-
-  const SimulationResult fixed =
-      simulator.Run(trace, FixedKeepAliveFactory(Duration::Minutes(10)));
-  const SimulationResult hybrid =
-      simulator.Run(trace, HybridPolicyFactory{HybridPolicyConfig{}});
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid_factory{HybridPolicyConfig{}};
+  const std::vector<PolicyPoint> points = EvaluatePolicies(
+      trace, {&fixed10, &hybrid_factory}, /*baseline_index=*/0, options);
+  const SimulationResult& fixed = points[0].result;
+  const SimulationResult& hybrid = points[1].result;
 
   std::printf("\nexecution times %s:\n",
               use_execution_times ? "REAL (per-function averages)" : "ZERO");

@@ -6,12 +6,13 @@
 // the same trace.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
 #include "src/sim/cache_sim.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 
 int main() {
   using namespace faas;
@@ -21,11 +22,13 @@ int main() {
 
   SimulatorOptions eager_options;
   eager_options.weight_by_memory = true;
-  const ColdStartSimulator eager(eager_options);
-  const SimulationResult hybrid =
-      eager.Run(trace, HybridPolicyFactory{HybridPolicyConfig{}});
-  const SimulationResult fixed10 =
-      eager.Run(trace, FixedKeepAliveFactory(Duration::Minutes(10)));
+  const HybridPolicyFactory hybrid_factory{HybridPolicyConfig{}};
+  const FixedKeepAliveFactory fixed10_factory(Duration::Minutes(10));
+  const std::vector<PolicyPoint> points =
+      EvaluatePolicies(trace, {&hybrid_factory, &fixed10_factory},
+                       /*baseline_index=*/0, eager_options);
+  const SimulationResult& hybrid = points[0].result;
+  const SimulationResult& fixed10 = points[1].result;
 
   const double hybrid_budget_mb =
       hybrid.TotalWastedMemoryMinutes() / trace.horizon.minutes();

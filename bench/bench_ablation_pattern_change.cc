@@ -8,11 +8,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 #include "src/workload/generator.h"
 
 int main() {
@@ -34,11 +35,12 @@ int main() {
   SimulatorOptions options;
   options.track_hourly = true;
   options.num_threads = 0;
-  const ColdStartSimulator simulator(options);
-  const SimulationResult fixed =
-      simulator.Run(trace, FixedKeepAliveFactory(Duration::Minutes(10)));
-  const SimulationResult hybrid =
-      simulator.Run(trace, HybridPolicyFactory{HybridPolicyConfig{}});
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid_factory{HybridPolicyConfig{}};
+  const std::vector<PolicyPoint> points = EvaluatePolicies(
+      trace, {&fixed10, &hybrid_factory}, /*baseline_index=*/0, options);
+  const SimulationResult& fixed = points[0].result;
+  const SimulationResult& hybrid = points[1].result;
 
   const std::vector<double> fixed_hourly = fixed.HourlyColdFraction();
   const std::vector<double> hybrid_hourly = hybrid.HourlyColdFraction();

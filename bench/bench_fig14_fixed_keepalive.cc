@@ -9,7 +9,7 @@
 #include "bench/bench_common.h"
 #include "bench/series_writer.h"
 #include "src/policy/policy.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 
 int main() {
   using namespace faas;
@@ -20,19 +20,26 @@ int main() {
               static_cast<long long>(trace.TotalInvocations()), 7);
 
   const int keepalive_minutes[] = {5, 10, 20, 30, 45, 60, 90, 120};
+  std::vector<FixedKeepAliveFactory> fixed;
+  for (int minutes : keepalive_minutes) {
+    fixed.emplace_back(Duration::Minutes(minutes));
+  }
+  const NoUnloadFactory no_unload;
+  std::vector<const PolicyFactory*> factories;
+  for (const FixedKeepAliveFactory& factory : fixed) {
+    factories.push_back(&factory);
+  }
+  factories.push_back(&no_unload);
   SimulatorOptions sim_options;
   sim_options.num_threads = 0;  // Use all cores; results are identical.
-  const ColdStartSimulator simulator(sim_options);
+  const std::vector<PolicyPoint> points =
+      EvaluatePolicies(trace, factories, /*baseline_index=*/0, sim_options);
 
   SeriesWriter series("fig14_fixed_keepalive",
                       {"policy", "p25", "p50", "p75", "p95", "always_cold_pct"});
   std::printf("\n%-14s %10s %10s %10s %10s %14s\n", "policy", "p25", "p50",
               "p75", "p95", "% always cold");
-  std::vector<double> p75_by_policy;
-  for (int minutes : keepalive_minutes) {
-    const FixedKeepAliveFactory factory(Duration::Minutes(minutes));
-    const SimulationResult result = simulator.Run(trace, factory);
-    p75_by_policy.push_back(result.AppColdStartPercentile(75.0));
+  const auto print_row = [](const SimulationResult& result) {
     std::printf("%-14s %9.1f%% %9.1f%% %9.1f%% %9.1f%% %13.1f%%\n",
                 result.policy_name.c_str(),
                 result.AppColdStartPercentile(25.0),
@@ -40,21 +47,20 @@ int main() {
                 result.AppColdStartPercentile(75.0),
                 result.AppColdStartPercentile(95.0),
                 100.0 * result.FractionAppsAlwaysCold(false));
+  };
+  std::vector<double> p75_by_policy;
+  for (size_t p = 0; p < fixed.size(); ++p) {
+    const SimulationResult& result = points[p].result;
+    p75_by_policy.push_back(result.AppColdStartPercentile(75.0));
+    print_row(result);
     series.Row(result.policy_name, result.AppColdStartPercentile(25.0),
                result.AppColdStartPercentile(50.0),
                result.AppColdStartPercentile(75.0),
                result.AppColdStartPercentile(95.0),
                100.0 * result.FractionAppsAlwaysCold(false));
   }
-  const NoUnloadFactory no_unload;
-  const SimulationResult baseline = simulator.Run(trace, no_unload);
-  std::printf("%-14s %9.1f%% %9.1f%% %9.1f%% %9.1f%% %13.1f%%\n",
-              baseline.policy_name.c_str(),
-              baseline.AppColdStartPercentile(25.0),
-              baseline.AppColdStartPercentile(50.0),
-              baseline.AppColdStartPercentile(75.0),
-              baseline.AppColdStartPercentile(95.0),
-              100.0 * baseline.FractionAppsAlwaysCold(false));
+  const SimulationResult& baseline = points.back().result;
+  print_row(baseline);
 
   std::printf("\nAnchors (paper vs measured):\n");
   PrintPaperVsMeasured("p75 cold-start at 10-minute keep-alive (%)", 50.3,

@@ -6,10 +6,14 @@
 // week, 0.64% of invocations were handled by ARIMA and 9.3% of apps used it
 // at least once.
 
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
+#include "src/sim/compiled_trace.h"
 #include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 
 int main() {
   using namespace faas;
@@ -17,7 +21,8 @@ int main() {
   const Trace trace = MakePolicyTrace();
   SimulatorOptions sim_options;
   sim_options.num_threads = 0;  // Use all cores; results are identical.
-  const ColdStartSimulator simulator(sim_options);
+  const CompiledTrace compiled =
+      CompiledTrace::Compile(trace, sim_options.num_threads);
 
   // All policies use 4 hours, as in the paper's comparison.
   const FixedKeepAliveFactory fixed_4h(Duration::Hours(4));
@@ -26,26 +31,22 @@ int main() {
   const HybridPolicyFactory hybrid_no_arima{no_arima_config};
   const HybridPolicyFactory hybrid_full{HybridPolicyConfig{}};
 
-  struct Row {
-    const char* label;
-    SimulationResult result;
-  };
-  Row rows[] = {
-      {"fixed (4h)", simulator.Run(trace, fixed_4h)},
-      {"hybrid without ARIMA", simulator.Run(trace, hybrid_no_arima)},
-      {"full hybrid (with ARIMA)", simulator.Run(trace, hybrid_full)},
-  };
+  const char* labels[] = {"fixed (4h)", "hybrid without ARIMA",
+                          "full hybrid (with ARIMA)"};
+  const std::vector<PolicyPoint> points = EvaluatePolicies(
+      compiled, {&fixed_4h, &hybrid_no_arima, &hybrid_full},
+      /*baseline_index=*/0, sim_options);
 
   std::printf("\n%-28s %22s %30s\n", "policy", "% apps always cold",
               "excl. single-invocation apps");
-  for (const Row& row : rows) {
-    std::printf("%-28s %21.2f%% %29.2f%%\n", row.label,
-                100.0 * row.result.FractionAppsAlwaysCold(false),
-                100.0 * row.result.FractionAppsAlwaysCold(true));
+  for (size_t p = 0; p < points.size(); ++p) {
+    std::printf("%-28s %21.2f%% %29.2f%%\n", labels[p],
+                100.0 * points[p].result.FractionAppsAlwaysCold(false),
+                100.0 * points[p].result.FractionAppsAlwaysCold(true));
   }
 
-  const double without_arima = rows[1].result.FractionAppsAlwaysCold(true);
-  const double with_arima = rows[2].result.FractionAppsAlwaysCold(true);
+  const double without_arima = points[1].result.FractionAppsAlwaysCold(true);
+  const double with_arima = points[2].result.FractionAppsAlwaysCold(true);
   std::printf("\nAnchors (paper vs measured):\n");
   PrintPaperVsMeasured(
       "ARIMA's reduction of always-cold apps, excl. singles (%)", 75.0,
@@ -59,10 +60,11 @@ int main() {
   int64_t arima_decisions = 0;
   int64_t total_decisions = 0;
   int64_t apps_using_arima = 0;
-  for (const AppTrace& app : trace.apps) {
+  const ColdStartSimulator simulator(sim_options);
+  for (size_t i = 0; i < compiled.num_apps(); ++i) {
     auto policy = probe.CreateForApp();
     auto* hybrid = static_cast<HybridHistogramPolicy*>(policy.get());
-    simulator.SimulateApp(app, trace.horizon, *policy);
+    simulator.SimulateApp(compiled, i, *policy);
     arima_decisions += hybrid->decisions_by_arima();
     total_decisions += hybrid->decisions_by_arima() +
                        hybrid->decisions_by_histogram() +

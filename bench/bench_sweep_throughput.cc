@@ -168,19 +168,20 @@ int main() {
   // Phase 2 — materialize the trace; RSS is tainted from here on.
   const Trace trace = WorkloadGenerator(config).Generate();
 
-  // Seed-equivalent baseline: one policy after another, each Run compiling
-  // (merging + sorting) the trace from scratch, all on one thread — the
-  // execution model EvaluatePolicies had before the sweep engine.
+  // Seed-equivalent baseline: one policy after another, each call
+  // compiling (merging + sorting) the trace from scratch, all on one
+  // thread — the execution model EvaluatePolicies had before the sweep
+  // engine.
   double seed_wall_ms = 0.0;
   double seed_p75 = 0.0;
   {
     SimulatorOptions options;
     options.num_threads = 1;
-    const ColdStartSimulator simulator(options);
     const auto start = std::chrono::steady_clock::now();
     for (const PolicyFactory* factory : factories) {
-      const SimulationResult result = simulator.Run(trace, *factory);
-      seed_p75 = result.AppColdStartPercentile(75.0);
+      seed_p75 = EvaluatePolicies(trace, {factory}, /*baseline_index=*/0,
+                                  options)[0]
+                     .cold_start_p75;
     }
     seed_wall_ms = MillisSince(start);
     rows.push_back({"serial-recompile (seed)", 1, seed_wall_ms,

@@ -20,12 +20,12 @@
 // exec) pairs concatenated in function order: one linear merge of the
 // per-function runs, which the generator already emits sorted.  Equal
 // instants from different functions therefore come out in function order.
-// The legacy per-app merge (MergeInvocations in simulator.cc) uses an
-// unstable std::sort and may order such ties differently, but replay cannot
-// tell: a tie group is classified at its first member, sets exec_end to
-// t + max(exec) whatever the order, gives the policy one idle gap, and the
-// ledger sums integer exec_ms.  The instant sequence is identical, so
-// replay over a CompiledTrace is bit-identical to the legacy path.
+// Any other order of such ties replays identically: a tie group is
+// classified at its first member, sets exec_end to t + max(exec) whatever
+// the order, gives the policy one idle gap, and the ledger sums integer
+// exec_ms.  CompiledReplayEquivalenceTest (compiled_trace_test) pins this
+// against a hand-built arena with every tie group in reverse function
+// order.
 
 #ifndef SRC_SIM_COMPILED_TRACE_H_
 #define SRC_SIM_COMPILED_TRACE_H_

@@ -6,53 +6,12 @@
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/common/parallel.h"
 #include "src/stats/descriptive.h"
 #include "src/trace/entity_index.h"
 
 namespace faas {
 
 namespace {
-
-// Merged, time-sorted invocation stream of one app, structure-of-arrays.
-struct MergedStream {
-  std::vector<int64_t> times_ms;
-  std::vector<int64_t> exec_ms;
-};
-
-// Merges an app's invocations across its functions, keeping each
-// invocation's execution time (the per-function average when the simulator
-// runs with execution times enabled).
-MergedStream MergeInvocations(const AppTrace& app, bool use_execution_times) {
-  std::vector<std::pair<int64_t, int64_t>> merged;
-  size_t total = 0;
-  for (const auto& function : app.functions) {
-    total += function.invocations.size();
-  }
-  merged.reserve(total);
-  for (const auto& function : app.functions) {
-    const int64_t execution =
-        use_execution_times
-            ? static_cast<int64_t>(function.execution.average_ms)
-            : 0;
-    for (TimePoint t : function.invocations) {
-      merged.emplace_back(t.millis_since_origin(), execution);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const std::pair<int64_t, int64_t>& a,
-               const std::pair<int64_t, int64_t>& b) {
-              return a.first < b.first;
-            });
-  MergedStream stream;
-  stream.times_ms.reserve(total);
-  stream.exec_ms.reserve(total);
-  for (const auto& [time, execution] : merged) {
-    stream.times_ms.push_back(time);
-    stream.exec_ms.push_back(execution);
-  }
-  return stream;
-}
 
 // Charges one app's replay into its ledger.  The idle integral keeps the
 // weighted association (`wasted_ms * weight`, exact for the unweighted
@@ -81,16 +40,6 @@ void ChargeLedger(AppSimResult& result, double wasted_ms, double memory_mb,
 }
 
 }  // namespace
-
-AppSimResult ColdStartSimulator::SimulateApp(const AppTrace& app,
-                                             Duration horizon,
-                                             KeepAlivePolicy& policy) const {
-  const MergedStream stream =
-      MergeInvocations(app, options_.use_execution_times);
-  return SimulateStream(stream.times_ms.data(), stream.exec_ms.data(),
-                        stream.times_ms.size(), app.memory.average_mb, horizon,
-                        policy);
-}
 
 AppSimResult ColdStartSimulator::SimulateApp(
     const CompiledTrace& compiled, size_t app_index, KeepAlivePolicy& policy,
@@ -223,10 +172,11 @@ AppSimResult ColdStartSimulator::SimulateStream(
   // Per-invocation telemetry rides the classification the loop already
   // makes.  Invocation times are ordered, so the per-minute series updates
   // are run-length batched: counts accumulate in two locals and flush to the
-  // registry only when the minute bin changes.  Everything heavier
-  // (counters, histogram, span) flushes once per app below, keeping the
-  // per-invocation cost at a couple of arithmetic ops when enabled and one
-  // pointer test when not.
+  // registry only when the minute bin changes.  The counters flush once per
+  // app below, keeping the per-invocation cost at a couple of arithmetic ops
+  // when enabled and one pointer test when not.  The per-app histogram is
+  // left to the sweep, which observes it in app order after the parallel
+  // region.
   MetricsRegistry* metrics =
       instruments != nullptr ? instruments->registry : nullptr;
   int64_t series_bin = -1;
@@ -356,39 +306,7 @@ AppSimResult ColdStartSimulator::SimulateStream(
     metrics->Inc(instruments->invocations, result.invocations);
     metrics->Inc(instruments->cold_starts, result.cold_starts);
     metrics->Inc(instruments->prewarm_loads, result.prewarm_loads);
-    metrics->Observe(instruments->app_cold_percent, result.ColdStartPercent());
   }
-  return result;
-}
-
-SimulationResult ColdStartSimulator::Run(const Trace& trace,
-                                         const PolicyFactory& factory) const {
-  return Run(CompiledTrace::Compile(trace, options_.num_threads), factory);
-}
-
-SimulationResult ColdStartSimulator::Run(const CompiledTrace& compiled,
-                                         const PolicyFactory& factory) const {
-  SimulationResult result;
-  result.policy_name = factory.name();
-  result.entities = compiled.entities;
-  result.apps.resize(compiled.num_apps());
-  // Register instruments before the parallel region (the registry sizes
-  // per-thread shards on first touch).
-  SimPolicyInstruments instruments_storage;
-  const SimPolicyInstruments* instruments = nullptr;
-  if (options_.telemetry != nullptr) {
-    instruments_storage = SimPolicyInstruments::Register(
-        *options_.telemetry, factory.name(), /*pid=*/0, /*trace_id_base=*/0,
-        compiled.horizon);
-    instruments = &instruments_storage;
-  }
-  ParallelFor(
-      compiled.num_apps(),
-      [&](size_t i) {
-        const std::unique_ptr<KeepAlivePolicy> policy = factory.CreateForApp();
-        result.apps[i] = SimulateApp(compiled, i, *policy, instruments);
-      },
-      options_.num_threads);
   return result;
 }
 

@@ -46,8 +46,9 @@ struct SimulatorOptions {
   // Weight each app's wasted memory time by its average allocated MB
   // (extension; the paper assumes equal memory use for this analysis).
   bool weight_by_memory = false;
-  // Worker threads for Run(); apps are independent, so the result is
-  // bit-identical to the sequential run.  0 = hardware concurrency.
+  // Worker threads for the sweep (EvaluatePolicies, sweep.h); apps are
+  // independent, so the result is bit-identical to the sequential run.
+  // 0 = hardware concurrency.
   int num_threads = 1;
   // Record per-hour cold-start and invocation counts (for adaptation
   // experiments: how quickly a policy recovers after a pattern change).
@@ -58,9 +59,9 @@ struct SimulatorOptions {
 };
 
 struct AppSimResult {
-  // The app's dense id — its position in the CompiledTrace / EntityIndex.
-  // Invalid (kInvalid) for the single-AppTrace legacy path, which has no
-  // index; names re-materialize via SimulationResult::AppName.
+  // The app's dense id — its position in the CompiledTrace / EntityIndex
+  // (in a streamed sweep, in the global index); names re-materialize via
+  // SimulationResult::AppName.
   AppId app;
   int64_t invocations = 0;
   int64_t cold_starts = 0;
@@ -122,30 +123,19 @@ class ColdStartSimulator {
   explicit ColdStartSimulator(SimulatorOptions options = {})
       : options_(options) {}
 
-  // Simulates one application against a fresh policy instance, merging the
-  // app's per-function streams in place (the legacy single-app path; sweeps
-  // should compile the trace once instead).
-  AppSimResult SimulateApp(const AppTrace& app, Duration horizon,
-                           KeepAlivePolicy& policy) const;
-
-  // Simulates one app of a pre-compiled trace.  Bit-identical to the
-  // AppTrace overload on the same app.  `instruments` (optional) receives
-  // per-minute series updates, per-app counter flushes and one kAppReplay
-  // span; the simulated result itself is unaffected.
+  // Simulates app `app_index` of a compiled trace against `policy` (a fresh
+  // instance per app) and stamps AppId(app_index) on the result; sweeps
+  // (sweep.h) call it once per (policy, app) cell.  `instruments`
+  // (optional) receives per-minute series updates, per-app counter flushes
+  // and one kAppReplay span; the simulated result itself is unaffected.  The
+  // per-app cold-start histogram is the caller's to observe.
   AppSimResult SimulateApp(const CompiledTrace& compiled, size_t app_index,
                            KeepAlivePolicy& policy,
                            const SimPolicyInstruments* instruments =
                                nullptr) const;
 
-  // Simulates the whole trace, one policy instance per app.  The Trace
-  // overload compiles the trace and delegates; callers evaluating several
-  // policies should compile once and use the CompiledTrace overload.
-  SimulationResult Run(const Trace& trace, const PolicyFactory& factory) const;
-  SimulationResult Run(const CompiledTrace& compiled,
-                       const PolicyFactory& factory) const;
-
  private:
-  // Shared replay core over a merged, time-sorted invocation stream.
+  // Replay core over a merged, time-sorted invocation stream.
   // `exec_ms` may be null, meaning every execution takes zero time.  The
   // caller stamps identity (AppSimResult::app) on the returned result.
   AppSimResult SimulateStream(const int64_t* times_ms, const int64_t* exec_ms,

@@ -19,10 +19,25 @@ namespace faas {
 
 namespace {
 
-// Shared tail of both sweep paths: percentile + waste roll-ups and the
-// baseline normalisation.
-void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index) {
+// Shared head of both sweeps: one named, empty point per factory.
+std::vector<PolicyPoint> MakePoints(
+    const std::vector<const PolicyFactory*>& factories,
+    size_t baseline_index) {
+  FAAS_CHECK(baseline_index < factories.size()) << "baseline out of range";
+  std::vector<PolicyPoint> points(factories.size());
+  for (size_t p = 0; p < factories.size(); ++p) {
+    points[p].name = factories[p]->name();
+    points[p].result.policy_name = points[p].name;
+  }
+  return points;
+}
+
+// Shared tail of both sweeps: entity names, percentile + waste roll-ups
+// and the baseline normalisation.
+void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index,
+                    const std::shared_ptr<const EntityIndex>& entities) {
   for (PolicyPoint& point : points) {
+    point.result.entities = entities;
     point.cold_start_p75 = point.result.AppColdStartPercentile(75.0);
     point.wasted_memory_minutes = point.result.TotalWastedMemoryMinutes();
   }
@@ -32,6 +47,93 @@ void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index) {
         baseline_waste > 0.0
             ? 100.0 * point.wasted_memory_minutes / baseline_waste
             : 0.0;
+  }
+}
+
+// The one replay scheduler of both sweeps.  Replays every (policy, app)
+// cell of `compiled` against a fresh policy instance and writes the result
+// to points[p].result.apps[app_offset + i], stamped with its global AppId;
+// every cell owns its slot, so scheduling order cannot change the output.
+// One task is one chunk of apps under one policy: enough tasks to balance
+// the threads without one dispatch per app.  The rate distribution is
+// heavy-tailed, so a giant chunk claimed last would serialise the region
+// behind one thread; tasks run largest chunk first (stable, so ties keep
+// policy-major order), claimed one at a time.
+//
+// `instruments` is empty or one bundle per policy.  Counters and series
+// flush from the workers; the per-app cold-start histogram is observed
+// after the region on this thread, in policy-major then app order, so its
+// floating-point sum does not depend on which worker ran which app.
+void ReplayShard(const CompiledTrace& compiled, size_t app_offset,
+                 const std::vector<const PolicyFactory*>& factories,
+                 const std::vector<SimPolicyInstruments>& instruments,
+                 const SimulatorOptions& options,
+                 std::vector<PolicyPoint>& points) {
+  const ColdStartSimulator simulator(options);
+  const size_t num_apps = compiled.num_apps();
+  const size_t num_policies = factories.size();
+  for (PolicyPoint& point : points) {
+    point.result.apps.resize(app_offset + num_apps);
+  }
+
+  const int threads =
+      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
+  const size_t chunk_size = std::clamp<size_t>(
+      num_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4), 1,
+      256);
+  const size_t num_chunks =
+      num_apps == 0 ? 0 : (num_apps + chunk_size - 1) / chunk_size;
+  std::vector<int64_t> chunk_cost(num_chunks, 0);
+  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    const size_t begin = chunk * chunk_size;
+    const size_t end = std::min(begin + chunk_size, num_apps);
+    for (size_t i = begin; i < end; ++i) {
+      chunk_cost[chunk] += static_cast<int64_t>(compiled.spans[i].size());
+    }
+  }
+  std::vector<size_t> task_order(num_policies * num_chunks);
+  std::iota(task_order.begin(), task_order.end(), size_t{0});
+  std::stable_sort(task_order.begin(), task_order.end(),
+                   [&](size_t a, size_t b) {
+                     return chunk_cost[a % num_chunks] >
+                            chunk_cost[b % num_chunks];
+                   });
+
+  ParallelFor(
+      task_order.size(),
+      [&](size_t slot) {
+        const size_t task = task_order[slot];
+        const size_t p = task / num_chunks;
+        const size_t chunk = task % num_chunks;
+        const size_t begin = chunk * chunk_size;
+        const size_t end = std::min(begin + chunk_size, num_apps);
+        const SimPolicyInstruments* policy_instruments =
+            instruments.empty() ? nullptr : &instruments[p];
+        for (size_t i = begin; i < end; ++i) {
+          const std::unique_ptr<KeepAlivePolicy> policy =
+              factories[p]->CreateForApp();
+          AppSimResult result =
+              simulator.SimulateApp(compiled, i, *policy, policy_instruments);
+          // SimulateApp stamps the shard-local id; lift it to the global
+          // dense range.
+          result.app = AppId(static_cast<int64_t>(app_offset + i));
+          points[p].result.apps[app_offset + i] = std::move(result);
+        }
+      },
+      options.num_threads, /*chunk=*/1);
+
+  for (size_t p = 0; p < instruments.size(); ++p) {
+    MetricsRegistry* metrics = instruments[p].registry;
+    if (metrics == nullptr) {
+      continue;
+    }
+    for (size_t i = 0; i < num_apps; ++i) {
+      const AppSimResult& result = points[p].result.apps[app_offset + i];
+      if (result.invocations > 0) {
+        metrics->Observe(instruments[p].app_cold_percent,
+                         result.ColdStartPercent());
+      }
+    }
   }
 }
 
@@ -48,18 +150,9 @@ std::vector<PolicyPoint> EvaluatePolicies(
     const CompiledTrace& compiled,
     const std::vector<const PolicyFactory*>& factories, size_t baseline_index,
     const SimulatorOptions& options) {
-  FAAS_CHECK(baseline_index < factories.size()) << "baseline out of range";
-  const ColdStartSimulator simulator(options);
+  std::vector<PolicyPoint> points = MakePoints(factories, baseline_index);
   const size_t num_apps = compiled.num_apps();
   const size_t num_policies = factories.size();
-
-  std::vector<PolicyPoint> points(num_policies);
-  for (size_t p = 0; p < num_policies; ++p) {
-    points[p].name = factories[p]->name();
-    points[p].result.policy_name = points[p].name;
-    points[p].result.entities = compiled.entities;
-    points[p].result.apps.resize(num_apps);
-  }
 
   // Telemetry: one instrument bundle per policy, registered on this thread
   // before the parallel region so worker shards are sized correctly.  The
@@ -76,61 +169,9 @@ std::vector<PolicyPoint> EvaluatePolicies(
     }
   }
 
-  // One task simulates one shard of apps under one policy; every (policy,
-  // app) cell lands in its own pre-sized slot, so scheduling order cannot
-  // change the output.  Shards keep the task count well above the thread
-  // count for load balance without paying one dispatch per app.
-  const int threads =
-      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
-  const size_t shard_size = std::clamp<size_t>(
-      num_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4), 1,
-      256);
-  const size_t num_shards =
-      num_apps == 0 ? 0 : (num_apps + shard_size - 1) / shard_size;
-
-  // The daily-rate distribution is heavy-tailed, so a few shards can carry
-  // most of the invocations; with dynamic claiming a giant shard picked up
-  // last serialises the whole region behind one thread.  Schedule tasks in
-  // descending shard-invocation order instead (stable, so equal-cost tasks
-  // keep policy-major order and the permutation is deterministic), claiming
-  // one task at a time.  Output slots are per-(policy, app), so scheduling
-  // order cannot leak into the results.
-  std::vector<int64_t> shard_cost(num_shards, 0);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    const size_t begin = shard * shard_size;
-    const size_t end = std::min(begin + shard_size, num_apps);
-    for (size_t i = begin; i < end; ++i) {
-      shard_cost[shard] += static_cast<int64_t>(compiled.spans[i].size());
-    }
-  }
-  std::vector<size_t> task_order(num_policies * num_shards);
-  std::iota(task_order.begin(), task_order.end(), size_t{0});
-  std::stable_sort(task_order.begin(), task_order.end(),
-                   [&](size_t a, size_t b) {
-                     return shard_cost[a % num_shards] >
-                            shard_cost[b % num_shards];
-                   });
-
-  ParallelFor(
-      task_order.size(),
-      [&](size_t slot) {
-        const size_t task = task_order[slot];
-        const size_t p = task / num_shards;
-        const size_t shard = task % num_shards;
-        const size_t begin = shard * shard_size;
-        const size_t end = std::min(begin + shard_size, num_apps);
-        const SimPolicyInstruments* policy_instruments =
-            instruments.empty() ? nullptr : &instruments[p];
-        for (size_t i = begin; i < end; ++i) {
-          const std::unique_ptr<KeepAlivePolicy> policy =
-              factories[p]->CreateForApp();
-          points[p].result.apps[i] =
-              simulator.SimulateApp(compiled, i, *policy, policy_instruments);
-        }
-      },
-      options.num_threads, /*chunk=*/1);
-
-  FinalizePoints(points, baseline_index);
+  ReplayShard(compiled, /*app_offset=*/0, factories, instruments, options,
+              points);
+  FinalizePoints(points, baseline_index, compiled.entities);
   return points;
 }
 
@@ -138,21 +179,13 @@ std::vector<PolicyPoint> EvaluatePoliciesStreamed(
     const ShardSource& source,
     const std::vector<const PolicyFactory*>& factories, size_t baseline_index,
     const SimulatorOptions& options, const StreamingSweepOptions& stream) {
-  FAAS_CHECK(baseline_index < factories.size()) << "baseline out of range";
+  std::vector<PolicyPoint> points = MakePoints(factories, baseline_index);
   FAAS_CHECK(options.telemetry == nullptr)
       << "telemetry is not supported in streamed sweeps (instrument "
          "registration needs the app population up front); run materialized";
-  const ColdStartSimulator simulator(options);
   const int num_shards = source.num_shards();
-  const size_t num_policies = factories.size();
   const int threads =
       options.num_threads == 0 ? HardwareThreads() : options.num_threads;
-
-  std::vector<PolicyPoint> points(num_policies);
-  for (size_t p = 0; p < num_policies; ++p) {
-    points[p].name = factories[p]->name();
-    points[p].result.policy_name = points[p].name;
-  }
 
   // Bounded-depth pipeline over reusable slots: shard k lives in slot
   // k % depth.  Generation of a shard is claimed exactly once through a CAS
@@ -284,45 +317,13 @@ std::vector<PolicyPoint> EvaluatePoliciesStreamed(
       entities->AddApp(compiled.entities->OwnerName(local),
                        compiled.entities->AppName(local));
     }
-    for (size_t p = 0; p < num_policies; ++p) {
-      points[p].result.apps.resize(app_offset + local_apps);
-    }
-
-    // Same (policy x app-chunk) cell structure as the materialized engine,
-    // scoped to this shard; every cell writes its own slot.
-    const size_t sim_chunk = std::clamp<size_t>(
-        local_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4),
-        1, 256);
-    const size_t num_chunks =
-        local_apps == 0 ? 0 : (local_apps + sim_chunk - 1) / sim_chunk;
-    ParallelFor(
-        num_policies * num_chunks,
-        [&](size_t task) {
-          const size_t p = task / num_chunks;
-          const size_t chunk = task % num_chunks;
-          const size_t begin = chunk * sim_chunk;
-          const size_t end = std::min(begin + sim_chunk, local_apps);
-          for (size_t i = begin; i < end; ++i) {
-            const std::unique_ptr<KeepAlivePolicy> policy =
-                factories[p]->CreateForApp();
-            AppSimResult result = simulator.SimulateApp(compiled, i, *policy);
-            // SimulateApp stamps the shard-local id; lift it to the global
-            // dense range.
-            result.app = AppId(static_cast<int64_t>(app_offset + i));
-            points[p].result.apps[app_offset + i] = std::move(result);
-          }
-        },
-        options.num_threads);
+    ReplayShard(compiled, app_offset, factories, /*instruments=*/{}, options,
+                points);
     app_offset += local_apps;
     arena_pool.Release(std::move(arena));
   }
 
-  const std::shared_ptr<const EntityIndex> shared_entities =
-      std::move(entities);
-  for (size_t p = 0; p < num_policies; ++p) {
-    points[p].result.entities = shared_entities;
-  }
-  FinalizePoints(points, baseline_index);
+  FinalizePoints(points, baseline_index, std::move(entities));
   return points;
 }
 

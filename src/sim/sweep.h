@@ -2,22 +2,25 @@
 // normalises wasted memory time against a baseline policy, producing the
 // (cold-start %, normalized waste %) points that Figures 15-18 plot.
 //
-// The sweep engine compiles the trace once (CompiledTrace) and schedules
-// (policy x app-shard) tasks on the shared thread pool — largest shard
-// first, so a handful of invocation-heavy shards (the rate distribution is
-// heavy-tailed) cannot serialise the tail of the region.  The merge/sort
-// cost is paid once per sweep instead of once per policy point, and all
-// policy points progress concurrently.  Each app still gets a fresh policy
-// instance and writes its own result slot, so the output is bit-identical
-// to evaluating the policies one after another on a single thread.
+// One step replays a compiled trace (or one shard of it): it schedules
+// (policy x app-chunk) tasks on the shared thread pool, largest chunk first,
+// so a handful of invocation-heavy chunks (the rate distribution is
+// heavy-tailed) cannot serialise the tail of the region.  Each (policy, app)
+// cell gets a fresh policy instance and writes its own result slot, so the
+// output is bit-identical to evaluating the policies one after another on a
+// single thread.  Two entry points call that step:
 //
-// EvaluatePoliciesStreamed replays the same sweep without ever holding the
-// full trace: a ShardSource materializes compiled per-app-shard arenas on
-// demand, a bounded-depth pipeline generates shard k+1 on pool workers
-// while shard k simulates, and per-app results fold into the output in
-// shard order.  Peak memory is O(max_resident_shards * shard size +
-// results) instead of O(trace).  Output is bit-identical to the
-// materialized path — see DESIGN.md for the determinism argument.
+//   - EvaluatePolicies compiles the trace once (CompiledTrace) and calls the
+//     step once on all of it.  The merge/sort cost is paid once per sweep
+//     instead of once per policy point, and all policy points progress
+//     concurrently.  A single-policy run is a one-factory call.
+//   - EvaluatePoliciesStreamed never holds the full trace: a ShardSource
+//     materializes compiled per-app-shard arenas on demand, a bounded-depth
+//     pipeline generates shard k+1 on pool workers while shard k replays,
+//     and the step writes each shard's results at its global app offset.
+//     Peak memory is O(max_resident_shards * shard size + results) instead
+//     of O(trace).  Output is bit-identical to the materialized sweep —
+//     see DESIGN.md for the determinism argument.
 
 #ifndef SRC_SIM_SWEEP_H_
 #define SRC_SIM_SWEEP_H_
@@ -49,7 +52,8 @@ struct PolicyPoint {
 // Runs each factory on the trace; the entry at `baseline_index` defines 100%
 // wasted memory time.  options.num_threads parallelises across (policy, app)
 // pairs: 0 = hardware concurrency, <= 1 = sequential.  The Trace overload
-// compiles the trace once and delegates.
+// compiles the trace once and delegates.  The trace must hold at least one
+// app (the p75 roll-up is undefined on none).
 std::vector<PolicyPoint> EvaluatePolicies(
     const Trace& trace,
     const std::vector<const PolicyFactory*>& factories,

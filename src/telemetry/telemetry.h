@@ -143,7 +143,8 @@ struct ClusterInstruments {
 // Instruments for one policy of an analytic sweep.  The hot loop
 // (ColdStartSimulator::SimulateStream) batches its counter flushes per app,
 // so the per-invocation cost is one SeriesAdd (plus one more per cold
-// start).
+// start).  `app_cold_percent` is observed by the sweep step (sweep.cc) after
+// its parallel region, in app order, so its sum is thread-count independent.
 struct SimPolicyInstruments {
   MetricsRegistry* registry = nullptr;
   Tracer* tracer = nullptr;

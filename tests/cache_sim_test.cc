@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/policy/hybrid.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 #include "src/workload/generator.h"
 
 namespace faas {
@@ -126,9 +126,9 @@ TEST(LazyCacheTest, EagerHybridBeatsLazyCacheAtEqualMemory) {
 
   SimulatorOptions eager_options;
   eager_options.weight_by_memory = true;
-  const ColdStartSimulator eager(eager_options);
+  const HybridPolicyFactory hybrid_factory{HybridPolicyConfig{}};
   const SimulationResult hybrid =
-      eager.Run(trace, HybridPolicyFactory{HybridPolicyConfig{}});
+      EvaluatePolicies(trace, {&hybrid_factory}, 0, eager_options)[0].result;
   const double hybrid_avg_resident_mb =
       hybrid.TotalWastedMemoryMinutes() / trace.horizon.minutes();
 

@@ -90,17 +90,59 @@ Trace MakeTraceWithTieApp() {
   return trace;
 }
 
-void ExpectSameAppResult(const AppSimResult& legacy,
-                         const AppSimResult& compiled) {
-  // The legacy per-AppTrace path has no entity index, so `app` is stamped
-  // only on the compiled path; compare the numeric payload.
-  EXPECT_EQ(legacy.invocations, compiled.invocations);
-  EXPECT_EQ(legacy.cold_starts, compiled.cold_starts);
-  EXPECT_EQ(legacy.prewarm_loads, compiled.prewarm_loads);
-  EXPECT_DOUBLE_EQ(legacy.wasted_memory_minutes(),
-                   compiled.wasted_memory_minutes());
-  EXPECT_EQ(legacy.cold_per_hour, compiled.cold_per_hour);
-  EXPECT_EQ(legacy.invocations_per_hour, compiled.invocations_per_hour);
+// A reference arena built without Compile: each app's (time, exec) pairs
+// sorted by time, with every cross-function tie group in *reverse* function
+// order — the opposite of Compile's stable merge.
+CompiledTrace CompileWithReversedTies(const Trace& trace,
+                                      const CompiledTrace& compiled) {
+  CompiledTrace reference;
+  reference.entities = compiled.entities;
+  reference.horizon = trace.horizon;
+  for (const AppTrace& app : trace.apps) {
+    struct Invocation {
+      int64_t time;
+      int64_t exec;
+      size_t function;
+    };
+    std::vector<Invocation> invocations;
+    for (size_t f = 0; f < app.functions.size(); ++f) {
+      const FunctionTrace& function = app.functions[f];
+      for (TimePoint t : function.invocations) {
+        invocations.push_back(
+            {t.millis_since_origin(),
+             static_cast<int64_t>(function.execution.average_ms), f});
+      }
+    }
+    std::stable_sort(invocations.begin(), invocations.end(),
+                     [](const Invocation& lhs, const Invocation& rhs) {
+                       if (lhs.time != rhs.time) {
+                         return lhs.time < rhs.time;
+                       }
+                       return lhs.function > rhs.function;
+                     });
+    CompiledTrace::AppSpan span;
+    span.begin = reference.times_ms.size();
+    for (const Invocation& invocation : invocations) {
+      reference.times_ms.push_back(invocation.time);
+      reference.exec_ms.push_back(invocation.exec);
+    }
+    span.end = reference.times_ms.size();
+    reference.spans.push_back(span);
+    reference.memory_mb.push_back(app.memory.average_mb);
+  }
+  return reference;
+}
+
+void ExpectSameAppResult(const AppSimResult& expected,
+                         const AppSimResult& actual) {
+  EXPECT_EQ(expected.app, actual.app);
+  EXPECT_EQ(expected.invocations, actual.invocations);
+  EXPECT_EQ(expected.cold_starts, actual.cold_starts);
+  EXPECT_EQ(expected.prewarm_loads, actual.prewarm_loads);
+  EXPECT_EQ(expected.wasted_memory_minutes(), actual.wasted_memory_minutes());
+  EXPECT_EQ(expected.ledger.cpu_ms, actual.ledger.cpu_ms);
+  EXPECT_EQ(expected.cold_per_hour, actual.cold_per_hour);
+  EXPECT_EQ(expected.invocations_per_hour, actual.invocations_per_hour);
 }
 
 TEST(CompiledTraceTest, ArenasAreContiguousAndSorted) {
@@ -168,27 +210,32 @@ class CompiledReplayEquivalenceTest
     : public ::testing::TestWithParam<SimulatorOptions> {};
 
 TEST_P(CompiledReplayEquivalenceTest, MatchesLegacyPerAppMerge) {
-  // The tie app makes the legacy unstable std::sort and the compiled stable
-  // merge order cross-function ties differently; replay must not notice.
+  // Compile orders cross-function ties by function; the reference reverses
+  // every tie group.  The order of equal instants is not part of the merge
+  // contract that replay relies on, so replay must not notice.
   const Trace trace = MakeTraceWithTieApp();
   const CompiledTrace compiled = CompiledTrace::Compile(trace);
+  const CompiledTrace reference = CompileWithReversedTies(trace, compiled);
+  const size_t tie = trace.apps.size() - 1;
+  ASSERT_NE(SpanPairs(reference, tie), SpanPairs(compiled, tie));
+  ASSERT_EQ(reference.times_ms, compiled.times_ms);
+
   const ColdStartSimulator simulator(GetParam());
   const FixedKeepAliveFactory fixed(Duration::Minutes(10));
   const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
-
   for (const PolicyFactory* factory :
        {static_cast<const PolicyFactory*>(&fixed),
         static_cast<const PolicyFactory*>(&hybrid)}) {
     for (size_t a = 0; a < trace.apps.size(); ++a) {
-      const std::unique_ptr<KeepAlivePolicy> legacy_policy =
+      const std::unique_ptr<KeepAlivePolicy> reference_policy =
           factory->CreateForApp();
-      const AppSimResult legacy = simulator.SimulateApp(
-          trace.apps[a], trace.horizon, *legacy_policy);
+      const AppSimResult expected =
+          simulator.SimulateApp(reference, a, *reference_policy);
       const std::unique_ptr<KeepAlivePolicy> compiled_policy =
           factory->CreateForApp();
-      const AppSimResult via_arena =
+      const AppSimResult actual =
           simulator.SimulateApp(compiled, a, *compiled_policy);
-      ExpectSameAppResult(legacy, via_arena);
+      ExpectSameAppResult(expected, actual);
     }
   }
 }
@@ -201,25 +248,6 @@ INSTANTIATE_TEST_SUITE_P(
                                        .weight_by_memory = true},
                       SimulatorOptions{.count_tail_residency = false,
                                        .track_hourly = true}));
-
-TEST(CompiledTraceTest, RunOverloadsAgree) {
-  const Trace trace = MakeSeededTrace();
-  const CompiledTrace compiled = CompiledTrace::Compile(trace);
-  SimulatorOptions options;
-  options.use_execution_times = true;
-  const ColdStartSimulator simulator(options);
-  const FixedKeepAliveFactory factory(Duration::Minutes(20));
-
-  const SimulationResult from_trace = simulator.Run(trace, factory);
-  const SimulationResult from_compiled = simulator.Run(compiled, factory);
-  ASSERT_EQ(from_trace.apps.size(), from_compiled.apps.size());
-  for (size_t a = 0; a < from_trace.apps.size(); ++a) {
-    ExpectSameAppResult(from_trace.apps[a], from_compiled.apps[a]);
-  }
-  EXPECT_EQ(from_trace.TotalColdStarts(), from_compiled.TotalColdStarts());
-  EXPECT_DOUBLE_EQ(from_trace.TotalWastedMemoryMinutes(),
-                   from_compiled.TotalWastedMemoryMinutes());
-}
 
 TEST(CompiledTraceTest, EmptyAppYieldsEmptyResult) {
   Trace trace;

@@ -9,7 +9,6 @@
 #include "src/cluster/cluster.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
-#include "src/sim/simulator.h"
 #include "src/sim/sweep.h"
 #include "src/trace/csv.h"
 #include "src/trace/transform.h"
@@ -71,9 +70,10 @@ TEST_F(IntegrationTest, LongerFixedKeepAliveTradesMemoryForColdStarts) {
 TEST_F(IntegrationTest, NoUnloadingIsColdStartLowerBound) {
   const NoUnloadFactory no_unload;
   const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
-  const ColdStartSimulator simulator;
-  const SimulationResult baseline = simulator.Run(trace(), no_unload);
-  const SimulationResult fixed = simulator.Run(trace(), fixed10);
+  const std::vector<PolicyPoint> points =
+      EvaluatePolicies(trace(), {&no_unload, &fixed10});
+  const SimulationResult& baseline = points[0].result;
+  const SimulationResult& fixed = points[1].result;
   EXPECT_LE(baseline.TotalColdStarts(), fixed.TotalColdStarts());
   // Under no-unloading every app has exactly one cold start.
   for (const auto& app : baseline.apps) {
@@ -90,10 +90,10 @@ TEST_F(IntegrationTest, ArimaReducesAlwaysColdApps) {
   without_arima.enable_arima = false;
   const HybridPolicyFactory hybrid{with_arima};
   const HybridPolicyFactory hybrid_no_arima{without_arima};
-  const ColdStartSimulator simulator;
-  const SimulationResult with_result = simulator.Run(trace(), hybrid);
-  const SimulationResult without_result =
-      simulator.Run(trace(), hybrid_no_arima);
+  const std::vector<PolicyPoint> points =
+      EvaluatePolicies(trace(), {&hybrid, &hybrid_no_arima});
+  const SimulationResult& with_result = points[0].result;
+  const SimulationResult& without_result = points[1].result;
   EXPECT_LE(with_result.FractionAppsAlwaysCold(true),
             without_result.FractionAppsAlwaysCold(true));
 }
@@ -109,9 +109,10 @@ TEST_F(IntegrationTest, CsvRoundTripPreservesSimulationResults) {
   fs::remove_all(dir);
 
   const FixedKeepAliveFactory fixed(Duration::Minutes(10));
-  const ColdStartSimulator simulator;
-  const SimulationResult original = simulator.Run(trace(), fixed);
-  const SimulationResult roundtrip = simulator.Run(restored.value, fixed);
+  const SimulationResult original =
+      EvaluatePolicies(trace(), {&fixed})[0].result;
+  const SimulationResult roundtrip =
+      EvaluatePolicies(restored.value, {&fixed})[0].result;
   EXPECT_EQ(original.TotalInvocations(), roundtrip.TotalInvocations());
   // Cold starts at minute granularity should agree within 5%.
   EXPECT_NEAR(static_cast<double>(roundtrip.TotalColdStarts()),
@@ -133,19 +134,16 @@ TEST_F(IntegrationTest, AnalyticAndClusterSimulatorsAgreeOnTrend) {
   ClusterConfig config;
   config.num_invokers = 18;
   const ClusterSimulator cluster(config);
-  const ClusterResult cluster_fixed =
-      cluster.Replay(slice, FixedKeepAliveFactory(Duration::Minutes(10)));
-  const ClusterResult cluster_hybrid =
-      cluster.Replay(slice, HybridPolicyFactory{HybridPolicyConfig{}});
+  const FixedKeepAliveFactory fixed(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  const ClusterResult cluster_fixed = cluster.Replay(slice, fixed);
+  const ClusterResult cluster_hybrid = cluster.Replay(slice, hybrid);
   EXPECT_LT(cluster_hybrid.total_cold_starts, cluster_fixed.total_cold_starts);
 
-  const ColdStartSimulator analytic;
-  const SimulationResult analytic_fixed =
-      analytic.Run(slice, FixedKeepAliveFactory(Duration::Minutes(10)));
-  const SimulationResult analytic_hybrid =
-      analytic.Run(slice, HybridPolicyFactory{HybridPolicyConfig{}});
-  EXPECT_LT(analytic_hybrid.TotalColdStarts(),
-            analytic_fixed.TotalColdStarts());
+  const std::vector<PolicyPoint> analytic =
+      EvaluatePolicies(slice, {&fixed, &hybrid});
+  EXPECT_LT(analytic[1].result.TotalColdStarts(),
+            analytic[0].result.TotalColdStarts());
 }
 
 TEST_F(IntegrationTest, CharacterizationPipelineRunsOnGeneratedTrace) {

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/policy/policy.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 #include "src/workload/generator.h"
 
 namespace faas {
@@ -51,8 +51,10 @@ TEST(ParallelSimulationTest, MatchesSequentialExactly) {
   sequential.num_threads = 1;
   SimulatorOptions parallel;
   parallel.num_threads = 4;
-  const SimulationResult a = ColdStartSimulator(sequential).Run(trace, factory);
-  const SimulationResult b = ColdStartSimulator(parallel).Run(trace, factory);
+  const SimulationResult a =
+      EvaluatePolicies(trace, {&factory}, 0, sequential)[0].result;
+  const SimulationResult b =
+      EvaluatePolicies(trace, {&factory}, 0, parallel)[0].result;
 
   ASSERT_EQ(a.apps.size(), b.apps.size());
   for (size_t i = 0; i < a.apps.size(); ++i) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 #include "src/workload/generator.h"
 
 namespace faas {
@@ -101,11 +101,12 @@ TEST(ProductionPolicyTest, WorksInsideTheSimulator) {
   config.days = 7;
   config.seed = 31;
   const Trace trace = WorkloadGenerator(config).Generate();
-  const ColdStartSimulator simulator;
-  const SimulationResult production =
-      simulator.Run(trace, ProductionPolicyFactory{});
-  const SimulationResult fixed =
-      simulator.Run(trace, FixedKeepAliveFactory(Duration::Minutes(10)));
+  const ProductionPolicyFactory production_factory;
+  const FixedKeepAliveFactory fixed_factory(Duration::Minutes(10));
+  const std::vector<PolicyPoint> points =
+      EvaluatePolicies(trace, {&production_factory, &fixed_factory});
+  const SimulationResult& production = points[0].result;
+  const SimulationResult& fixed = points[1].result;
   // Same headline behaviour as the in-memory hybrid: far fewer cold starts
   // than the fixed baseline.
   EXPECT_LT(production.AppColdStartPercentile(75.0),

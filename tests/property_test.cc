@@ -7,7 +7,7 @@
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
 #include "src/policy/production_policy.h"
-#include "src/sim/simulator.h"
+#include "src/sim/sweep.h"
 #include "src/workload/generator.h"
 
 namespace faas {
@@ -41,12 +41,18 @@ TEST_P(SimulatorInvariantTest, HoldForAllPolicies) {
   factories.push_back(std::make_unique<HybridPolicyFactory>(no_prewarm));
   factories.push_back(std::make_unique<ProductionPolicyFactory>());
 
-  const ColdStartSimulator simulator;
+  // One sweep: the no-unloading bound first, then every factory.
   const NoUnloadFactory no_unload;
-  const SimulationResult bound = simulator.Run(trace, no_unload);
-
+  std::vector<const PolicyFactory*> sweep = {&no_unload};
   for (const auto& factory : factories) {
-    const SimulationResult result = simulator.Run(trace, *factory);
+    sweep.push_back(factory.get());
+  }
+  const std::vector<PolicyPoint> points = EvaluatePolicies(trace, sweep);
+  const SimulationResult& bound = points[0].result;
+
+  for (size_t f = 0; f < factories.size(); ++f) {
+    const std::unique_ptr<PolicyFactory>& factory = factories[f];
+    const SimulationResult& result = points[f + 1].result;
     ASSERT_EQ(result.apps.size(), trace.apps.size());
     int64_t total_invocations = 0;
     for (size_t i = 0; i < result.apps.size(); ++i) {
@@ -71,17 +77,20 @@ TEST_P(SimulatorInvariantTest, HoldForAllPolicies) {
 
 TEST_P(SimulatorInvariantTest, FixedKeepAliveMonotonicity) {
   const Trace trace = MakeRandomTrace(GetParam() + 1000);
-  const ColdStartSimulator simulator;
+  const FixedKeepAliveFactory ka5(Duration::Minutes(5));
+  const FixedKeepAliveFactory ka15(Duration::Minutes(15));
+  const FixedKeepAliveFactory ka45(Duration::Minutes(45));
+  const FixedKeepAliveFactory ka135(Duration::Minutes(135));
+  const std::vector<PolicyPoint> points =
+      EvaluatePolicies(trace, {&ka5, &ka15, &ka45, &ka135});
   int64_t previous_cold = -1;
   double previous_waste = -1.0;
-  for (int minutes : {5, 15, 45, 135}) {
-    const FixedKeepAliveFactory factory(Duration::Minutes(minutes));
-    const SimulationResult result = simulator.Run(trace, factory);
+  for (const PolicyPoint& point : points) {
+    const SimulationResult& result = point.result;
     if (previous_cold >= 0) {
-      EXPECT_LE(result.TotalColdStarts(), previous_cold)
-          << "keep-alive " << minutes;
+      EXPECT_LE(result.TotalColdStarts(), previous_cold) << point.name;
       EXPECT_GE(result.TotalWastedMemoryMinutes(), previous_waste - 1e-6)
-          << "keep-alive " << minutes;
+          << point.name;
     }
     previous_cold = result.TotalColdStarts();
     previous_waste = result.TotalWastedMemoryMinutes();
@@ -92,9 +101,9 @@ TEST_P(SimulatorInvariantTest, HourlyCountsSumToTotals) {
   const Trace trace = MakeRandomTrace(GetParam() + 2000);
   SimulatorOptions options;
   options.track_hourly = true;
-  const ColdStartSimulator simulator(options);
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
   const SimulationResult result =
-      simulator.Run(trace, HybridPolicyFactory{HybridPolicyConfig{}});
+      EvaluatePolicies(trace, {&hybrid}, 0, options)[0].result;
   for (const AppSimResult& app : result.apps) {
     int64_t invocations = 0;
     int64_t cold = 0;

@@ -185,9 +185,9 @@ TEST(ResourceLedgerTest, SimLedgerBacksWastedMemoryView) {
   SimulatorOptions options;
   options.use_execution_times = true;
   options.weight_by_memory = true;
-  const ColdStartSimulator simulator(options);
+  const FixedKeepAliveFactory policy(Duration::Minutes(2));
   const SimulationResult result =
-      simulator.Run(trace, FixedKeepAliveFactory(Duration::Minutes(2)));
+      EvaluatePolicies(trace, {&policy}, 0, options)[0].result;
   const ResourceLedger total = result.TotalResources();
 
   EXPECT_EQ(total.invocations, result.TotalInvocations());
@@ -218,7 +218,8 @@ TEST(ResourceLedgerTest, SimAndClusterChargeIdenticalIntegrals) {
   options.use_execution_times = true;
   options.weight_by_memory = true;
   const ResourceLedger sim =
-      ColdStartSimulator(options).Run(trace, policy).TotalResources();
+      EvaluatePolicies(trace, {&policy}, 0, options)[0]
+          .result.TotalResources();
 
   const ClusterSimulator cluster(ZeroLatencyClusterConfig());
   const ClusterResult replay = cluster.Replay(trace, policy);

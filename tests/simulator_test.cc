@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "src/policy/hybrid.h"
+#include "src/sim/compiled_trace.h"
+#include "src/sim/sweep.h"
 
 namespace faas {
 namespace {
@@ -49,10 +51,21 @@ AppTrace MakeApp(std::vector<int64_t> invocation_minutes) {
 
 const Duration kHorizon = Duration::Hours(10);
 
+// Replays `app` as the only app of a compiled one-app trace.
+AppSimResult SimulateOne(const AppTrace& app, Duration horizon,
+                         KeepAlivePolicy& policy,
+                         SimulatorOptions options = {}) {
+  Trace trace;
+  trace.horizon = horizon;
+  trace.apps.push_back(app);
+  return ColdStartSimulator(options).SimulateApp(CompiledTrace::Compile(trace),
+                                                 0, policy);
+}
+
 AppSimResult Simulate(const AppTrace& app, PolicyDecision decision,
                       SimulatorOptions options = {}) {
   ScriptedPolicy policy(decision);
-  return ColdStartSimulator(options).SimulateApp(app, kHorizon, policy);
+  return SimulateOne(app, kHorizon, policy, options);
 }
 
 TEST(SimulatorTest, EmptyAppProducesNoResults) {
@@ -142,9 +155,9 @@ TEST(SimulatorTest, InvocationAfterPrewarmWindowIsColdAndChargesWindow) {
 
 TEST(SimulatorTest, NoUnloadKeepsWarmAndChargesAllIdle) {
   NoUnloadPolicy policy;
-  const AppSimResult result =
-      ColdStartSimulator({.count_tail_residency = false})
-          .SimulateApp(MakeApp({0, 60, 120}), kHorizon, policy);
+  const AppSimResult result = SimulateOne(MakeApp({0, 60, 120}), kHorizon,
+                                          policy,
+                                          {.count_tail_residency = false});
   EXPECT_EQ(result.cold_starts, 1);
   EXPECT_DOUBLE_EQ(result.wasted_memory_minutes(), 120.0);
 }
@@ -156,8 +169,7 @@ TEST(SimulatorTest, TailResidencyChargedUntilWindowOrHorizon) {
   EXPECT_DOUBLE_EQ(with_tail.wasted_memory_minutes(), 10.0);
   // No-unload: charged to the end of the horizon.
   NoUnloadPolicy policy;
-  const AppSimResult no_unload =
-      ColdStartSimulator().SimulateApp(MakeApp({0}), kHorizon, policy);
+  const AppSimResult no_unload = SimulateOne(MakeApp({0}), kHorizon, policy);
   EXPECT_DOUBLE_EQ(no_unload.wasted_memory_minutes(), 600.0);
 }
 
@@ -172,8 +184,8 @@ TEST(SimulatorTest, TailPrewarmChargesKeepAliveAfterPrewarmDelay) {
 
 TEST(SimulatorTest, IdleTimesReportedToPolicy) {
   ScriptedPolicy policy({Duration::Zero(), Duration::Minutes(10)});
-  ColdStartSimulator({.count_tail_residency = false})
-      .SimulateApp(MakeApp({0, 5, 35}), kHorizon, policy);
+  SimulateOne(MakeApp({0, 5, 35}), kHorizon, policy,
+              {.count_tail_residency = false});
   ASSERT_EQ(policy.recorded().size(), 2u);
   EXPECT_EQ(policy.recorded()[0], Duration::Minutes(5));
   EXPECT_EQ(policy.recorded()[1], Duration::Minutes(30));
@@ -188,9 +200,8 @@ TEST(SimulatorTest, ExecutionTimesShiftIdleMeasurement) {
   app.functions[0].execution = {5 * 60'000.0, 5 * 60'000.0, 5 * 60'000.0, 2};
   ScriptedPolicy policy({Duration::Zero(), Duration::Minutes(6)});
   const AppSimResult result =
-      ColdStartSimulator({.count_tail_residency = false,
-                          .use_execution_times = true})
-          .SimulateApp(app, kHorizon, policy);
+      SimulateOne(app, kHorizon, policy,
+                  {.count_tail_residency = false, .use_execution_times = true});
   ASSERT_EQ(policy.recorded().size(), 1u);
   EXPECT_EQ(policy.recorded()[0], Duration::Minutes(5));
   EXPECT_EQ(result.cold_starts, 1);  // 5min idle <= 6min keep-alive.
@@ -202,9 +213,8 @@ TEST(SimulatorTest, ConcurrentInvocationDuringExecutionIsWarm) {
   app.functions[0].execution = {4 * 60'000.0, 4 * 60'000.0, 4 * 60'000.0, 3};
   ScriptedPolicy policy({Duration::Zero(), Duration::Minutes(3)});
   const AppSimResult result =
-      ColdStartSimulator({.count_tail_residency = false,
-                          .use_execution_times = true})
-          .SimulateApp(app, kHorizon, policy);
+      SimulateOne(app, kHorizon, policy,
+                  {.count_tail_residency = false, .use_execution_times = true});
   // t=2 lands inside [0,4] execution: warm.  Execution extends to 2+4=6;
   // t=10 idles 4 > 3-minute keep-alive: cold.
   EXPECT_EQ(result.invocations, 3);
@@ -245,8 +255,8 @@ TEST(SimulatorTest, HourlyTrackingCountsColdAndWarm) {
   const AppTrace app = MakeApp({0, 5, 90});
   ScriptedPolicy policy({Duration::Zero(), Duration::Minutes(10)});
   const AppSimResult result =
-      ColdStartSimulator({.count_tail_residency = false, .track_hourly = true})
-          .SimulateApp(app, kHorizon, policy);
+      SimulateOne(app, kHorizon, policy,
+                  {.count_tail_residency = false, .track_hourly = true});
   ASSERT_EQ(result.invocations_per_hour.size(), 2u);
   EXPECT_EQ(result.invocations_per_hour[0], 2);
   EXPECT_EQ(result.invocations_per_hour[1], 1);
@@ -309,9 +319,8 @@ TEST(SimulatorTest, ExecutionTimesCombineWithPrewarm) {
   app.functions[0].execution = {5 * 60'000.0, 5 * 60'000.0, 5 * 60'000.0, 2};
   ScriptedPolicy policy({Duration::Minutes(10), Duration::Minutes(10)});
   const AppSimResult result =
-      ColdStartSimulator({.count_tail_residency = false,
-                          .use_execution_times = true})
-          .SimulateApp(app, kHorizon, policy);
+      SimulateOne(app, kHorizon, policy,
+                  {.count_tail_residency = false, .use_execution_times = true});
   EXPECT_EQ(result.cold_starts, 2);
   EXPECT_EQ(result.prewarm_loads, 1);
   EXPECT_DOUBLE_EQ(result.wasted_memory_minutes(), 10.0);
@@ -326,7 +335,7 @@ TEST(SimulationResultTest, AggregatesAndPercentiles) {
     trace.apps.push_back(app);
   }
   const FixedKeepAliveFactory factory(Duration::Minutes(45));
-  const SimulationResult result = ColdStartSimulator().Run(trace, factory);
+  const SimulationResult result = EvaluatePolicies(trace, {&factory})[0].result;
   EXPECT_EQ(result.policy_name, "fixed-45min");
   EXPECT_EQ(result.TotalInvocations(), 8);
   EXPECT_EQ(result.TotalColdStarts(), 4);  // First invocation per app.
@@ -348,7 +357,7 @@ TEST(SimulationResultTest, AlwaysColdFractions) {
   c.app_id = "c";
   trace.apps = {a, b, c};
   const FixedKeepAliveFactory factory(Duration::Minutes(10));
-  const SimulationResult result = ColdStartSimulator().Run(trace, factory);
+  const SimulationResult result = EvaluatePolicies(trace, {&factory})[0].result;
   EXPECT_NEAR(result.FractionAppsAlwaysCold(false), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(result.FractionAppsAlwaysCold(true), 1.0 / 2.0, 1e-12);
 }
@@ -363,17 +372,15 @@ TEST(SimulatorIntegrationTest, HybridLearnsPeriodicAppAndPrewarms) {
   }
   const AppTrace app = MakeApp(minutes);
   HybridHistogramPolicy policy{HybridPolicyConfig{}};
-  const AppSimResult result =
-      ColdStartSimulator({.count_tail_residency = false})
-          .SimulateApp(app, Duration::Hours(24), policy);
+  const AppSimResult result = SimulateOne(app, Duration::Hours(24), policy,
+                                          {.count_tail_residency = false});
   EXPECT_EQ(result.cold_starts, 1);
   EXPECT_GT(result.prewarm_loads, 20);
   // Fixed 10-minute keep-alive on the same app: every invocation cold, and
   // 10 minutes wasted per idle gap.
   FixedKeepAlivePolicy fixed(Duration::Minutes(10));
-  const AppSimResult fixed_result =
-      ColdStartSimulator({.count_tail_residency = false})
-          .SimulateApp(app, Duration::Hours(24), fixed);
+  const AppSimResult fixed_result = SimulateOne(
+      app, Duration::Hours(24), fixed, {.count_tail_residency = false});
   EXPECT_EQ(fixed_result.cold_starts, 40);
   EXPECT_LT(result.wasted_memory_minutes(), fixed_result.wasted_memory_minutes());
 }
