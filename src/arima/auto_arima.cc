@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -13,24 +14,24 @@ namespace faas {
 
 namespace {
 
-std::optional<ArimaModel> TryFit(std::span<const double> series,
-                                 const ArimaOrder& order, bool with_mean) {
-  if (!ArimaModel::CanFit(series.size(), order)) {
-    return std::nullopt;
-  }
-  ArimaModel model = ArimaModel::Fit(series, order, with_mean);
+// Fits ARIMA(p, d, q) for the search's fixed d; nullopt when the series is
+// too short for that order.
+using CandidateFit = std::function<std::optional<ArimaModel>(int p, int q)>;
+
+// The model, or nullopt when its AIC is not finite.
+std::optional<ArimaModel> IfFiniteAic(ArimaModel model) {
   if (!std::isfinite(model.Aic())) {
     return std::nullopt;
   }
   return model;
 }
 
-std::optional<ArimaModel> GridSearch(std::span<const double> series, int d,
+std::optional<ArimaModel> GridSearch(const CandidateFit& fit,
                                      const AutoArimaOptions& options) {
   std::optional<ArimaModel> best;
   for (int p = 0; p <= options.max_p; ++p) {
     for (int q = 0; q <= options.max_q; ++q) {
-      auto candidate = TryFit(series, {p, d, q}, options.with_mean);
+      auto candidate = fit(p, q);
       if (candidate.has_value() &&
           (!best.has_value() || candidate->Aic() < best->Aic())) {
         best = std::move(candidate);
@@ -40,7 +41,7 @@ std::optional<ArimaModel> GridSearch(std::span<const double> series, int d,
   return best;
 }
 
-std::optional<ArimaModel> StepwiseSearch(std::span<const double> series, int d,
+std::optional<ArimaModel> StepwiseSearch(const CandidateFit& fit,
                                          const AutoArimaOptions& options) {
   // Hyndman-Khandakar-style neighbourhood walk from standard starting points.
   std::set<std::pair<int, int>> visited;
@@ -53,7 +54,7 @@ std::optional<ArimaModel> StepwiseSearch(std::span<const double> series, int d,
     if (!visited.insert({p, q}).second) {
       return;
     }
-    auto candidate = TryFit(series, {p, d, q}, options.with_mean);
+    auto candidate = fit(p, q);
     if (candidate.has_value() &&
         (!best.has_value() || candidate->Aic() < best->Aic())) {
       best = std::move(candidate);
@@ -95,12 +96,23 @@ std::optional<ArimaModel> AutoArima(std::span<const double> series,
     --d;
   }
 
-  std::optional<ArimaModel> best =
-      options.stepwise ? StepwiseSearch(series, d, options)
-                       : GridSearch(series, d, options);
-  if (!best.has_value()) {
+  // Every candidate order shares the differenced series and the
+  // Hannan-Rissanen long-AR residuals, so they are computed once.
+  const ArimaModel::FitInput input =
+      ArimaModel::PrepareFit(series, d, options.with_mean);
+  const CandidateFit fit = [&](int p, int q) -> std::optional<ArimaModel> {
+    const ArimaOrder order{p, d, q};
+    if (!ArimaModel::CanFit(series.size(), order)) {
+      return std::nullopt;
+    }
+    return IfFiniteAic(ArimaModel::FitPrepared(input, order));
+  };
+  std::optional<ArimaModel> best = options.stepwise
+                                       ? StepwiseSearch(fit, options)
+                                       : GridSearch(fit, options);
+  if (!best.has_value() && ArimaModel::CanFit(series.size(), {0, 0, 0})) {
     // Last resort: random-walk-style mean model.
-    best = TryFit(series, {0, 0, 0}, /*with_mean=*/true);
+    best = IfFiniteAic(ArimaModel::Fit(series, {0, 0, 0}, /*with_mean=*/true));
   }
   return best;
 }

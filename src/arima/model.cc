@@ -15,15 +15,18 @@ namespace faas {
 namespace {
 
 // Computes CSS residuals for a zero-mean ARMA(p, q) on `w` (already
-// mean-adjusted).  Pre-sample values and residuals are treated as zero.
+// mean-adjusted) into `residuals`, reusing its storage.  Pre-sample values
+// and residuals are treated as zero.
 void ComputeResiduals(std::span<const double> w, std::span<const double> ar,
                       std::span<const double> ma,
                       std::vector<double>& residuals) {
   const size_t n = w.size();
-  residuals.assign(n, 0.0);
+  residuals.resize(n);
   const size_t p = ar.size();
   const size_t q = ma.size();
-  for (size_t t = 0; t < n; ++t) {
+  // Warm-up rows reach before the sample; each lag is checked.
+  const size_t warm_up = std::min(n, std::max(p, q));
+  for (size_t t = 0; t < warm_up; ++t) {
     double prediction = 0.0;
     for (size_t i = 0; i < p; ++i) {
       if (t > i) {
@@ -34,6 +37,18 @@ void ComputeResiduals(std::span<const double> w, std::span<const double> ar,
       if (t > j) {
         prediction += ma[j] * residuals[t - j - 1];
       }
+    }
+    residuals[t] = w[t] - prediction;
+  }
+  // Steady-state rows: every lag is in the sample.  Same additions in the
+  // same order as the warm-up rows, so the sums are bit-identical.
+  for (size_t t = warm_up; t < n; ++t) {
+    double prediction = 0.0;
+    for (size_t i = 0; i < p; ++i) {
+      prediction += ar[i] * w[t - i - 1];
+    }
+    for (size_t j = 0; j < q; ++j) {
+      prediction += ma[j] * residuals[t - j - 1];
     }
     residuals[t] = w[t] - prediction;
   }
@@ -89,22 +104,19 @@ bool SolveLinearSystem(std::vector<std::vector<double>>& a,
   return true;
 }
 
-HannanRissanenEstimate HannanRissanen(std::span<const double> w, int p, int q) {
-  HannanRissanenEstimate est;
-  est.ar.assign(static_cast<size_t>(p), 0.0);
-  est.ma.assign(static_cast<size_t>(q), 0.0);
-  const size_t n = w.size();
-  if (p == 0 && q == 0) {
-    est.ok = true;
-    return est;
-  }
+// Order of the long AR whose residuals proxy the innovations.
+int LongArOrder(size_t n, int p, int q) {
+  return std::min<int>(static_cast<int>(n) / 4,
+                       std::max(8, 2 * std::max(p, q)));
+}
 
-  // Stage 1: long AR to proxy the innovations.
-  const int long_order = std::min<int>(
-      static_cast<int>(n) / 4,
-      std::max(8, 2 * std::max(p, q)));
+// Stage 1: residuals of a long AR(long_order) Yule-Walker fit, or zeros
+// when the series is too short for it.
+std::vector<double> LongArResiduals(std::span<const double> w,
+                                    int long_order) {
+  const size_t n = w.size();
   std::vector<double> proxy_residuals(n, 0.0);
-  if (q > 0 && long_order >= 1 && n > static_cast<size_t>(long_order) + 1) {
+  if (long_order >= 1 && n > static_cast<size_t>(long_order) + 1) {
     const std::vector<double> long_ar = YuleWalkerAr(w, long_order);
     for (size_t t = 0; t < n; ++t) {
       double prediction = 0.0;
@@ -115,6 +127,22 @@ HannanRissanenEstimate HannanRissanen(std::span<const double> w, int p, int q) {
       }
       proxy_residuals[t] = w[t] - prediction;
     }
+  }
+  return proxy_residuals;
+}
+
+// `proxy_residuals` come from LongArResiduals(w, LongArOrder(n, p, q)); they
+// are read only when q > 0.
+HannanRissanenEstimate HannanRissanen(std::span<const double> w,
+                                      std::span<const double> proxy_residuals,
+                                      int p, int q) {
+  HannanRissanenEstimate est;
+  est.ar.assign(static_cast<size_t>(p), 0.0);
+  est.ma.assign(static_cast<size_t>(q), 0.0);
+  const size_t n = w.size();
+  if (p == 0 && q == 0) {
+    est.ok = true;
+    return est;
   }
 
   // Stage 2: OLS of w_t on lagged w and lagged proxy residuals.
@@ -201,30 +229,60 @@ bool ArimaModel::CanFit(size_t series_length, const ArimaOrder& order) {
 
 ArimaModel ArimaModel::Fit(std::span<const double> series,
                            const ArimaOrder& order, bool with_mean) {
-  FAAS_CHECK(order.p >= 0 && order.d >= 0 && order.q >= 0)
-      << "negative ARIMA order";
-  FAAS_CHECK(order.p <= 8 && order.q <= 8) << "ARIMA order too large";
+  FAAS_CHECK(order.d >= 0) << "negative ARIMA order";
   FAAS_CHECK(CanFit(series.size(), order))
       << "series of length " << series.size() << " too short for "
       << order.ToString();
+  return FitPrepared(PrepareFit(series, order.d, with_mean), order);
+}
 
-  ArimaModel model;
-  model.order_ = order;
-  model.with_mean_ = with_mean && order.d == 0;
-  model.differencing_tails_ = DifferencingTails(series, order.d);
-  model.differenced_ = Difference(series, order.d);
+ArimaModel::FitInput ArimaModel::PrepareFit(std::span<const double> series,
+                                            int d, bool with_mean) {
+  FitInput input;
+  input.d = d;
+  input.with_mean = with_mean && d == 0;
+  input.differencing_tails = DifferencingTails(series, d);
+  input.differenced = Difference(series, d);
 
-  const size_t n = model.differenced_.size();
-  model.mean_ = model.with_mean_ ? Mean(model.differenced_) : 0.0;
+  const size_t n = input.differenced.size();
+  input.mean = input.with_mean ? Mean(input.differenced) : 0.0;
 
   // Mean-adjusted working series.
-  std::vector<double> w(n);
+  input.w.resize(n);
   for (size_t t = 0; t < n; ++t) {
-    w[t] = model.differenced_[t] - model.mean_;
+    input.w[t] = input.differenced[t] - input.mean;
   }
+  // The long-AR order is the same for every p, q <= 4.
+  input.proxy_order = LongArOrder(n, 0, 0);
+  input.proxy_residuals = LongArResiduals(input.w, input.proxy_order);
+  return input;
+}
+
+ArimaModel ArimaModel::FitPrepared(const FitInput& input,
+                                   const ArimaOrder& order) {
+  FAAS_CHECK(order.p >= 0 && order.q >= 0) << "negative ARIMA order";
+  FAAS_CHECK(order.p <= 8 && order.q <= 8) << "ARIMA order too large";
+  FAAS_CHECK(order.d == input.d) << "fit input prepared for another d";
+  ArimaModel model;
+  model.order_ = order;
+  model.with_mean_ = input.with_mean;
+  model.differencing_tails_ = input.differencing_tails;
+  model.differenced_ = input.differenced;
+  model.mean_ = input.mean;
+
+  const std::span<const double> w = input.w;
+  const size_t n = w.size();
+  const size_t p = static_cast<size_t>(order.p);
 
   // Initial estimates.
-  HannanRissanenEstimate init = HannanRissanen(w, order.p, order.q);
+  std::vector<double> own_proxy;
+  std::span<const double> proxy = input.proxy_residuals;
+  const int long_order = LongArOrder(n, order.p, order.q);
+  if (order.q > 0 && long_order != input.proxy_order) {
+    own_proxy = LongArResiduals(w, long_order);
+    proxy = own_proxy;
+  }
+  HannanRissanenEstimate init = HannanRissanen(w, proxy, order.p, order.q);
   ForceToStableRegion(init.ar);
   ForceToStableRegion(init.ma);
 
@@ -232,21 +290,21 @@ ArimaModel ArimaModel::Fit(std::span<const double> series,
   std::vector<double> ma = init.ma;
 
   const size_t dim = static_cast<size_t>(order.p + order.q);
+  // One residual buffer for every objective call and the final fit.
   std::vector<double> residuals;
   if (dim > 0) {
     // CSS refinement.  The objective rejects non-stationary/non-invertible
     // parameter vectors outright.
     const auto objective = [&](const std::vector<double>& params) {
-      std::vector<double> cand_ar(params.begin(),
-                                  params.begin() + order.p);
-      std::vector<double> cand_ma(params.begin() + order.p, params.end());
+      const std::span<const double> all(params);
+      const std::span<const double> cand_ar = all.first(p);
+      const std::span<const double> cand_ma = all.subspan(p);
       if (!RootsOutsideUnitCircle(cand_ar) ||
           !RootsOutsideUnitCircle(cand_ma)) {
         return std::numeric_limits<double>::infinity();
       }
-      std::vector<double> res;
-      ComputeResiduals(w, cand_ar, cand_ma, res);
-      const double css = SumOfSquares(res);
+      ComputeResiduals(w, cand_ar, cand_ma, residuals);
+      const double css = SumOfSquares(residuals);
       return std::isfinite(css) ? css
                                 : std::numeric_limits<double>::infinity();
     };

@@ -12,11 +12,14 @@
 #ifndef SRC_ARIMA_MODEL_H_
 #define SRC_ARIMA_MODEL_H_
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace faas {
+
+struct AutoArimaOptions;
 
 struct ArimaOrder {
   int p = 0;
@@ -72,6 +75,28 @@ class ArimaModel {
   std::vector<ForecastInterval> ForecastWithErrors(int steps) const;
 
  private:
+  // Everything the fits of one series at one differencing order share:
+  // AutoArima prepares it once per d and reuses it for every (p, q).
+  struct FitInput {
+    int d = 0;
+    bool with_mean = false;
+    std::vector<double> differenced;
+    std::vector<double> differencing_tails;
+    double mean = 0.0;
+    std::vector<double> w;  // differenced - mean.
+    // Hannan-Rissanen innovation proxy: residuals of a long AR of order
+    // `proxy_order` (zeros when the series is too short for it).
+    int proxy_order = 0;
+    std::vector<double> proxy_residuals;
+  };
+  friend std::optional<ArimaModel> AutoArima(std::span<const double> series,
+                                             const AutoArimaOptions& options);
+
+  static FitInput PrepareFit(std::span<const double> series, int d,
+                             bool with_mean);
+  // Fit() on a prepared series; order.d must equal input.d.
+  static ArimaModel FitPrepared(const FitInput& input, const ArimaOrder& order);
+
   ArimaModel() = default;
 
   ArimaOrder order_;

@@ -1,7 +1,10 @@
 #include "src/arima/series.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/stats/descriptive.h"
@@ -202,6 +205,43 @@ int EstimateDifferencingOrder(std::span<const double> series, int max_d) {
   return max_d;
 }
 
+namespace {
+
+// std::abs(z) of a complex z is a hypot call, and the root check makes
+// several per root and iteration.  This returns std::abs(z) itself, or a
+// stand-in (0 or +inf) that compares with `limit` under <, <= and >= exactly
+// as std::abs(z) does.  The stand-in is taken only when a part exceeds
+// `limit` (hypot is at least the larger part) or when re^2 + im^2 is off
+// limit^2 by more than a relative 1e-13, far above the rounding of either
+// side; near the limit, and for non-finite parts, hypot decides.  Declared
+// inline so that the compiler inlines it into the Durand-Kerner loop.
+inline double AbsForCompare(std::complex<double> z, double limit) {
+  constexpr double kSlack = 1e-13;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double re = std::fabs(z.real());
+  const double im = std::fabs(z.imag());
+  if (!std::isfinite(re + im)) {
+    return std::abs(z);
+  }
+  if (re > limit || im > limit) {
+    return kInf;
+  }
+  const double limit_sq = limit * limit;
+  // A limit whose square underflows (1e-300) leaves the call to hypot.
+  if (limit_sq >= std::numeric_limits<double>::min()) {
+    const double norm = re * re + im * im;
+    if (norm < limit_sq * (1.0 - kSlack)) {
+      return 0.0;
+    }
+    if (norm > limit_sq * (1.0 + kSlack)) {
+      return kInf;
+    }
+  }
+  return std::abs(z);
+}
+
+}  // namespace
+
 bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
   // Polynomial: 1 - c1 z - ... - cp z^p.  Strip trailing zeros.
   size_t degree = coefficients.size();
@@ -211,18 +251,19 @@ bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
   if (degree == 0) {
     return true;
   }
-  FAAS_CHECK(degree <= 8) << "root check limited to degree 8";
+  constexpr size_t kMaxDegree = 8;
+  FAAS_CHECK(degree <= kMaxDegree) << "root check limited to degree 8";
 
   // Monic form: z^p - (c1/cp... ) -- easier to run Durand-Kerner on
   // p(z) = -c_p z^p - ... - c_1 z + 1 normalised by the leading coefficient.
-  std::vector<std::complex<double>> poly(degree + 1);
+  std::array<std::complex<double>, kMaxDegree + 1> poly;
   poly[0] = std::complex<double>(1.0, 0.0);
   for (size_t i = 1; i <= degree; ++i) {
     poly[i] = std::complex<double>(-coefficients[i - 1], 0.0);
   }
   const std::complex<double> lead = poly[degree];
-  for (auto& c : poly) {
-    c /= lead;
+  for (size_t i = 0; i <= degree; ++i) {
+    poly[i] /= lead;
   }
 
   const auto eval = [&poly, degree](std::complex<double> z) {
@@ -234,7 +275,7 @@ bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
   };
 
   // Durand-Kerner iteration from the standard (0.4 + 0.9i)^k seeds.
-  std::vector<std::complex<double>> roots(degree);
+  std::array<std::complex<double>, kMaxDegree> roots;
   const std::complex<double> seed(0.4, 0.9);
   std::complex<double> power(1.0, 0.0);
   for (size_t i = 0; i < degree; ++i) {
@@ -250,20 +291,20 @@ bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
           denom *= roots[i] - roots[j];
         }
       }
-      if (std::abs(denom) < 1e-300) {
+      if (AbsForCompare(denom, 1e-300) < 1e-300) {
         denom = std::complex<double>(1e-300, 0.0);
       }
       const std::complex<double> step = eval(roots[i]) / denom;
       roots[i] -= step;
-      max_step = std::max(max_step, std::abs(step));
+      max_step = std::max(max_step, AbsForCompare(step, 1e-12));
     }
     if (max_step < 1e-12) {
       break;
     }
   }
 
-  for (const auto& root : roots) {
-    if (std::abs(root) <= 1.0 + 1e-8) {
+  for (size_t i = 0; i < degree; ++i) {
+    if (AbsForCompare(roots[i], 1.0 + 1e-8) <= 1.0 + 1e-8) {
       return false;
     }
   }

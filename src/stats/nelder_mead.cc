@@ -16,10 +16,11 @@ struct Vertex {
   double f = 0.0;
 };
 
-std::vector<double> Centroid(const std::vector<Vertex>& simplex,
-                             size_t exclude) {
-  const size_t dim = simplex[0].x.size();
-  std::vector<double> centroid(dim, 0.0);
+// Writes the centroid of every vertex but `exclude` into `centroid`.
+void Centroid(const std::vector<Vertex>& simplex, size_t exclude,
+              std::vector<double>& centroid) {
+  const size_t dim = centroid.size();
+  std::fill(centroid.begin(), centroid.end(), 0.0);
   for (size_t i = 0; i < simplex.size(); ++i) {
     if (i == exclude) {
       continue;
@@ -32,17 +33,22 @@ std::vector<double> Centroid(const std::vector<Vertex>& simplex,
   for (double& c : centroid) {
     c *= inv;
   }
-  return centroid;
 }
 
-std::vector<double> AffineCombination(const std::vector<double>& base,
-                                      const std::vector<double>& direction,
-                                      double t) {
-  std::vector<double> out(base.size());
+// out = base + t * (direction - base).  `out` may alias `direction`.
+void AffineCombination(const std::vector<double>& base,
+                       const std::vector<double>& direction, double t,
+                       std::vector<double>& out) {
   for (size_t d = 0; d < base.size(); ++d) {
     out[d] = base[d] + t * (direction[d] - base[d]);
   }
-  return out;
+}
+
+// Moves the trial point into `vertex`; `trial` takes the old coordinates
+// as its buffer for the next iteration, so the loop never allocates.
+void Accept(Vertex& vertex, std::vector<double>& trial, double f) {
+  vertex.x.swap(trial);
+  vertex.f = f;
 }
 
 }  // namespace
@@ -71,6 +77,11 @@ NelderMeadResult NelderMeadMinimize(
     simplex[i + 1] = {x, objective(x)};
   }
 
+  // Work buffers reused by every iteration.
+  std::vector<double> centroid(dim);
+  std::vector<double> reflected(dim);
+  std::vector<double> trial(dim);
+
   NelderMeadResult result;
   int iteration = 0;
   for (; iteration < options.max_iterations; ++iteration) {
@@ -92,52 +103,48 @@ NelderMeadResult NelderMeadMinimize(
     }
 
     const size_t worst = simplex.size() - 1;
-    const std::vector<double> centroid = Centroid(simplex, worst);
+    Centroid(simplex, worst, centroid);
 
     // Reflection: x_r = centroid + alpha * (centroid - worst).
-    std::vector<double> reflected =
-        AffineCombination(centroid, simplex[worst].x, -kReflect);
+    AffineCombination(centroid, simplex[worst].x, -kReflect, reflected);
     const double f_reflected = objective(reflected);
 
     if (f_reflected < simplex[0].f) {
       // Expansion.
-      std::vector<double> expanded =
-          AffineCombination(centroid, simplex[worst].x, -kExpand);
-      const double f_expanded = objective(expanded);
+      AffineCombination(centroid, simplex[worst].x, -kExpand, trial);
+      const double f_expanded = objective(trial);
       if (f_expanded < f_reflected) {
-        simplex[worst] = {std::move(expanded), f_expanded};
+        Accept(simplex[worst], trial, f_expanded);
       } else {
-        simplex[worst] = {std::move(reflected), f_reflected};
+        Accept(simplex[worst], reflected, f_reflected);
       }
       continue;
     }
     if (f_reflected < simplex[worst - 1].f) {
-      simplex[worst] = {std::move(reflected), f_reflected};
+      Accept(simplex[worst], reflected, f_reflected);
       continue;
     }
     // Contraction (toward the better of worst/reflected).
     if (f_reflected < simplex[worst].f) {
       // Outside contraction.
-      std::vector<double> contracted =
-          AffineCombination(centroid, reflected, kContract);
-      const double f_contracted = objective(contracted);
+      AffineCombination(centroid, reflected, kContract, trial);
+      const double f_contracted = objective(trial);
       if (f_contracted <= f_reflected) {
-        simplex[worst] = {std::move(contracted), f_contracted};
+        Accept(simplex[worst], trial, f_contracted);
         continue;
       }
     } else {
       // Inside contraction.
-      std::vector<double> contracted =
-          AffineCombination(centroid, simplex[worst].x, kContract);
-      const double f_contracted = objective(contracted);
+      AffineCombination(centroid, simplex[worst].x, kContract, trial);
+      const double f_contracted = objective(trial);
       if (f_contracted < simplex[worst].f) {
-        simplex[worst] = {std::move(contracted), f_contracted};
+        Accept(simplex[worst], trial, f_contracted);
         continue;
       }
     }
     // Shrink everything toward the best vertex.
     for (size_t i = 1; i < simplex.size(); ++i) {
-      simplex[i].x = AffineCombination(simplex[0].x, simplex[i].x, kShrink);
+      AffineCombination(simplex[0].x, simplex[i].x, kShrink, simplex[i].x);
       simplex[i].f = objective(simplex[i].x);
     }
   }

@@ -1,6 +1,9 @@
 #include "src/arima/auto_arima.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +111,83 @@ TEST(AutoArimaTest, RespectsMaxOrderBounds) {
   ASSERT_TRUE(model.has_value());
   EXPECT_LE(model->order().p, 1);
   EXPECT_EQ(model->order().q, 0);
+}
+
+// Order, coefficients, AIC and one-step forecast as hex floats, so the golden
+// comparison below is byte equality, not a tolerance.
+std::string Fingerprint(const ArimaModel& model) {
+  std::string out = model.order().ToString();
+  char buf[40];
+  const auto append = [&](const char* label, double value) {
+    std::snprintf(buf, sizeof(buf), " %s%a", label, value);
+    out += buf;
+  };
+  for (double c : model.ar()) {
+    append("ar=", c);
+  }
+  for (double c : model.ma()) {
+    append("ma=", c);
+  }
+  append("aic=", model.Aic());
+  append("f1=", model.ForecastOne());
+  return out;
+}
+
+// Idle-time-like series (the policy sends 8-41 points): a level plus an
+// AR(1) of sums of uniforms, built without libm so the input is exact.
+std::vector<double> IdleTimes(uint64_t seed, size_t n, double phi,
+                              double level, double drift) {
+  Rng rng(seed);
+  std::vector<double> series(n);
+  double x = 0.0;
+  for (size_t t = 0; t < n; ++t) {
+    x = phi * x + (rng.NextDouble() + rng.NextDouble() + rng.NextDouble() -
+                   1.5);
+    series[t] = level + drift * static_cast<double>(t) + 40.0 * x;
+  }
+  return series;
+}
+
+// The selected model of each series, recorded before the root check and
+// the CSS objective were rewritten for speed; every bit must still match.
+TEST(AutoArimaTest, GoldenFitsAreBitIdentical) {
+  struct Case {
+    std::vector<double> series;
+    bool stepwise;
+    const char* expected;
+  };
+  const std::vector<Case> cases = {
+      {{290.0, 310.0, 305.0, 295.0, 300.0, 302.0, 297.0, 303.0}, false,
+       "ARIMA(0,0,1) ma=-0x1.ffffffa9c9904p-1 aic=0x1.99e1d1b87e5f3p+5 "
+       "f1=0x1.2c3ffffe25d4ap+8"},
+      {IdleTimes(401, 12, 0.3, 600.0, 0.0), false,
+       "ARIMA(0,0,0) aic=0x1.a93259bf97bbap+6 f1=0x1.2bb0659b222d7p+9"},
+      {IdleTimes(402, 24, 0.7, 900.0, 2.0), false,
+       "ARIMA(0,1,0) aic=0x1.968fb8cf2aa6fp+7 f1=0x1.dd7e28cbe1a03p+9"},
+      {IdleTimes(403, 41, -0.4, 300.0, 0.0), false,
+       "ARIMA(2,0,3) ar=-0x1.f3b35f8c40acdp-1 ar=-0x1.279ac0e0d247bp-1 "
+       "ma=0x1.7629db69b32f8p-1 ma=0x1.38a1b9ae80d1p-1 "
+       "ma=-0x1.5d972acfcdd47p-2 aic=0x1.6bb6cc274130ap+8 "
+       "f1=0x1.223344cc8334cp+8"},
+      {IdleTimes(404, 41, 0.95, 1200.0, 5.0), false,
+       "ARIMA(2,1,3) ar=-0x1.dedd42c96fd93p-2 ar=-0x1.ceedb4ec1b12ep-1 "
+       "ma=0x1.cae5b2f438a92p-3 ma=0x1.6635ad3d651f8p-1 "
+       "ma=-0x1.0c83be902be74p-1 aic=0x1.526ed24277876p+8 "
+       "f1=0x1.488bc76b2ed34p+10"},
+      {IdleTimes(405, 200, 0.6, 500.0, 0.0), false,
+       "ARIMA(1,0,0) ar=0x1.0a2f8a3a0e9ccp-1 aic=0x1.b1473c5a3fb1dp+10 "
+       "f1=0x1.003dd8667e35ap+9"},
+      {IdleTimes(406, 60, 0.5, 700.0, 1.0), true,
+       "ARIMA(1,1,1) ar=0x1.0068bdf68f0acp-1 ma=-0x1.d3924c4202006p-1 "
+       "aic=0x1.0fdb54db5713fp+9 f1=0x1.730ea7dce299bp+9"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    AutoArimaOptions options;
+    options.stepwise = cases[i].stepwise;
+    const auto model = AutoArima(cases[i].series, options);
+    ASSERT_TRUE(model.has_value()) << "case " << i;
+    EXPECT_EQ(Fingerprint(*model), cases[i].expected) << "case " << i;
+  }
 }
 
 }  // namespace

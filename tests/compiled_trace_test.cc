@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -240,6 +241,21 @@ TEST_P(CompiledReplayEquivalenceTest, MatchesLegacyPerAppMerge) {
   }
 }
 
+// Names each option set.  Without names, ctest would name the cases after
+// gtest's print of SimulatorOptions: its raw bytes, padding included, which
+// change from run to run.
+std::string OptionsName(
+    const ::testing::TestParamInfo<SimulatorOptions>& info) {
+  const SimulatorOptions& options = info.param;
+  if (!options.count_tail_residency) {
+    return options.track_hourly ? "NoTailHourly" : "NoTail";
+  }
+  if (options.use_execution_times) {
+    return options.weight_by_memory ? "ExecTimesMemory" : "ExecTimes";
+  }
+  return "Default";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Options, CompiledReplayEquivalenceTest,
     ::testing::Values(SimulatorOptions{},
@@ -247,7 +263,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SimulatorOptions{.use_execution_times = true,
                                        .weight_by_memory = true},
                       SimulatorOptions{.count_tail_residency = false,
-                                       .track_hourly = true}));
+                                       .track_hourly = true}),
+    OptionsName);
 
 TEST(CompiledTraceTest, EmptyAppYieldsEmptyResult) {
   Trace trace;

@@ -1,14 +1,93 @@
 #include "src/arima/series.h"
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstdio>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 
 namespace faas {
 namespace {
+
+// The Durand-Kerner root check as first written, with a std::abs (hypot)
+// per root and iteration.  RootsOutsideUnitCircle must return exactly what
+// this returns: ARIMA fits sit on the |root| = 1 + 1e-8 boundary, where any
+// other algorithm's rounding changes which candidates Nelder-Mead accepts.
+bool ReferenceDurandKerner(std::span<const double> coefficients) {
+  // Polynomial: 1 - c1 z - ... - cp z^p.  Strip trailing zeros.
+  size_t degree = coefficients.size();
+  while (degree > 0 && std::fabs(coefficients[degree - 1]) < 1e-12) {
+    --degree;
+  }
+  if (degree == 0) {
+    return true;
+  }
+  FAAS_CHECK(degree <= 8) << "root check limited to degree 8";
+
+  // Monic form: z^p - (c1/cp... ) -- easier to run Durand-Kerner on
+  // p(z) = -c_p z^p - ... - c_1 z + 1 normalised by the leading coefficient.
+  std::vector<std::complex<double>> poly(degree + 1);
+  poly[0] = std::complex<double>(1.0, 0.0);
+  for (size_t i = 1; i <= degree; ++i) {
+    poly[i] = std::complex<double>(-coefficients[i - 1], 0.0);
+  }
+  const std::complex<double> lead = poly[degree];
+  for (auto& c : poly) {
+    c /= lead;
+  }
+
+  const auto eval = [&poly, degree](std::complex<double> z) {
+    std::complex<double> acc(0.0, 0.0);
+    for (size_t i = degree + 1; i-- > 0;) {
+      acc = acc * z + poly[i];
+    }
+    return acc;
+  };
+
+  // Durand-Kerner iteration from the standard (0.4 + 0.9i)^k seeds.
+  std::vector<std::complex<double>> roots(degree);
+  const std::complex<double> seed(0.4, 0.9);
+  std::complex<double> power(1.0, 0.0);
+  for (size_t i = 0; i < degree; ++i) {
+    power *= seed;
+    roots[i] = power;
+  }
+  for (int iter = 0; iter < 200; ++iter) {
+    double max_step = 0.0;
+    for (size_t i = 0; i < degree; ++i) {
+      std::complex<double> denom(1.0, 0.0);
+      for (size_t j = 0; j < degree; ++j) {
+        if (j != i) {
+          denom *= roots[i] - roots[j];
+        }
+      }
+      if (std::abs(denom) < 1e-300) {
+        denom = std::complex<double>(1e-300, 0.0);
+      }
+      const std::complex<double> step = eval(roots[i]) / denom;
+      roots[i] -= step;
+      max_step = std::max(max_step, std::abs(step));
+    }
+    if (max_step < 1e-12) {
+      break;
+    }
+  }
+
+  for (const auto& root : roots) {
+    if (std::abs(root) <= 1.0 + 1e-8) {
+      return false;
+    }
+  }
+  return true;
+}
 
 TEST(DifferenceTest, FirstOrder) {
   const std::vector<double> series = {1.0, 3.0, 6.0, 10.0};
@@ -199,6 +278,192 @@ TEST(RootsTest, Ar2StabilityTriangle) {
   EXPECT_TRUE(RootsOutsideUnitCircle(std::vector<double>{-0.5, 0.3}));
   EXPECT_FALSE(RootsOutsideUnitCircle(std::vector<double>{0.8, 0.3}));
   EXPECT_FALSE(RootsOutsideUnitCircle(std::vector<double>{0.0, 1.1}));
+}
+
+// Coefficients c of 1 - c1 z - ... - cp z^p = prod_k (1 - z / r_k) for
+// roots that are real or come in conjugate pairs.
+std::vector<double> CoefficientsFromRoots(
+    const std::vector<std::complex<double>>& roots) {
+  std::vector<std::complex<double>> a = {1.0};
+  for (const std::complex<double>& r : roots) {
+    a.push_back(0.0);
+    for (size_t k = a.size() - 1; k > 0; --k) {
+      a[k] -= a[k - 1] / r;
+    }
+  }
+  std::vector<double> c(a.size() - 1);
+  for (size_t k = 1; k < a.size(); ++k) {
+    c[k - 1] = -a[k].real();
+  }
+  return c;
+}
+
+// Appends real roots or conjugate pairs with moduli from `modulus` until
+// `degree` roots are placed.
+template <typename Modulus>
+std::vector<std::complex<double>> RandomRoots(Rng& rng, size_t degree,
+                                              Modulus modulus) {
+  std::vector<std::complex<double>> roots;
+  while (roots.size() < degree) {
+    const double m = modulus();
+    if (roots.size() + 1 == degree || rng.NextDouble() < 0.3) {
+      roots.emplace_back(rng.NextDouble() < 0.5 ? m : -m, 0.0);
+    } else {
+      const std::complex<double> r =
+          std::polar(m, 3.141592653589793 * rng.NextDouble());
+      roots.push_back(r);
+      roots.push_back(std::conj(r));
+    }
+  }
+  return roots;
+}
+
+// Compares RootsOutsideUnitCircle with the reference on every vector and
+// reports the first few disagreements in hex.
+class RootCheckDifferential {
+ public:
+  void Check(const std::vector<double>& c) {
+    ++checked_;
+    if (RootsOutsideUnitCircle(c) == ReferenceDurandKerner(c)) {
+      return;
+    }
+    if (++disagreements_ <= 5) {
+      std::string text;
+      char buf[32];
+      for (double v : c) {
+        std::snprintf(buf, sizeof(buf), " %a", v);
+        text += buf;
+      }
+      ADD_FAILURE() << "disagrees with the reference on {" << text << " }";
+    }
+  }
+  size_t checked() const { return checked_; }
+  size_t disagreements() const { return disagreements_; }
+
+ private:
+  size_t checked_ = 0;
+  size_t disagreements_ = 0;
+};
+
+TEST(RootsTest, MatchesReferenceOnRandomPolynomials) {
+  Rng rng(500);
+  RootCheckDifferential check;
+  for (int i = 0; i < 300000; ++i) {
+    const size_t degree = 1 + rng.UniformInt(8);
+    const double scale = i % 3 == 0 ? 0.5 : (i % 3 == 1 ? 1.0 : 2.0);
+    std::vector<double> c(degree);
+    for (double& v : c) {
+      v = scale * (2.0 * rng.NextDouble() - 1.0);
+    }
+    check.Check(c);
+  }
+  for (int i = 0; i < 300000; ++i) {
+    const size_t degree = 1 + rng.UniformInt(8);
+    check.Check(CoefficientsFromRoots(RandomRoots(
+        rng, degree, [&rng] { return 0.5 + 1.5 * rng.NextDouble(); })));
+  }
+  EXPECT_EQ(check.disagreements(), 0u) << "of " << check.checked();
+}
+
+TEST(RootsTest, MatchesReferenceOnTheUnitCircleBoundary) {
+  // Nelder-Mead drives CSS optima onto |root| = 1 + 1e-8; place roots a few
+  // ulps either side of it, alone, as double roots, and beside other roots.
+  constexpr double kBoundary = 1.0 + 1e-8;
+  Rng rng(501);
+  RootCheckDifferential check;
+  const auto near_boundary = [&rng] {
+    const double ulps = static_cast<double>(rng.UniformInt(33)) - 16.0;
+    return kBoundary * (1.0 + ulps * std::numeric_limits<double>::epsilon());
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const size_t degree = 1 + rng.UniformInt(8);
+    std::vector<std::complex<double>> roots =
+        RandomRoots(rng, degree, near_boundary);
+    if (i % 2 == 1 && degree >= 2) {
+      // Replace all but one root family with roots off the boundary.
+      const size_t keep = roots[0].imag() != 0.0 ? 2 : 1;
+      const std::vector<std::complex<double>> rest = RandomRoots(
+          rng, degree - keep, [&rng] { return 0.3 + 2.0 * rng.NextDouble(); });
+      roots.resize(keep);
+      roots.insert(roots.end(), rest.begin(), rest.end());
+    }
+    if (i % 5 == 0) {
+      roots.resize(std::max<size_t>(1, roots.size() / 2));
+      const std::vector<std::complex<double>> twin = roots;
+      roots.insert(roots.end(), twin.begin(), twin.end());  // Double roots.
+    }
+    check.Check(CoefficientsFromRoots(roots));
+  }
+  EXPECT_EQ(check.disagreements(), 0u) << "of " << check.checked();
+}
+
+// `x` and the `k` doubles on either side of it.
+std::vector<double> UlpNeighbourhood(double x, int k) {
+  double lo = x;
+  for (int i = 0; i < k; ++i) {
+    lo = std::nextafter(lo, -std::numeric_limits<double>::infinity());
+  }
+  std::vector<double> out = {lo};
+  for (int i = 0; i < 2 * k; ++i) {
+    out.push_back(
+        std::nextafter(out.back(), std::numeric_limits<double>::infinity()));
+  }
+  return out;
+}
+
+TEST(RootsTest, MatchesReferenceOnRecordedBoundaryFits) {
+  // Two candidates recorded from ARIMA fits, with a root at
+  // |z| = 1 + 1e-8 +- 1e-16, two degree-1 vectors on the same boundary, and
+  // every vector within 24 ulps of them per coefficient.
+  const std::vector<std::vector<double>> recorded = {
+      {0.14429573376544325, 0.85570424767751441},
+      {0.97227110160401065, -0.99999998000000034},
+      {-0.99999998000000034},
+      {0.99999998000000034},
+  };
+  RootCheckDifferential check;
+  for (const std::vector<double>& base : recorded) {
+    for (double c0 : UlpNeighbourhood(base[0], 24)) {
+      if (base.size() == 1) {
+        check.Check({c0});
+        continue;
+      }
+      for (double c1 : UlpNeighbourhood(base[1], 24)) {
+        check.Check({c0, c1});
+      }
+    }
+  }
+  EXPECT_EQ(check.checked(), 2u * 49 * 49 + 2u * 49);
+  EXPECT_EQ(check.disagreements(), 0u) << "of " << check.checked();
+}
+
+TEST(RootsTest, MatchesReferenceOnZeroNanAndInfiniteEntries) {
+  Rng rng(502);
+  const double specials[] = {0.0,
+                             -0.0,
+                             1e-13,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min(),
+                             1e-300,
+                             1e300};
+  RootCheckDifferential check;
+  for (int i = 0; i < 200000; ++i) {
+    const size_t degree = 1 + rng.UniformInt(8);
+    std::vector<double> c(degree);
+    for (double& v : c) {
+      v = 2.0 * rng.NextDouble() - 1.0;
+    }
+    const int replaced = 1 + static_cast<int>(rng.UniformInt(2));
+    for (int k = 0; k < replaced; ++k) {
+      const size_t which = rng.UniformInt(std::size(specials));
+      c[rng.UniformInt(degree)] = specials[which];
+    }
+    check.Check(c);
+  }
+  EXPECT_EQ(check.disagreements(), 0u) << "of " << check.checked();
 }
 
 }  // namespace

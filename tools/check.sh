@@ -25,7 +25,11 @@
 # workload generator (arrival_test, generator_test) runs under UBSan and
 # ASan, since thinning indexes the diurnal envelope by a computed
 # minute-of-day bucket; UBSan also takes compiled_trace_test for the
-# pointer arithmetic of the shard-compile run merge.
+# pointer arithmetic of the shard-compile run merge.  The ARIMA fitter
+# (series_test, arima_model_test, auto_arima_test, nelder_mead_test) runs
+# under UBSan and ASan: the root check indexes fixed-size arrays by degree,
+# the CSS recursion splits into warm-up and steady-state rows, and
+# Nelder-Mead swaps its reused trial buffers into the simplex.
 # --quick adds a pareto_sweep smoke over a small generated trace and a
 # 2-second serve_chaos hostile-client battery (garbage, truncation,
 # half-frame RST, slowloris, oversize) against an in-process loopback
@@ -88,22 +92,23 @@ fi
 if [[ "${SKIP_UBSAN}" == "1" ]]; then
   echo "== skipping UBSan pass =="
 else
-  echo "== UBSan: chaos + overload + controller + telemetry + streaming + generator tests =="
+  echo "== UBSan: chaos + overload + controller + telemetry + streaming + generator + ARIMA tests =="
   cmake -B build-ubsan -S . -DFAAS_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "${JOBS}" --target \
       faults_test network_test overload_test controller_test cluster_test \
       sweep_stream_test generator_shard_test \
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test resource_ledger_test serve_overload_test \
-      arrival_test generator_test compiled_trace_test
+      arrival_test generator_test compiled_trace_test \
+      series_test arima_model_test auto_arima_test nelder_mead_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|CompiledTrace|CompiledReplay')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|CompiledTrace|CompiledReplay|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
   echo "== skipping ASan pass =="
 else
-  echo "== ASan: interning + trace + cluster + overload + streaming + generator tests =="
+  echo "== ASan: interning + trace + cluster + overload + streaming + generator + ARIMA tests =="
   cmake -B build-asan -S . -DFAAS_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
       intern_test trace_csv_test transform_test compiled_trace_test \
@@ -112,12 +117,13 @@ else
       telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
       serve_overload_test latency_recorder_test resource_ledger_test \
-      arrival_test generator_test
+      arrival_test generator_test \
+      series_test arima_model_test auto_arima_test nelder_mead_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep rotates shard arenas.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 echo "== all checks passed =="
