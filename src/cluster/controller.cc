@@ -195,55 +195,6 @@ std::vector<size_t> Controller::InvokersByFreeMemory() const {
   return order;
 }
 
-Controller::DispatchOutcome Controller::Dispatch(
-    AppState& state, const ActivationMessage& message, int exclude_invoker,
-    int* accepted_invoker) {
-  const size_t n = invokers_.size();
-  bool saw_unhealthy = false;
-  // One placement attempt against one invoker; shared by both LB policies.
-  const auto try_invoker = [&](size_t index) -> bool {
-    if (static_cast<int>(index) == exclude_invoker) {
-      return false;  // A hedge never lands on its primary's invoker.
-    }
-    if (!invokers_[index]->healthy()) {
-      saw_unhealthy = true;
-      return false;
-    }
-    if (!breakers_.Admits(index)) {
-      ++overload_ledger_.breaker_rejections;
-      IncCounter(&ClusterInstruments::breaker_rejected);
-      return false;
-    }
-    if (invokers_[index]->HandleActivation(message)) {
-      breakers_.NoteDispatch(index);
-      if (accepted_invoker != nullptr) {
-        *accepted_invoker = static_cast<int>(index);
-      }
-      return true;
-    }
-    return false;
-  };
-  if (load_balancing_ == LoadBalancingPolicy::kLeastLoaded) {
-    // Try invokers in order of free memory (most free first).
-    for (size_t index : InvokersByFreeMemory()) {
-      if (try_invoker(index)) {
-        return DispatchOutcome::kAccepted;
-      }
-    }
-    return saw_unhealthy ? DispatchOutcome::kOutage
-                         : DispatchOutcome::kNoCapacity;
-  }
-  for (size_t attempt = 0; attempt < n; ++attempt) {
-    const size_t index =
-        (static_cast<size_t>(state.home_invoker) + attempt) % n;
-    if (try_invoker(index)) {
-      return DispatchOutcome::kAccepted;
-    }
-  }
-  return saw_unhealthy ? DispatchOutcome::kOutage
-                       : DispatchOutcome::kNoCapacity;
-}
-
 void Controller::OnInvocation(AppId app_id, FunctionId function_id,
                               Duration execution, double memory_mb) {
   AppState& state = GetOrCreateApp(app_id);
@@ -315,15 +266,14 @@ void Controller::OnInvocation(AppId app_id, FunctionId function_id,
 
 ActivationMessage Controller::BuildMessage(
     int64_t activation_id, const PendingActivation& pending) const {
-  const AppState& state = apps_[pending.app_id.index()];
   ActivationMessage message;
   message.activation_id = activation_id;
   message.app_id = pending.app_id;
   message.function_id = pending.function_id;
   message.memory_mb = pending.memory_mb;
   message.execution = pending.execution;
-  message.keepalive = state.decision.keepalive_window;
-  message.unload_after_execution = !state.decision.prewarm_window.IsZero();
+  message.keepalive = pending.decision.keepalive_window;
+  message.unload_after_execution = !pending.decision.prewarm_window.IsZero();
   message.hedge = pending.is_hedge;
   return message;
 }
@@ -334,7 +284,8 @@ void Controller::SendAttempt(int64_t activation_id) {
     return;  // Timed out while the retry backoff was pending.
   }
   PendingActivation& pending = it->second;
-  const ActivationMessage message = BuildMessage(activation_id, pending);
+  // The attempt ships the windows decided as it leaves the controller.
+  pending.decision = apps_[pending.app_id.index()].decision;
 
   if (retry_.activation_timeout != Duration::Max()) {
     pending.timeout_event.Cancel();
@@ -342,45 +293,20 @@ void Controller::SendAttempt(int64_t activation_id) {
         retry_.activation_timeout,
         [this, activation_id]() { OnTimeout(activation_id); });
   }
+  SendOverHop(activation_id, /*exclude_invoker=*/-1);
+}
 
+void Controller::SendOverHop(int64_t activation_id, int exclude_invoker) {
   if (rpc_ != nullptr) {
-    // Network mode: the request's uplink transit IS the dispatch hop, so
-    // the sampled hop below is skipped and placement becomes an async probe
-    // walk over the candidate invokers.
-    StartNetworkScan(activation_id, /*exclude_invoker=*/-1);
+    // RPC channel: every probe's uplink transit IS the dispatch hop.
+    StartScan(activation_id, exclude_invoker);
     return;
   }
-
-  // Model the controller -> invoker messaging hop.
-  const Duration dispatch_delay = latency_.SampleDispatch(rng_);
-  queue_->ScheduleAfter(dispatch_delay, [this, activation_id, message]() {
-    auto pending_it = pending_.find(activation_id);
-    if (pending_it == pending_.end()) {
-      return;  // Timed out in flight.
-    }
-    AppState& app_state = apps_[message.app_id.index()];
-    int accepted = -1;
-    switch (Dispatch(app_state, message, /*exclude_invoker=*/-1, &accepted)) {
-      case DispatchOutcome::kAccepted:
-        pending_it->second.dispatched_invoker = accepted;
-        MaybeArmHedge(activation_id);
-        return;
-      case DispatchOutcome::kNoCapacity:
-        if (overload_.admission.enabled()) {
-          // Saturation with the control plane on: park the activation in
-          // the bounded admission queue and wait for a container release.
-          EnqueueAdmission(activation_id);
-          return;
-        }
-        // Memory pressure with every worker up: drop, as before the chaos
-        // engine (retrying against a full cluster is not failover).
-        DropForCapacity(activation_id);
-        return;
-      case DispatchOutcome::kOutage:
-        FailAttempt(activation_id, FailureClass::kOutage);
-        return;
-    }
-  });
+  // Direct channel: one sampled controller -> invoker hop per attempt.
+  queue_->ScheduleAfter(latency_.SampleDispatch(rng_),
+                        [this, activation_id, exclude_invoker]() {
+                          StartScan(activation_id, exclude_invoker);
+                        });
 }
 
 void Controller::DropForCapacity(int64_t activation_id) {
@@ -400,62 +326,63 @@ void Controller::DropForCapacity(int64_t activation_id) {
   ++total_dropped_;
 }
 
-// --- Network-mode dispatch ------------------------------------------------
+// --- Placement scan --------------------------------------------------------
 //
-// With the network model on, the synchronous Dispatch loop cannot work: each
-// placement attempt is a real round trip that can be lost, retransmitted, or
-// partitioned away.  The scan below probes one candidate at a time with an
-// at-most-once RPC; the invoker-side handler runs HandleActivation, and the
-// response's bool is the accept/decline.  A probe whose retransmit budget is
-// spent marks the link suspect (the breaker hears about it) and the scan
-// moves on — that is the partition-aware failover.
+// Every placement (first attempt, retry, hedge, admission drain) walks the
+// candidate invokers one probe at a time.  On the direct channel a probe is
+// Invoker::HandleActivation answered inline; on the RPC channel it is an
+// at-most-once round trip that can be lost, retransmitted, or partitioned
+// away.  A probe whose retransmit budget is spent marks the link suspect
+// (the breaker hears about it) and the scan moves on — that is the
+// partition-aware failover.
 
-void Controller::StartNetworkScan(int64_t activation_id,
-                                  int exclude_invoker) {
+void Controller::StartScan(int64_t activation_id, int exclude_invoker) {
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
-    return;
+    return;  // Timed out, or the hedged primary completed, during the hop.
   }
   PendingActivation& pending = it->second;
-  pending.net_candidates.clear();
-  pending.net_pos = 0;
-  pending.net_saw_unhealthy = false;
-  pending.net_saw_giveup = false;
+  pending.candidates.clear();
+  pending.scan_pos = 0;
+  pending.saw_unhealthy = false;
+  pending.saw_giveup = false;
   const size_t n = invokers_.size();
   if (load_balancing_ == LoadBalancingPolicy::kLeastLoaded) {
-    // Free-memory order snapshotted at scan start (the probe walk takes
+    // Free-memory order snapshotted at scan start (an RPC walk takes
     // simulated time, but re-sorting mid-scan could revisit invokers).
     for (size_t index : InvokersByFreeMemory()) {
       if (static_cast<int>(index) != exclude_invoker) {
-        pending.net_candidates.push_back(static_cast<int>(index));
+        pending.candidates.push_back(static_cast<int>(index));
       }
     }
   } else {
+    // Home invoker first (container affinity, like OpenWhisk's hash-based
+    // co-primary), then the rest round-robin.
     const AppState& state = apps_[pending.app_id.index()];
     for (size_t attempt = 0; attempt < n; ++attempt) {
       const size_t index =
           (static_cast<size_t>(state.home_invoker) + attempt) % n;
       if (static_cast<int>(index) != exclude_invoker) {
-        pending.net_candidates.push_back(static_cast<int>(index));
+        pending.candidates.push_back(static_cast<int>(index));
       }
     }
   }
-  AdvanceNetworkScan(activation_id);
+  AdvanceScan(activation_id);
 }
 
-void Controller::AdvanceNetworkScan(int64_t activation_id) {
+void Controller::AdvanceScan(int64_t activation_id) {
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
+    ScanEnded(activation_id, /*reprobe_drain=*/true);
     return;
   }
   PendingActivation& pending = it->second;
-  while (pending.net_pos < pending.net_candidates.size()) {
-    const int invoker_id = pending.net_candidates[pending.net_pos];
-    ++pending.net_pos;
+  while (pending.scan_pos < pending.candidates.size()) {
+    const int invoker_id = pending.candidates[pending.scan_pos];
+    ++pending.scan_pos;
     const auto index = static_cast<size_t>(invoker_id);
     if (!invokers_[index]->healthy()) {
-      pending.net_saw_unhealthy = true;
+      pending.saw_unhealthy = true;
       continue;
     }
     if (!breakers_.Admits(index)) {
@@ -463,57 +390,70 @@ void Controller::AdvanceNetworkScan(int64_t activation_id) {
       IncCounter(&ClusterInstruments::breaker_rejected);
       continue;
     }
-    const ActivationMessage message = BuildMessage(activation_id, pending);
     Invoker* invoker = invokers_[index];
-    // The handler is carried by the request itself: a request that arrives
-    // after this scan moved on still executes (a zombie the duplicate
-    // suppression and the pending-table re-key render harmless).
+    if (rpc_ == nullptr) {
+      // Direct channel: the probe is answered inline; a decline moves on.
+      if (invoker->HandleActivation(BuildMessage(activation_id, pending))) {
+        OnProbeAccepted(activation_id, invoker_id);
+        return;
+      }
+      continue;
+    }
+    // RPC channel: the message goes on the wire now, so it ships the
+    // windows decided by now.  The handler is carried by the request
+    // itself: a request that arrives after this scan moved on still
+    // executes (a zombie the duplicate suppression and the pending-table
+    // re-key render harmless).
+    pending.decision = apps_[pending.app_id.index()].decision;
+    const ActivationMessage message = BuildMessage(activation_id, pending);
     rpc_->Call(
         invoker_id,
         [invoker, message]() { return invoker->HandleActivation(message); },
         [this, activation_id, invoker_id](bool accepted) {
-          OnNetDispatchResponse(activation_id, invoker_id, accepted);
+          if (accepted) {
+            OnProbeAccepted(activation_id, invoker_id);
+          } else {
+            AdvanceScan(activation_id);
+          }
         },
         [this, activation_id, invoker_id]() {
-          OnNetDispatchGiveUp(activation_id, invoker_id);
+          OnProbeGiveUp(activation_id, invoker_id);
         });
     return;  // One probe outstanding; the response continues the scan.
   }
-  FinishNetworkScan(activation_id);
+  FinishScan(activation_id);
 }
 
-void Controller::OnNetDispatchResponse(int64_t activation_id, int invoker,
-                                       bool accepted) {
-  if (accepted) {
-    // Half-open probe accounting happens when the controller LEARNS of the
-    // accept (the response), not when the invoker accepted.
-    breakers_.NoteDispatch(static_cast<size_t>(invoker));
-  }
+void Controller::OnProbeAccepted(int64_t activation_id, int invoker) {
+  // Half-open probe accounting happens when the controller LEARNS of the
+  // accept (the response), not when the invoker accepted.
+  breakers_.NoteDispatch(static_cast<size_t>(invoker));
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
     // Superseded mid-flight (timeout/retry/shed).  An accepted request is
     // now a zombie execution; its completion will miss the pending table.
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
-    return;
-  }
-  if (!accepted) {
-    AdvanceNetworkScan(activation_id);
+    ScanEnded(activation_id, /*reprobe_drain=*/true);
     return;
   }
   PendingActivation& pending = it->second;
   pending.dispatched_invoker = invoker;
   if (pending.queued) {
-    // Drain probe landed: the head leaves the admission queue.
-    admission_.EraseIf([activation_id](int64_t id) {
-      return id == activation_id;
-    });
+    // Drain probe landed: the activation leaves the admission queue.  It is
+    // still the head unless LIFO arrivals overtook it during a round trip.
+    if (admission_.Head() == activation_id) {
+      admission_.PopHead();
+    } else {
+      admission_.EraseIf([activation_id](int64_t id) {
+        return id == activation_id;
+      });
+    }
     NoteDrained(activation_id, pending);
   }
   MaybeArmHedge(activation_id);
-  NetScanEnded(activation_id, /*reprobe_drain=*/true);
+  ScanEnded(activation_id, /*reprobe_drain=*/true);
 }
 
-void Controller::OnNetDispatchGiveUp(int64_t activation_id, int invoker) {
+void Controller::OnProbeGiveUp(int64_t activation_id, int invoker) {
   // Partition-aware breaker/failover interaction: a spent retransmit budget
   // is a bad outcome for the LINK, fed to the invoker's breaker whether or
   // not the activation still exists — repeated give-ups open the breaker
@@ -522,29 +462,29 @@ void Controller::OnNetDispatchGiveUp(int64_t activation_id, int invoker) {
       invoker, breakers_.RecordOutcome(invoker, /*bad=*/true, queue_->now()));
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
+    ScanEnded(activation_id, /*reprobe_drain=*/true);
     return;
   }
-  it->second.net_saw_giveup = true;
-  AdvanceNetworkScan(activation_id);
+  it->second.saw_giveup = true;
+  AdvanceScan(activation_id);
 }
 
-void Controller::FinishNetworkScan(int64_t activation_id) {
+void Controller::FinishScan(int64_t activation_id) {
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
+    ScanEnded(activation_id, /*reprobe_drain=*/true);
     return;
   }
   PendingActivation& pending = it->second;
   if (pending.queued) {
     // Drain probe found no room: the head stays parked; the next release
-    // starts the next probe.
-    NetScanEnded(activation_id, /*reprobe_drain=*/false);
+    // starts the next drain.
+    ScanEnded(activation_id, /*reprobe_drain=*/false);
     return;
   }
   if (pending.is_hedge) {
-    // No other invoker took the hedge: it fizzles and the primary carries
-    // the activation alone (mirrors the sync LaunchHedge fallback).
+    // No other invoker took the hedge: it fizzles quietly and the primary
+    // carries the activation alone.
     ++overload_ledger_.hedges_unplaced;
     auto primary_it = pending_.find(pending.hedge_partner);
     if (primary_it != pending_.end()) {
@@ -554,42 +494,33 @@ void Controller::FinishNetworkScan(int64_t activation_id) {
     SetQueueDepthGauge();
     return;
   }
-  if (pending.net_saw_giveup) {
+  if (pending.saw_giveup) {
     ++ledger_.network_failures;
     FailAttempt(activation_id, FailureClass::kNetwork);
     return;
   }
-  if (pending.net_saw_unhealthy) {
+  if (pending.saw_unhealthy) {
     FailAttempt(activation_id, FailureClass::kOutage);
     return;
   }
   if (overload_.admission.enabled()) {
+    // Saturation with the control plane on: park the activation in the
+    // bounded admission queue and wait for a container release.
     EnqueueAdmission(activation_id);
     return;
   }
+  // Memory pressure with every worker up: drop (retrying against a full
+  // cluster is not failover).
   DropForCapacity(activation_id);
 }
 
-void Controller::ProbeAdmissionHead() {
-  if (net_drain_id_ != 0) {
-    return;  // A head probe is already walking the cluster.
-  }
-  const int64_t* head =
-      admission_.LiveHead([this](int64_t id) { return IsQueued(id); });
-  if (head != nullptr) {
-    // The head stays in the queue while probing; acceptance erases it.
-    net_drain_id_ = *head;
-    StartNetworkScan(net_drain_id_, /*exclude_invoker=*/-1);
-  }
-}
-
-void Controller::NetScanEnded(int64_t activation_id, bool reprobe_drain) {
-  if (net_drain_id_ != activation_id) {
+void Controller::ScanEnded(int64_t activation_id, bool reprobe_drain) {
+  if (drain_id_ != activation_id) {
     return;
   }
-  net_drain_id_ = 0;
+  drain_id_ = 0;
   if (reprobe_drain) {
-    ProbeAdmissionHead();
+    DrainAdmissionQueue();
   }
 }
 
@@ -636,12 +567,6 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
     // again and has no accepted invoker yet.
     moved.hedge_launched = false;
     moved.dispatched_invoker = -1;
-    // Any in-flight probe of the failed attempt still references the old id
-    // and will miss the table; the fresh attempt scans from scratch.
-    moved.net_candidates.clear();
-    moved.net_pos = 0;
-    moved.net_saw_unhealthy = false;
-    moved.net_saw_giveup = false;
     pending_.erase(it);
     pending_.emplace(new_id, std::move(moved));
     queue_->ScheduleAfter(backoff,
@@ -870,35 +795,39 @@ void Controller::OnCapacityReleased() {
   // event, scheduled rather than run inline so a release fired from inside
   // a dispatch cannot re-enter the invoker.
   drain_scheduled_ = true;
-  queue_->ScheduleAfter(Duration::Zero(), [this]() { DrainAdmissionQueue(); });
+  queue_->ScheduleAfter(Duration::Zero(), [this]() {
+    drain_scheduled_ = false;
+    DrainAdmissionQueue();
+  });
 }
 
 void Controller::DrainAdmissionQueue() {
-  drain_scheduled_ = false;
-  if (rpc_ != nullptr) {
-    // Network mode: the sync while-loop below cannot wait on a round trip,
-    // so the drain becomes one async head probe at a time.
-    ProbeAdmissionHead();
+  if (drain_id_ != 0) {
+    return;  // A head probe is already walking the cluster.
+  }
+  if (draining_) {
+    // A scan answered inline ended inside the loop below: let the loop
+    // serve the next head rather than recurse once per drained activation.
+    drain_again_ = true;
     return;
   }
-  const auto is_queued = [this](int64_t id) { return IsQueued(id); };
-  while (const int64_t* head = admission_.LiveHead(is_queued)) {
-    const int64_t id = *head;
-    PendingActivation& pending = pending_.find(id)->second;
-    // The activation already paid its controller->invoker hop before it was
-    // parked, so drains dispatch directly.
-    AppState& state = apps_[pending.app_id.index()];
-    const ActivationMessage message = BuildMessage(id, pending);
-    int accepted = -1;
-    if (Dispatch(state, message, /*exclude_invoker=*/-1, &accepted) !=
-        DispatchOutcome::kAccepted) {
-      return;  // Still no room: wait for the next release.
+  draining_ = true;
+  do {
+    drain_again_ = false;
+    const int64_t* head =
+        admission_.LiveHead([this](int64_t id) { return IsQueued(id); });
+    if (head == nullptr) {
+      break;
     }
-    admission_.PopHead();
-    pending.dispatched_invoker = accepted;
-    NoteDrained(id, pending);
-    MaybeArmHedge(id);
-  }
+    // The head stays parked while it probes; acceptance pops it.  It paid
+    // its hop before it was parked, so it scans right away and ships the
+    // windows decided by now.
+    drain_id_ = *head;
+    PendingActivation& pending = pending_.find(drain_id_)->second;
+    pending.decision = apps_[pending.app_id.index()].decision;
+    StartScan(drain_id_, /*exclude_invoker=*/-1);
+  } while (drain_again_);
+  draining_ = false;
 }
 
 bool Controller::IsQueued(int64_t activation_id) const {
@@ -1023,44 +952,15 @@ void Controller::LaunchHedge(int64_t primary_id) {
   hedge.created_at = primary.created_at;
   hedge.is_hedge = true;
   hedge.hedge_partner = primary_id;
-  const ActivationMessage message = BuildMessage(hedge_id, hedge);
+  hedge.decision = apps_[hedge.app_id.index()].decision;
   pending_.emplace(hedge_id, std::move(hedge));
   ++overload_ledger_.hedges_launched;
   IncCounter(&ClusterInstruments::hedges);
   RecordInstant(SpanName::kHedge, primary_id);
   SetQueueDepthGauge();
-
-  // The hedge pays its own controller->invoker hop, then dispatches away
-  // from the invoker the primary landed on.
-  if (rpc_ != nullptr) {
-    // Network mode: the hedge's uplink transit is its hop; the scan
-    // excludes the primary's invoker and fizzles via FinishNetworkScan.
-    StartNetworkScan(hedge_id, exclude);
-    return;
-  }
-  const Duration dispatch_delay = latency_.SampleDispatch(rng_);
-  queue_->ScheduleAfter(dispatch_delay, [this, hedge_id, message, exclude]() {
-    auto hedge_it = pending_.find(hedge_id);
-    if (hedge_it == pending_.end()) {
-      return;  // The primary completed while the hedge was in flight.
-    }
-    AppState& app_state = apps_[message.app_id.index()];
-    int accepted = -1;
-    if (Dispatch(app_state, message, exclude, &accepted) ==
-        DispatchOutcome::kAccepted) {
-      hedge_it->second.dispatched_invoker = accepted;
-      return;
-    }
-    // No other invoker had room: the hedge fizzles quietly and the primary
-    // carries the activation alone.
-    ++overload_ledger_.hedges_unplaced;
-    auto primary_it = pending_.find(hedge_it->second.hedge_partner);
-    if (primary_it != pending_.end()) {
-      primary_it->second.hedge_partner = 0;
-    }
-    pending_.erase(hedge_it);
-    SetQueueDepthGauge();
-  });
+  // The hedge pays its own hop, then scans away from the invoker the
+  // primary landed on; FinishScan fizzles it if no other invoker has room.
+  SendOverHop(hedge_id, exclude);
 }
 
 // --- Circuit breakers ------------------------------------------------------

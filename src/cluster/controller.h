@@ -7,18 +7,25 @@
 // the chosen invoker inside the activation message.  On completion it
 // schedules the pre-warm event for the predicted next invocation.
 //
+// Every placement (first attempt, retry, hedge, admission drain) is one
+// scan: walk the candidate invokers in load-balancing order, one probe at a
+// time.  The channel changes only the hop and the probe.  The direct
+// in-process channel samples one dispatch delay per attempt and answers each
+// probe inline; with the network model on (src/cluster/network.h) each probe
+// is an RPC round trip whose uplink transit is the hop.
+//
 // The controller also owns the failure path of the chaos engine: every
 // outstanding activation is tracked in a pending table keyed by its
 // per-attempt activation id.  Invoker crashes and transient sandbox faults
 // surface as FailureMessages; per-activation timeouts catch activations
 // whose execution (or result) vanished silently.  Failed attempts are
 // retried with exponential backoff + jitter up to a bounded budget, re-using
-// the normal dispatch path so failover respects the load-balancing policy.
+// the placement scan so failover respects the load-balancing policy.
 // Terminal outcomes are split by cause (memory drop / outage rejection /
 // timeout abandonment / crash loss) and recorded in a FaultLedger.
 //
 // The overload control plane (src/cluster/overload.h) layers three
-// mechanisms on top of that dispatch path, all disabled by default:
+// mechanisms on top of that placement scan, all disabled by default:
 // saturation parks activations in a bounded admission queue that drains on
 // container-release callbacks (instead of dropping or blind-retrying),
 // per-invoker circuit breakers deflect dispatches away from failing or slow
@@ -310,12 +317,6 @@ class Controller {
   int64_t policy_invocations() const { return policy_invocations_; }
 
  private:
-  // How a dispatch attempt ended.
-  enum class DispatchOutcome {
-    kAccepted,
-    kNoCapacity,  // Every healthy invoker was out of memory.
-    kOutage,      // Placement failed and at least one invoker was down.
-  };
   // Why an attempt failed (kNone = never failed).
   enum class FailureClass {
     kNone,
@@ -371,65 +372,66 @@ class Controller {
     EventQueue::Handle hedge_event;  // Launch timer, armed on dispatch.
     int dispatched_invoker = -1;  // Accepting invoker (hedge exclusion).
 
-    // --- Network-mode dispatch scan (inert when the network model is off).
-    // The synchronous Dispatch loop becomes an async probe sequence: one
-    // outstanding RPC at a time walks the candidate list.
-    std::vector<int> net_candidates;  // Invoker order for the current scan.
-    size_t net_pos = 0;               // Next candidate to probe.
-    bool net_saw_unhealthy = false;   // A candidate was down at probe time.
-    bool net_saw_giveup = false;      // A candidate's RPC spent its budget.
+    // Windows shipped in this attempt's activation message, taken when the
+    // message goes on the wire: before the direct channel's hop and at
+    // drain time, or at each probe of an RPC scan.
+    PolicyDecision decision;
+
+    // --- Placement scan: one probe at a time walks the candidate list.
+    std::vector<int> candidates;  // Invoker order for the current scan.
+    size_t scan_pos = 0;          // Next candidate to probe.
+    bool saw_unhealthy = false;   // A candidate was down at probe time.
+    bool saw_giveup = false;      // A candidate's RPC spent its budget.
   };
 
   AppState& GetOrCreateApp(AppId app_id);
   void OnCompletion(const CompletionMessage& message);
   void OnFailure(const FailureMessage& message);
   void OnTimeout(int64_t activation_id);
-  // Sends the current attempt of pending activation `id`: arms the timeout,
-  // models the dispatch hop, then routes through Dispatch.
+  // Sends the current attempt of pending activation `id`: takes the windows
+  // it ships, arms the timeout, and sends it over the hop.
   void SendAttempt(int64_t activation_id);
+  // The controller -> invoker hop, then the placement scan.  The direct
+  // channel samples one dispatch delay; on the RPC channel each probe's
+  // uplink transit is the hop.  `exclude_invoker` as for StartScan.
+  void SendOverHop(int64_t activation_id, int exclude_invoker);
   // Handles a failed attempt: schedules a backoff retry if budget remains,
   // otherwise records the terminal outcome and forgets the activation.
   void FailAttempt(int64_t activation_id, FailureClass failure);
   // Invoker indices, most free memory first (the least-loaded order).
   std::vector<size_t> InvokersByFreeMemory() const;
-  // Tries the home invoker first (container affinity, like OpenWhisk's
-  // hash-based co-primary), then the rest round-robin.  Skips unhealthy
-  // invokers, invokers whose breaker is not admitting, and
-  // `exclude_invoker` (>= 0: hedges avoid their primary's invoker).  On
-  // acceptance writes the chosen invoker into `accepted_invoker` if given.
-  DispatchOutcome Dispatch(AppState& state, const ActivationMessage& message,
-                           int exclude_invoker = -1,
-                           int* accepted_invoker = nullptr);
 
-  // --- Network-mode dispatch (async RPC scan; src/cluster/network.h) ---
-  // Terminal kNoCapacity bookkeeping shared by the sync and async paths.
+  // --- Placement scan (one path for both channels) ---
+  // Terminal bookkeeping for an activation no healthy invoker had room for
+  // (admission queue off).
   void DropForCapacity(int64_t activation_id);
-  // Builds the candidate order (home-first or least-loaded snapshot, minus
-  // `exclude_invoker`) and begins probing.
-  void StartNetworkScan(int64_t activation_id, int exclude_invoker);
-  // Probes the next candidate whose breaker admits and that is up, or
-  // finishes the scan when the list is exhausted.
-  void AdvanceNetworkScan(int64_t activation_id);
-  // Response/give-up continuations of one probe RPC.
-  void OnNetDispatchResponse(int64_t activation_id, int invoker,
-                             bool accepted);
-  void OnNetDispatchGiveUp(int64_t activation_id, int invoker);
+  // Builds the candidate order and begins probing: the least-loaded
+  // snapshot, or the home invoker first (container affinity, like
+  // OpenWhisk's hash-based co-primary) then the rest round-robin.  Skips
+  // `exclude_invoker` (>= 0: hedges avoid their primary's invoker).
+  void StartScan(int64_t activation_id, int exclude_invoker);
+  // Probes the next candidate that is up and whose breaker admits, or
+  // finishes the scan when the list is exhausted.  A direct-channel probe
+  // is answered inline; an RPC probe continues in its response callbacks.
+  void AdvanceScan(int64_t activation_id);
+  // Continuations of one probe: accepted, or the RPC spent its budget.
+  void OnProbeAccepted(int64_t activation_id, int invoker);
+  void OnProbeGiveUp(int64_t activation_id, int invoker);
   // Every candidate declined, gave up, or was down: routes the terminal
-  // outcome (hedge fizzle / kNetwork / kOutage / queue-or-drop).
-  void FinishNetworkScan(int64_t activation_id);
-  // Network-mode admission drain: one async probe of the queue head at a
-  // time (the sync while-loop cannot wait on a round trip).
-  void ProbeAdmissionHead();
-  // Clears the drain-probe slot when scan `activation_id` ends;
-  // `reprobe_drain` starts the next head probe (false when the head simply
-  // found no room and must wait for the next release).
-  void NetScanEnded(int64_t activation_id, bool reprobe_drain);
+  // outcome (drain stall / hedge fizzle / kNetwork / kOutage /
+  // queue-or-drop).
+  void FinishScan(int64_t activation_id);
+  // Clears the drain slot when scan `activation_id` ends; `reprobe_drain`
+  // serves the next head (false when the head simply found no room and
+  // must wait for the next release).
+  void ScanEnded(int64_t activation_id, bool reprobe_drain);
 
   // --- Admission queue ---
-  // Parks pending activation `id` after a kNoCapacity dispatch; sheds per
+  // Parks pending activation `id` after a scan found no room; sheds per
   // the discipline when the queue is full, arms the CoDel age bound.
   void EnqueueAdmission(int64_t activation_id);
-  // Serves queued activations (per discipline) while dispatches succeed.
+  // Serves queued activations (per discipline) while their scans place
+  // them: one head scan at a time, looping while scans end inline.
   void DrainAdmissionQueue();
   // True while `activation_id` is parked (not shed, retried or drained).
   bool IsQueued(int64_t activation_id) const;
@@ -439,7 +441,8 @@ class Controller {
   void ShedActivation(int64_t activation_id, ShedReason reason);
 
   // --- Hedged dispatch ---
-  // Builds the activation message for the current attempt of `pending`.
+  // Builds the activation message for the current attempt of `pending`
+  // (it ships `pending.decision`).
   ActivationMessage BuildMessage(int64_t activation_id,
                                  const PendingActivation& pending) const;
   // Arms the hedge-launch timer on an accepted, hedge-eligible primary.
@@ -491,9 +494,12 @@ class Controller {
   // jointly with PendingActivation::queued.
   AdmissionQueue<int64_t> admission_;
   bool drain_scheduled_ = false;
-  // Network-mode drain: the activation id currently probing the cluster on
-  // behalf of the admission queue (0 = no probe outstanding).
-  int64_t net_drain_id_ = 0;
+  // The queue head currently scanning the cluster (0 = none).
+  int64_t drain_id_ = 0;
+  // DrainAdmissionQueue's loop is running; a scan that ended inside it
+  // sets drain_again_ instead of re-entering.
+  bool draining_ = false;
+  bool drain_again_ = false;
   // Per-invoker breakers (empty when the breaker is disabled).
   BreakerBank<SimClock> breakers_;
   // Fed the end-to-end completion latency while hedging is enabled.

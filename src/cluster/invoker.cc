@@ -1,6 +1,7 @@
 #include "src/cluster/invoker.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -99,13 +100,11 @@ void Invoker::FinalizeAt(TimePoint end) {
   residency_frozen_ = true;
 }
 
-Invoker::Container* Invoker::FindIdleContainer(AppId app_id) {
-  for (Container& container : containers_) {
-    if (!container.busy && container.app_id == app_id) {
-      return &container;
-    }
-  }
-  return nullptr;
+Invoker::ContainerList::iterator Invoker::FindIdleContainer(AppId app_id) {
+  return std::find_if(containers_.begin(), containers_.end(),
+                      [app_id](const Container& container) {
+                        return !container.busy && container.app_id == app_id;
+                      });
 }
 
 bool Invoker::EvictIdleContainers(double needed_mb) {
@@ -134,24 +133,21 @@ bool Invoker::EvictIdleContainers(double needed_mb) {
   return true;
 }
 
-Invoker::Container* Invoker::CreateContainer(AppId app_id, double memory_mb) {
+Invoker::ContainerList::iterator Invoker::CreateContainer(AppId app_id,
+                                                         double memory_mb) {
   if (memory_in_use_mb_ + memory_mb > memory_capacity_mb_ &&
       !EvictIdleContainers(memory_mb)) {
-    return nullptr;
+    return containers_.end();
   }
   AccrueMemoryTime();
   AccrueSplitTime();
   containers_.push_back(Container{});
-  Container& container = containers_.back();
-  container.app_id = app_id;
-  container.memory_mb = memory_mb;
+  const auto it = std::prev(containers_.end());
+  it->app_id = app_id;
+  it->memory_mb = memory_mb;
   memory_in_use_mb_ += memory_mb;
   ++resident_containers_;
-  if (app_id.index() >= resident_count_by_app_.size()) {
-    resident_count_by_app_.resize(app_id.index() + 1, 0);
-  }
-  ++resident_count_by_app_[app_id.index()];
-  return &container;
+  return it;
 }
 
 void Invoker::DestroyContainer(ContainerList::iterator it) {
@@ -162,9 +158,6 @@ void Invoker::DestroyContainer(ContainerList::iterator it) {
   it->exec_end_event.Cancel();
   memory_in_use_mb_ -= it->memory_mb;
   --resident_containers_;
-  if (it->app_id.index() < resident_count_by_app_.size()) {
-    --resident_count_by_app_[it->app_id.index()];
-  }
   containers_.erase(it);
   // Memory just freed: let the controller drain its admission queue.
   NotifyRelease();
@@ -226,7 +219,6 @@ int64_t Invoker::Crash() {
     }
   }
   containers_.clear();
-  resident_count_by_app_.assign(resident_count_by_app_.size(), 0);
   memory_in_use_mb_ = 0.0;
   resident_containers_ = 0;
   busy_containers_ = 0;
@@ -285,21 +277,21 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
       return true;
     }
   }
-  Container* container = FindIdleContainer(message.app_id);
+  auto it = FindIdleContainer(message.app_id);
   bool cold = false;
   Duration startup = Duration::Zero();
   Duration bootstrap = Duration::Zero();
 
-  if (container != nullptr) {
+  if (it != containers_.end()) {
     ++warm_starts_;
     ++resources_.warm_hits;
     IncCounter(&ClusterInstruments::warm_starts);
     RecordSpanAt(SpanName::kWarmHit, queue_->now(), SpanRecord::kInstant,
                  message.activation_id);
-    container->unload_timer.Cancel();
+    it->unload_timer.Cancel();
   } else {
-    container = CreateContainer(message.app_id, message.memory_mb);
-    if (container == nullptr) {
+    it = CreateContainer(message.app_id, message.memory_mb);
+    if (it == containers_.end()) {
       return false;
     }
     cold = true;
@@ -322,22 +314,10 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
   // split with the old busy footprint, then move it into the busy bucket.
   AccrueSplitTime();
   ++resources_.invocations;
-  busy_memory_mb_ += container->memory_mb;
-  container->busy = true;
-  container->activation_id = message.activation_id;
+  busy_memory_mb_ += it->memory_mb;
+  it->busy = true;
+  it->activation_id = message.activation_id;
   ++busy_containers_;
-
-  // Find the iterator for the container (list iterators are stable; for a
-  // fresh container it is the last element, for a warm one we search).
-  auto it = containers_.end();
-  for (auto candidate = containers_.begin(); candidate != containers_.end();
-       ++candidate) {
-    if (&*candidate == container) {
-      it = candidate;
-      break;
-    }
-  }
-  FAAS_CHECK(it != containers_.end()) << "container vanished";
 
   const TimePoint exec_end = queue_->now() + startup + message.execution;
   RecordSpanAt(SpanName::kExecute, queue_->now() + startup,
@@ -395,8 +375,8 @@ bool Invoker::HandlePrewarm(const PrewarmMessage& message) {
       return true;
     }
   }
-  Container* container = CreateContainer(message.app_id, message.memory_mb);
-  if (container == nullptr) {
+  const auto it = CreateContainer(message.app_id, message.memory_mb);
+  if (it == containers_.end()) {
     return false;
   }
   ++prewarm_loads_;
@@ -404,7 +384,6 @@ bool Invoker::HandlePrewarm(const PrewarmMessage& message) {
   IncCounter(&ClusterInstruments::prewarm_loads);
   RecordSpanAt(SpanName::kPrewarmLoad, queue_->now(), SpanRecord::kInstant,
                0);
-  auto it = std::prev(containers_.end());
   ArmKeepAlive(it, message.keepalive);
   return true;
 }

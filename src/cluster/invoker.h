@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <vector>
 
 #include "src/cluster/event_queue.h"
 #include "src/cluster/latency_model.h"
@@ -130,10 +129,12 @@ class Invoker {
   };
   using ContainerList = std::list<Container>;
 
-  // Finds an idle resident container for the app, or returns nullptr.
-  Container* FindIdleContainer(AppId app_id);
-  // Creates a container, evicting idle ones if needed; nullptr on failure.
-  Container* CreateContainer(AppId app_id, double memory_mb);
+  // List iterators stay valid until their container is erased, so event
+  // closures hold them directly.
+  // Finds an idle resident container for the app, or returns end().
+  ContainerList::iterator FindIdleContainer(AppId app_id);
+  // Creates a container, evicting idle ones if needed; end() on failure.
+  ContainerList::iterator CreateContainer(AppId app_id, double memory_mb);
   void DestroyContainer(ContainerList::iterator it);
   bool EvictIdleContainers(double needed_mb);
   void ArmKeepAlive(ContainerList::iterator it, Duration keepalive);
@@ -171,9 +172,6 @@ class Invoker {
   int64_t cap_rejections_ = 0;
 
   ContainerList containers_;
-  // Resident containers per app, indexed by AppId (grown on demand): dense
-  // array bookkeeping instead of a string-keyed map node per app.
-  std::vector<int32_t> resident_count_by_app_;
 
   double memory_in_use_mb_ = 0.0;
   int resident_containers_ = 0;

@@ -1,10 +1,13 @@
 // Network model + idempotent RPC plane for the mini-OpenWhisk cluster.
 //
-// The pre-network cluster treated controller<->invoker messaging as a free,
-// lossless function call with one sampled "dispatch hop".  This header makes
+// With the model off, the controller reaches its invokers over a direct
+// in-process channel: one sampled "dispatch hop" per attempt, after which
+// each placement probe is a free, lossless function call.  This header makes
 // the channel a first-class, faulty datacenter network in the style of the
-// SIRD/Homa simulators: every controller<->invoker pair owns an uplink
-// (controller -> invoker) and a downlink (invoker -> controller), each with
+// SIRD/Homa simulators.  The controller's placement scan walks the same
+// candidates on either channel; only the hop and the probe change.  Every
+// controller<->invoker pair owns an uplink (controller -> invoker) and a
+// downlink (invoker -> controller), each with
 //
 //   - a seeded per-link latency distribution (log-normal, forked RNG stream
 //     per link so link i's draws do not depend on traffic to link j),

@@ -29,7 +29,10 @@
 # (series_test, arima_model_test, auto_arima_test, nelder_mead_test) runs
 # under UBSan and ASan: the root check indexes fixed-size arrays by degree,
 # the CSS recursion splits into warm-up and steady-state rows, and
-# Nelder-Mead swaps its reused trial buffers into the simplex.
+# Nelder-Mead swaps its reused trial buffers into the simplex.  The invoker
+# suite (invoker_test) runs under UBSan and ASan: its event closures hold
+# std::list iterators to containers, and ASan is the leg that would catch a
+# closure firing after its container was erased.
 # --quick adds a pareto_sweep smoke over a small generated trace and a
 # 2-second serve_chaos hostile-client battery (garbage, truncation,
 # half-frame RST, slowloris, oversize) against an in-process loopback
@@ -96,13 +99,13 @@ else
   cmake -B build-ubsan -S . -DFAAS_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "${JOBS}" --target \
       faults_test network_test overload_test controller_test cluster_test \
-      sweep_stream_test generator_shard_test \
+      invoker_test sweep_stream_test generator_shard_test \
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test resource_ledger_test serve_overload_test \
       arrival_test generator_test compiled_trace_test \
       series_test arima_model_test auto_arima_test nelder_mead_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|CompiledTrace|CompiledReplay|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|InvokerTest|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|CompiledTrace|CompiledReplay|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -114,7 +117,7 @@ else
       intern_test trace_csv_test transform_test compiled_trace_test \
       sweep_test sweep_stream_test generator_shard_test arena_pool_test \
       faults_test network_test controller_test cluster_test overload_test \
-      telemetry_metrics_test telemetry_tracer_test \
+      invoker_test telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
       serve_overload_test latency_recorder_test resource_ledger_test \
       arrival_test generator_test \
@@ -123,7 +126,7 @@ else
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep rotates shard arenas.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|InvokerTest|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 echo "== all checks passed =="
