@@ -10,6 +10,7 @@
 // results/network_cluster.csv (goodput/p99 vs loss rate, hedging on/off)
 // and BENCH_network.json.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -152,6 +153,26 @@ int main() {
                p50, p99, r.faults.rpc_retransmits, r.faults.rpc_give_ups,
                r.faults.rpc_duplicates_suppressed, r.faults.lost_network,
                r.overload.hedges_launched, r.AppColdStartPercentile(50.0));
+  }
+
+  // Where the traffic comes from: messages sent per invocation, by kind
+  // (stdout only; the CSV and JSON snapshots keep their columns).
+  std::printf("\nmessages per invocation by kind\n%-16s %7s", "config",
+              "total");
+  for (size_t k = 0; k < kNumNetMessageKinds; ++k) {
+    std::printf(" %14s", NetMessageKindName(static_cast<NetMessageKind>(k)));
+  }
+  std::printf("\n");
+  for (const Row& row : rows) {
+    const ClusterResult& r = row.result;
+    const double invocations =
+        static_cast<double>(std::max<int64_t>(1, r.total_invocations));
+    std::printf("%-16s %7.2f", row.label.c_str(),
+                static_cast<double>(r.faults.net_messages_sent) / invocations);
+    for (const int64_t sent : r.net_sent_by_kind) {
+      std::printf(" %14.2f", static_cast<double>(sent) / invocations);
+    }
+    std::printf("\n");
   }
 
   // Acceptance scenario: 1% loss + two partitions (one invoker-local, one

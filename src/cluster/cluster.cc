@@ -35,10 +35,14 @@ struct ReplayEvent {
 ClusterResult ClusterSimulator::Replay(const Trace& trace,
                                        const PolicyFactory& factory) const {
   EventQueue queue;
-  // Self-rescheduling events (checkpoint tick, telemetry sampler) need a
-  // stable callable that queued copies can re-schedule.  Owning it here —
-  // rather than having the lambda capture a shared_ptr to itself, which
-  // forms an unreclaimable cycle — keeps the replay leak-free.
+  // Self-rescheduling events (checkpoint tick, telemetry sampler) live here,
+  // and each queued tick captures only a pointer to its callable.  Owning
+  // them here — rather than having the lambda capture a shared_ptr to
+  // itself, which forms an unreclaimable cycle — keeps the replay leak-free.
+  // Declared after the queue, they are destroyed before it; the queue's
+  // destructor only destroys the pending ticks, never runs them.  Everything
+  // that holds an EventQueue::Handle (invokers, RPC plane, controller) is
+  // declared after the queue too, so no handle outlives it.
   std::vector<std::unique_ptr<std::function<void()>>> repeating_events;
   Rng rng(config_.seed);
 
@@ -236,10 +240,10 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     *tick = [&controller, &queue, tick, interval, end]() {
       controller.CheckpointPolicies();
       if (queue.now() + interval <= end) {
-        queue.ScheduleAfter(interval, *tick);
+        queue.ScheduleAfter(interval, [tick]() { (*tick)(); });
       }
     };
-    queue.Schedule(TimePoint::Origin() + interval, *tick);
+    queue.Schedule(TimePoint::Origin() + interval, [tick]() { (*tick)(); });
   }
 
   // Telemetry interval sampler: at each boundary, credit the just-elapsed
@@ -344,18 +348,28 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                       sampled.CostDollars(cost_model), now);
       }
       if (now + interval <= end) {
-        queue.ScheduleAfter(interval, *sample);
+        queue.ScheduleAfter(interval, [sample]() { (*sample)(); });
       }
     };
-    queue.Schedule(TimePoint::Origin() + interval, *sample);
+    queue.Schedule(TimePoint::Origin() + interval,
+                   [sample]() { (*sample)(); });
   }
 
+  // The sorted arrivals feed the queue's arrival cursor: they take the
+  // next sequence numbers as one block, exactly as if each were scheduled
+  // here in order, without occupying the event heap.
+  std::vector<TimePoint> arrival_times;
+  arrival_times.reserve(events.size());
   for (const ReplayEvent& event : events) {
-    queue.Schedule(event.at, [&controller, &event]() {
-      controller.OnInvocation(event.app, event.function, event.execution,
-                              event.memory_mb);
-    });
+    arrival_times.push_back(event.at);
   }
+  queue.ScheduleArrivals(std::move(arrival_times),
+                         [&controller, &events](size_t i) {
+                           const ReplayEvent& event = events[i];
+                           controller.OnInvocation(event.app, event.function,
+                                                   event.execution,
+                                                   event.memory_mb);
+                         });
   // Run to the end of the trace horizon and measure memory there, so both
   // policies are integrated over the same wall-clock window (keep-alive
   // unload timers stretching past the horizon do not distort the integral).
@@ -422,6 +436,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     // Fold the transport's counters into the replay's ledger so determinism
     // tests (operator== over FaultLedger) cover every drop/retransmit.
     result.faults.FoldNetCounters(network->counters());
+    result.net_sent_by_kind = network->counters().sent_by_kind;
   }
   result.overload = controller.overload_ledger();
   for (const auto& invoker : invokers) {

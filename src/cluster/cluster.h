@@ -11,6 +11,7 @@
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -144,6 +145,9 @@ struct ClusterResult {
   // Everything the fault machinery observed (crashes, retries, timeouts,
   // state wipes, degraded-mode recoveries); all-zero for fault-free runs.
   FaultLedger faults;
+  // Network messages sent, by NetMessageKind (all zero with the network
+  // off).  Kept out of `faults`, whose fields are pinned by digests.
+  std::array<int64_t, kNumNetMessageKinds> net_sent_by_kind{};
 
   // Everything the overload control plane observed (queueing, shedding,
   // hedging, breaker transitions, cap rejections); all-zero when disabled.

@@ -65,20 +65,21 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
   FAAS_CHECK(entities_ != nullptr) << "controller needs an entity index";
   FAAS_CHECK(!invokers_.empty()) << "controller needs at least one invoker";
   FAAS_CHECK(retry_.max_retries >= 0) << "negative retry budget";
+  if (retry_.activation_timeout != Duration::Max()) {
+    timeout_lane_ = queue_->AddLane(retry_.activation_timeout);
+  }
+  if (rpc_ != nullptr) {
+    rpc_->set_client(this);
+  }
   for (Invoker* invoker : invokers_) {
     if (rpc_ != nullptr) {
       // Network mode: completions and failures ride the invoker's downlink
       // as reliable notifies — duplicated deliveries are suppressed by the
       // plane's seen-window, so a completion can never double-count.
       invoker->set_completion_callback(
-          [this](const CompletionMessage& message) {
-            rpc_->Notify(message.invoker_id,
-                         [this, message]() { OnCompletion(message); });
-          });
-      invoker->set_failure_callback([this](const FailureMessage& message) {
-        rpc_->Notify(message.invoker_id,
-                     [this, message]() { OnFailure(message); });
-      });
+          [this](const CompletionMessage& message) { rpc_->Notify(message); });
+      invoker->set_failure_callback(
+          [this](const FailureMessage& message) { rpc_->Notify(message); });
     } else {
       invoker->set_completion_callback(
           [this](const CompletionMessage& message) { OnCompletion(message); });
@@ -287,11 +288,10 @@ void Controller::SendAttempt(int64_t activation_id) {
   // The attempt ships the windows decided as it leaves the controller.
   pending.decision = apps_[pending.app_id.index()].decision;
 
-  if (retry_.activation_timeout != Duration::Max()) {
+  if (timeout_lane_ >= 0) {
     pending.timeout_event.Cancel();
-    pending.timeout_event = queue_->ScheduleAfter(
-        retry_.activation_timeout,
-        [this, activation_id]() { OnTimeout(activation_id); });
+    pending.timeout_event = queue_->ScheduleOnLane(
+        timeout_lane_, [this, activation_id]() { OnTimeout(activation_id); });
   }
   SendOverHop(activation_id, /*exclude_invoker=*/-1);
 }
@@ -400,28 +400,24 @@ void Controller::AdvanceScan(int64_t activation_id) {
       continue;
     }
     // RPC channel: the message goes on the wire now, so it ships the
-    // windows decided by now.  The handler is carried by the request
-    // itself: a request that arrives after this scan moved on still
-    // executes (a zombie the duplicate suppression and the pending-table
-    // re-key render harmless).
+    // windows decided by now.  The request carries the message itself: a
+    // request that arrives after this scan moved on still executes (a
+    // zombie the duplicate suppression and the pending-table re-key render
+    // harmless).
     pending.decision = apps_[pending.app_id.index()].decision;
-    const ActivationMessage message = BuildMessage(activation_id, pending);
-    rpc_->Call(
-        invoker_id,
-        [invoker, message]() { return invoker->HandleActivation(message); },
-        [this, activation_id, invoker_id](bool accepted) {
-          if (accepted) {
-            OnProbeAccepted(activation_id, invoker_id);
-          } else {
-            AdvanceScan(activation_id);
-          }
-        },
-        [this, activation_id, invoker_id]() {
-          OnProbeGiveUp(activation_id, invoker_id);
-        });
+    rpc_->Call(invoker, BuildMessage(activation_id, pending));
     return;  // One probe outstanding; the response continues the scan.
   }
   FinishScan(activation_id);
+}
+
+void Controller::OnProbeResponse(int64_t activation_id, int invoker,
+                                 bool accepted) {
+  if (accepted) {
+    OnProbeAccepted(activation_id, invoker);
+  } else {
+    AdvanceScan(activation_id);
+  }
 }
 
 void Controller::OnProbeAccepted(int64_t activation_id, int invoker) {

@@ -45,6 +45,7 @@
 #include "src/cluster/event_queue.h"
 #include "src/cluster/invoker.h"
 #include "src/cluster/latency_model.h"
+#include "src/cluster/network.h"
 #include "src/cluster/overload.h"
 #include "src/common/intern.h"
 #include "src/policy/policy.h"
@@ -54,8 +55,6 @@
 namespace faas {
 
 class EntityIndex;
-class RpcPlane;
-struct NetCounters;
 
 // How the controller picks an invoker for an activation.
 enum class LoadBalancingPolicy {
@@ -208,7 +207,7 @@ struct FaultLedger {
   bool operator==(const FaultLedger&) const = default;
 };
 
-class Controller {
+class Controller : public RpcClient {
  public:
   struct AppStats {
     int64_t invocations = 0;
@@ -385,8 +384,8 @@ class Controller {
   };
 
   AppState& GetOrCreateApp(AppId app_id);
-  void OnCompletion(const CompletionMessage& message);
-  void OnFailure(const FailureMessage& message);
+  void OnCompletion(const CompletionMessage& message) override;
+  void OnFailure(const FailureMessage& message) override;
   void OnTimeout(int64_t activation_id);
   // Sends the current attempt of pending activation `id`: takes the windows
   // it ships, arms the timeout, and sends it over the hop.
@@ -414,9 +413,13 @@ class Controller {
   // finishes the scan when the list is exhausted.  A direct-channel probe
   // is answered inline; an RPC probe continues in its response callbacks.
   void AdvanceScan(int64_t activation_id);
-  // Continuations of one probe: accepted, or the RPC spent its budget.
+  // Continuations of one probe: answered (accepted continues to
+  // OnProbeAccepted, a decline advances the scan), or the RPC spent its
+  // budget.
+  void OnProbeResponse(int64_t activation_id, int invoker,
+                       bool accepted) override;
   void OnProbeAccepted(int64_t activation_id, int invoker);
-  void OnProbeGiveUp(int64_t activation_id, int invoker);
+  void OnProbeGiveUp(int64_t activation_id, int invoker) override;
   // Every candidate declined, gave up, or was down: routes the terminal
   // outcome (drain stall / hedge fizzle / kNetwork / kOutage /
   // queue-or-drop).
@@ -477,6 +480,9 @@ class Controller {
   OverloadControlConfig overload_;
   const ClusterInstruments* instruments_;
   RpcPlane* rpc_;  // Null = direct in-process channel (network off).
+  // Fixed-delay event lane of the activation timeout (-1 when there is no
+  // timeout).
+  int timeout_lane_ = -1;
 
   // Dense per-app state, indexed by AppId and grown on first touch.  A slot
   // whose policy is null has never been routed.  The deque keeps AppState

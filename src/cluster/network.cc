@@ -1,12 +1,30 @@
 #include "src/cluster/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
+#include "src/cluster/invoker.h"
 #include "src/common/logging.h"
 
 namespace faas {
+
+const char* NetMessageKindName(NetMessageKind kind) {
+  switch (kind) {
+    case NetMessageKind::kProbeRequest:
+      return "probe_request";
+    case NetMessageKind::kProbeResponse:
+      return "probe_response";
+    case NetMessageKind::kNotify:
+      return "notify";
+    case NetMessageKind::kNotifyAck:
+      return "notify_ack";
+    case NetMessageKind::kRaw:
+      return "raw";
+  }
+  return "unknown";
+}
 
 NetworkModel::NetworkModel(EventQueue* queue, const NetworkConfig& config,
                            const FaultPlan* faults, int num_invokers, Rng rng,
@@ -61,17 +79,20 @@ void NetworkModel::RecordDrop(int invoker, int64_t cause) {
   }
 }
 
-void NetworkModel::Send(NetDirection dir, int invoker, NetPriority priority,
-                        std::function<void()> deliver) {
+NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
+                                          NetPriority priority,
+                                          NetMessageKind kind) {
   ++counters_.messages_sent;
+  ++counters_.sent_by_kind[static_cast<size_t>(kind)];
   const TimePoint now = queue_->now();
+  Transit transit;
 
   // Partition/blackhole: a pure window lookup, no randomness, so a plan
   // without partitions perturbs nothing.
   if (faults_->LinkPartitionedAt(invoker, dir, now)) {
     ++counters_.lost_to_partition;
     RecordDrop(invoker, /*cause=*/1);
-    return;
+    return transit;
   }
 
   Link& link = LinkFor(dir, invoker);
@@ -82,7 +103,7 @@ void NetworkModel::Send(NetDirection dir, int invoker, NetPriority priority,
   if (loss_p > 0.0 && link.rng.Bernoulli(loss_p)) {
     ++counters_.lost_to_loss;
     RecordDrop(invoker, /*cause=*/0);
-    return;
+    return transit;
   }
 
   // Bounded queue over in-flight messages.  The priority discipline keeps
@@ -100,7 +121,7 @@ void NetworkModel::Send(NetDirection dir, int invoker, NetPriority priority,
     if (link.in_flight >= limit) {
       ++counters_.lost_to_queue;
       RecordDrop(invoker, /*cause=*/2);
-      return;
+      return transit;
     }
   }
 
@@ -138,25 +159,17 @@ void NetworkModel::Send(NetDirection dir, int invoker, NetPriority priority,
     ++counters_.reordered;
   }
 
-  const auto schedule = [this, &link](Duration delay,
-                                      std::function<void()> action) {
-    ++link.in_flight;
-    Link* slot = &link;
-    queue_->ScheduleAfter(delay,
-                          [this, slot, action = std::move(action)]() {
-                            --slot->in_flight;
-                            ++counters_.delivered;
-                            action();
-                          });
-  };
+  transit.link = &link;
+  transit.delay = shaping + latency;
   if (duplicate) {
     ++counters_.duplicates_delivered;
     if (instruments_ != nullptr && instruments_->registry != nullptr) {
       instruments_->registry->Inc(instruments_->net_duplicates);
     }
-    schedule(shaping + sample_latency(link.rng), deliver);
+    transit.duplicate = true;
+    transit.copy_delay = shaping + sample_latency(link.rng);
   }
-  schedule(shaping + latency, std::move(deliver));
+  return transit;
 }
 
 void NetworkModel::NoteRetransmit(int invoker) {
@@ -219,176 +232,266 @@ void NetworkModel::NoteGiveUp(int invoker) {
   }
 }
 
-// --- RPC plane -------------------------------------------------------------
 
-void RpcPlane::DedupWindow::Insert(int64_t id, bool value, size_t capacity) {
-  entries.emplace(id, value);
-  order.push_back(id);
-  while (order.size() > capacity) {
-    entries.erase(order.front());
-    order.pop_front();
+// --- Dedup window ----------------------------------------------------------
+
+DedupWindow::DedupWindow(size_t capacity) : capacity_(capacity) {
+  FAAS_CHECK(capacity_ > 0) << "dedup window must be positive";
+}
+
+size_t DedupWindow::Home(int64_t id) const {
+  // Fibonacci hashing: sequential ids spread over the whole table.
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+size_t DedupWindow::Probe(int64_t id) const {
+  const size_t mask = keys_.size() - 1;
+  size_t i = Home(id);
+  while (keys_[i] != kEmpty && keys_[i] != id) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+std::optional<bool> DedupWindow::Find(int64_t id) const {
+  if (keys_.empty()) {
+    return std::nullopt;
+  }
+  const size_t i = Probe(id);
+  if (keys_[i] == kEmpty) {
+    return std::nullopt;
+  }
+  return values_[i] != 0;
+}
+
+void DedupWindow::Insert(int64_t id, bool value) {
+  FAAS_CHECK(id != kEmpty) << "INT64_MIN is reserved";
+  if (2 * (count_ + 1) > keys_.size()) {
+    Grow();
+  }
+  const size_t i = Probe(id);
+  if (keys_[i] == kEmpty) {
+    keys_[i] = id;
+    values_[i] = value ? 1 : 0;
+    ++count_;
+  }
+  order_.push_back(id);
+  while (order_.size() > capacity_) {
+    Erase(order_.front());
+    order_.pop_front();
   }
 }
+
+void DedupWindow::Erase(int64_t id) {
+  size_t hole = Probe(id);
+  if (keys_[hole] == kEmpty) {
+    return;  // An id inserted twice was already erased at its first copy.
+  }
+  --count_;
+  // Backward-shift deletion: pull later cells of the probe run into the
+  // hole unless their home lies cyclically in (hole, cell].
+  const size_t mask = keys_.size() - 1;
+  for (size_t j = (hole + 1) & mask; keys_[j] != kEmpty; j = (j + 1) & mask) {
+    const size_t home = Home(keys_[j]);
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (!stays) {
+      keys_[hole] = keys_[j];
+      values_[hole] = values_[j];
+      hole = j;
+    }
+  }
+  keys_[hole] = kEmpty;
+}
+
+void DedupWindow::Grow() {
+  std::vector<int64_t> old_keys(keys_.empty() ? 16 : 2 * keys_.size(),
+                                kEmpty);
+  std::vector<uint8_t> old_values(old_keys.size(), 0);
+  old_keys.swap(keys_);
+  old_values.swap(values_);
+  shift_ = 64 - std::countr_zero(keys_.size());
+  for (size_t k = 0; k < old_keys.size(); ++k) {
+    if (old_keys[k] != kEmpty) {
+      const size_t i = Probe(old_keys[k]);
+      keys_[i] = old_keys[k];
+      values_[i] = old_values[k];
+    }
+  }
+}
+
+// --- RPC plane -------------------------------------------------------------
 
 RpcPlane::RpcPlane(NetworkModel* network)
     : net_(network),
       queue_(network->queue()),
       config_(network->config()),
-      reply_caches_(static_cast<size_t>(network->num_invokers())),
-      seen_notifies_(static_cast<size_t>(network->num_invokers())) {}
-
-void RpcPlane::Call(int invoker, std::function<bool()> handler,
-                    std::function<void(bool)> on_response,
-                    std::function<void()> on_give_up) {
-  const int64_t call_id = next_call_id_++;
-  CallState state;
-  state.invoker = invoker;
-  state.handler = std::move(handler);
-  state.on_response = std::move(on_response);
-  state.on_give_up = std::move(on_give_up);
-  state.retransmits_left = config_.max_retransmits;
-  calls_.emplace(call_id, std::move(state));
-  SendRequest(call_id);
-  ArmCallTimer(call_id);
+      timeout_lane_(queue_->AddLane(config_.rpc_timeout)) {
+  const auto window = static_cast<size_t>(config_.dedup_window);
+  reply_caches_.assign(static_cast<size_t>(network->num_invokers()),
+                       DedupWindow(window));
+  seen_notifies_.assign(static_cast<size_t>(network->num_invokers()),
+                        DedupWindow(window));
 }
 
-void RpcPlane::SendRequest(int64_t call_id) {
-  auto it = calls_.find(call_id);
-  FAAS_CHECK(it != calls_.end()) << "sending an unknown call";
-  const int invoker = it->second.invoker;
-  // The request carries its own copy of the handler: a request that arrives
-  // after the caller gave up still executes (and is answered from the cache
-  // on any later duplicate) — the work it starts is a zombie the caller's
-  // duplicate-response suppression discards.
-  std::function<bool()> handler = it->second.handler;
+void RpcPlane::Call(Invoker* target, const ActivationMessage& message) {
+  CallState state;
+  state.target = target;
+  state.message = message;
+  state.retransmits_left = config_.max_retransmits;
+  const int64_t call_id = calls_.Add(std::move(state));
+  CallState& call = *calls_.Find(call_id);
+  SendRequest(call_id, call);
+  ArmCallTimer(call_id, call);
+}
+
+void RpcPlane::SendRequest(int64_t call_id, const CallState& call) {
+  // The request carries its own copy of the message: a request that
+  // arrives after the caller gave up still executes.
+  const int invoker = call.target->id();
   net_->Send(
       NetDirection::kUp, invoker, NetPriority::kData,
-      [this, call_id, invoker, handler = std::move(handler)]() {
+      [this, call_id, invoker, target = call.target,
+       message = call.message]() {
         DedupWindow& cache = reply_caches_[static_cast<size_t>(invoker)];
-        if (const auto cached = cache.entries.find(call_id);
-            cached != cache.entries.end()) {
+        if (const std::optional<bool> cached = cache.Find(call_id)) {
           // Retransmitted or duplicated request: answer from the reply cache
           // without re-running the handler (at-most-once execution).
           net_->NoteDuplicateSuppressed(invoker);
-          SendResponse(invoker, call_id, cached->second);
+          SendResponse(invoker, call_id, *cached);
           return;
         }
-        const bool accepted = handler();
-        cache.Insert(call_id, accepted,
-                     static_cast<size_t>(config_.dedup_window));
+        const bool accepted = target->HandleActivation(message);
+        cache.Insert(call_id, accepted);
         SendResponse(invoker, call_id, accepted);
-      });
+      },
+      NetMessageKind::kProbeRequest);
 }
 
 void RpcPlane::SendResponse(int invoker, int64_t call_id, bool accepted) {
-  net_->Send(NetDirection::kDown, invoker, NetPriority::kControl,
-             [this, invoker, call_id, accepted]() {
-               auto it = calls_.find(call_id);
-               if (it == calls_.end()) {
-                 // Response for a resolved call (duplicate, or the caller
-                 // already gave up): suppressed.
-                 net_->NoteDuplicateSuppressed(invoker);
-                 return;
-               }
-               it->second.timer.Cancel();
-               auto callback = std::move(it->second.on_response);
-               calls_.erase(it);
-               callback(accepted);
-             });
+  net_->Send(
+      NetDirection::kDown, invoker, NetPriority::kControl,
+      [this, invoker, call_id, accepted]() {
+        CallState* call = calls_.Find(call_id);
+        if (call == nullptr) {
+          // Response for a resolved call (duplicate, or the caller already
+          // gave up): suppressed.
+          net_->NoteDuplicateSuppressed(invoker);
+          return;
+        }
+        call->timer.Cancel();
+        const int64_t activation_id = call->message.activation_id;
+        calls_.Erase(call_id);
+        client_->OnProbeResponse(activation_id, invoker, accepted);
+      },
+      NetMessageKind::kProbeResponse);
 }
 
-void RpcPlane::ArmCallTimer(int64_t call_id) {
-  auto it = calls_.find(call_id);
-  FAAS_CHECK(it != calls_.end()) << "arming a timer for an unknown call";
-  it->second.timer.Cancel();
-  it->second.timer = queue_->ScheduleAfter(
-      config_.rpc_timeout, [this, call_id]() { OnCallTimeout(call_id); });
+void RpcPlane::ArmCallTimer(int64_t call_id, CallState& call) {
+  call.timer.Cancel();
+  call.timer = queue_->ScheduleOnLane(
+      timeout_lane_, [this, call_id]() { OnCallTimeout(call_id); });
 }
 
 void RpcPlane::OnCallTimeout(int64_t call_id) {
-  auto it = calls_.find(call_id);
-  if (it == calls_.end()) {
+  CallState* call = calls_.Find(call_id);
+  if (call == nullptr) {
     return;  // Resolved just before the timer fired.
   }
-  if (it->second.retransmits_left > 0) {
-    --it->second.retransmits_left;
-    net_->NoteRetransmit(it->second.invoker);
-    SendRequest(call_id);
-    ArmCallTimer(call_id);
+  const int invoker = call->target->id();
+  if (call->retransmits_left > 0) {
+    --call->retransmits_left;
+    net_->NoteRetransmit(invoker);
+    SendRequest(call_id, *call);
+    ArmCallTimer(call_id, *call);
     return;
   }
-  net_->NoteGiveUp(it->second.invoker);
-  auto callback = std::move(it->second.on_give_up);
-  calls_.erase(it);
-  callback();
+  net_->NoteGiveUp(invoker);
+  const int64_t activation_id = call->message.activation_id;
+  calls_.Erase(call_id);
+  client_->OnProbeGiveUp(activation_id, invoker);
 }
 
-void RpcPlane::Notify(int invoker, std::function<void()> deliver) {
-  const int64_t notify_id = next_notify_id_++;
+void RpcPlane::Notify(const CompletionMessage& message) {
+  StartNotify(message.invoker_id, message);
+}
+
+void RpcPlane::Notify(const FailureMessage& message) {
+  StartNotify(message.invoker_id, message);
+}
+
+void RpcPlane::StartNotify(int invoker, Notice notice) {
   NotifyState state;
   state.invoker = invoker;
-  state.deliver = std::move(deliver);
+  state.notice = std::move(notice);
   state.retransmits_left = config_.max_retransmits;
-  notifies_.emplace(notify_id, std::move(state));
-  SendNotify(notify_id);
-  ArmNotifyTimer(notify_id);
+  const int64_t notify_id = notifies_.Add(std::move(state));
+  NotifyState& notify = *notifies_.Find(notify_id);
+  SendNotify(notify_id, notify);
+  ArmNotifyTimer(notify_id, notify);
 }
 
-void RpcPlane::SendNotify(int64_t notify_id) {
-  auto it = notifies_.find(notify_id);
-  FAAS_CHECK(it != notifies_.end()) << "sending an unknown notify";
-  const int invoker = it->second.invoker;
-  std::function<void()> deliver = it->second.deliver;
+void RpcPlane::DeliverNotice(const Notice& notice) {
+  if (const auto* completion = std::get_if<CompletionMessage>(&notice)) {
+    client_->OnCompletion(*completion);
+  } else {
+    client_->OnFailure(std::get<FailureMessage>(notice));
+  }
+}
+
+void RpcPlane::SendNotify(int64_t notify_id, const NotifyState& notify) {
+  const int invoker = notify.invoker;
   net_->Send(
       NetDirection::kDown, invoker, NetPriority::kData,
-      [this, notify_id, invoker, deliver = std::move(deliver)]() {
+      [this, notify_id, invoker, notice = notify.notice]() {
         DedupWindow& seen = seen_notifies_[static_cast<size_t>(invoker)];
         if (seen.Contains(notify_id)) {
           // Duplicate (retransmit or fault-injected copy): deliver nothing,
           // but re-ACK — the earlier ACK may be the message that was lost.
           net_->NoteDuplicateSuppressed(invoker);
         } else {
-          seen.Insert(notify_id, true,
-                      static_cast<size_t>(config_.dedup_window));
-          deliver();
+          seen.Insert(notify_id, true);
+          DeliverNotice(notice);
         }
         // ACK travels the uplink as control traffic.
-        net_->Send(NetDirection::kUp, invoker, NetPriority::kControl,
-                   [this, notify_id]() {
-                     auto ack_it = notifies_.find(notify_id);
-                     if (ack_it == notifies_.end()) {
-                       return;  // Duplicate ACK.
-                     }
-                     ack_it->second.timer.Cancel();
-                     notifies_.erase(ack_it);
-                   });
-      });
+        net_->Send(
+            NetDirection::kUp, invoker, NetPriority::kControl,
+            [this, notify_id]() {
+              NotifyState* acked = notifies_.Find(notify_id);
+              if (acked == nullptr) {
+                return;  // Duplicate ACK.
+              }
+              acked->timer.Cancel();
+              notifies_.Erase(notify_id);
+            },
+            NetMessageKind::kNotifyAck);
+      },
+      NetMessageKind::kNotify);
 }
 
-void RpcPlane::ArmNotifyTimer(int64_t notify_id) {
-  auto it = notifies_.find(notify_id);
-  FAAS_CHECK(it != notifies_.end()) << "arming a timer for an unknown notify";
-  it->second.timer.Cancel();
-  it->second.timer = queue_->ScheduleAfter(
-      config_.rpc_timeout, [this, notify_id]() { OnNotifyTimeout(notify_id); });
+void RpcPlane::ArmNotifyTimer(int64_t notify_id, NotifyState& notify) {
+  notify.timer.Cancel();
+  notify.timer = queue_->ScheduleOnLane(
+      timeout_lane_, [this, notify_id]() { OnNotifyTimeout(notify_id); });
 }
 
 void RpcPlane::OnNotifyTimeout(int64_t notify_id) {
-  auto it = notifies_.find(notify_id);
-  if (it == notifies_.end()) {
+  NotifyState* notify = notifies_.Find(notify_id);
+  if (notify == nullptr) {
     return;  // ACKed just before the timer fired.
   }
-  if (it->second.retransmits_left > 0) {
-    --it->second.retransmits_left;
-    net_->NoteRetransmit(it->second.invoker);
-    SendNotify(notify_id);
-    ArmNotifyTimer(notify_id);
+  if (notify->retransmits_left > 0) {
+    --notify->retransmits_left;
+    net_->NoteRetransmit(notify->invoker);
+    SendNotify(notify_id, *notify);
+    ArmNotifyTimer(notify_id, *notify);
     return;
   }
   // Budget spent: the notification is lost.  The controller's activation
   // timeout is the backstop that eventually fails the silent activation.
-  net_->NoteGiveUp(it->second.invoker);
-  notifies_.erase(it);
+  net_->NoteGiveUp(notify->invoker);
+  notifies_.Erase(notify_id);
 }
 
 }  // namespace faas

@@ -25,15 +25,21 @@
 // Because messages can now vanish or arrive twice, the RPC plane on top is
 // hardened the way real RPC stacks are:
 //
-//   - Call(): at-most-once request/response.  Requests carry a sequence
-//     number; the invoker keeps a bounded reply cache, so a retransmitted or
-//     duplicated request is answered from the cache without re-executing the
-//     handler.  The caller retransmits on a per-message timeout up to a
-//     budget, then reports give-up (the partition-detection signal the
-//     controller feeds into its breakers and failover).
+//   - Call(): at-most-once request/response.  A request carries its
+//     ActivationMessage by value and a sequence number; the invoker keeps a
+//     bounded reply cache, so a retransmitted or duplicated request is
+//     answered from the cache without re-running HandleActivation.  The
+//     caller retransmits on a per-message timeout up to a budget, then
+//     reports give-up (the partition-detection signal the controller feeds
+//     into its breakers and failover).
 //   - Notify(): reliable one-way invoker -> controller notification
 //     (completions/failures) with ACK + retransmit and a controller-side
 //     seen-window, so a duplicated completion can never double-count.
+//
+// The plane is allocation-free once warm: deliveries are inline closures in
+// the event queue's slab, call and notify state live in rings indexed by
+// their sequential ids, timeouts ride one fixed-delay lane, and the dedup
+// windows are a ring plus an open-addressing index.
 //
 // Disabled-by-default contract: NetworkConfig{}.enabled is false, the
 // cluster constructs no NetworkModel, forks no RNG, schedules no events and
@@ -44,24 +50,40 @@
 #ifndef SRC_CLUSTER_NETWORK_H_
 #define SRC_CLUSTER_NETWORK_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/event_queue.h"
+#include "src/cluster/messages.h"
+#include "src/common/ring.h"
 #include "src/common/rng.h"
 #include "src/faults/fault_plan.h"
 #include "src/telemetry/telemetry.h"
 
 namespace faas {
 
+class Invoker;
+
 // Message class for the priority queue discipline.  Control traffic (RPC
 // responses, ACKs) may use the full queue; data traffic (activation
 // requests, pre-warms, completion payloads) is tail-dropped earlier.
 enum class NetPriority { kControl, kData };
+
+// What a message is, for the per-kind send counts.
+enum class NetMessageKind {
+  kProbeRequest,   // Call() request (placement probe), retransmits included.
+  kProbeResponse,  // Call() response, cached replies included.
+  kNotify,         // Notify() payload (completion/failure), retransmits too.
+  kNotifyAck,      // Notify() ACK.
+  kRaw,            // Fire-and-forget datagram (pre-warms).
+};
+inline constexpr size_t kNumNetMessageKinds = 5;
+const char* NetMessageKindName(NetMessageKind kind);
 
 // How a full link queue picks victims.
 enum class NetQueueDiscipline {
@@ -112,6 +134,9 @@ struct NetCounters {
   int64_t rpc_retransmits = 0;          // Timeout-driven resends.
   int64_t rpc_duplicates_suppressed = 0;// Dedup hits on either end.
   int64_t rpc_give_ups = 0;             // Calls/notifies that spent the budget.
+  // Send() calls by NetMessageKind; sums to messages_sent.  Explains the
+  // traffic, and stays out of the FaultLedger (ClusterResult carries it).
+  std::array<int64_t, kNumNetMessageKinds> sent_by_kind{};
 };
 
 // The unreliable datagram layer: schedules (or drops) delivery closures.
@@ -130,9 +155,22 @@ class NetworkModel {
   // Sends one message on `dir`-direction of invoker `invoker`'s link; when
   // the message survives the gauntlet (partition -> loss -> bounded queue ->
   // rate shaping), `deliver` runs at the arrival time.  Dropped messages
-  // are dropped silently — reliability is the RPC plane's job.
-  void Send(NetDirection dir, int invoker, NetPriority priority,
-            std::function<void()> deliver);
+  // are dropped silently — reliability is the RPC plane's job.  `deliver`
+  // is stored inline in the event queue, so it must fit the queue's action
+  // buffer with 16 bytes to spare, and be copyable in case the fault plan
+  // duplicates the message.
+  template <typename F>
+  void Send(NetDirection dir, int invoker, NetPriority priority, F&& deliver,
+            NetMessageKind kind = NetMessageKind::kRaw) {
+    const Transit transit = Admit(dir, invoker, priority, kind);
+    if (transit.link == nullptr) {
+      return;
+    }
+    if (transit.duplicate) {
+      Deliver(transit.link, transit.copy_delay, deliver);
+    }
+    Deliver(transit.link, transit.delay, std::forward<F>(deliver));
+  }
 
   // RPC-plane accounting hooks (counters + gated telemetry): timeout-driven
   // resend, dedup hit, and spent-budget give-up on invoker `invoker`'s link.
@@ -152,9 +190,30 @@ class NetworkModel {
     TimePoint next_free;  // Leaky bucket: when the serializer frees up.
     int in_flight = 0;    // Sent but not yet delivered (the bounded queue).
   };
+  // The fate of one sent message: dropped (link == nullptr), or delivered
+  // after `delay`, plus a fault-injected copy after `copy_delay`.
+  struct Transit {
+    Link* link = nullptr;
+    Duration delay;
+    bool duplicate = false;
+    Duration copy_delay;
+  };
 
   Link& LinkFor(NetDirection dir, int invoker);
   void RecordDrop(int invoker, int64_t cause);
+  // Counts the send, runs the drop gauntlet and draws the latencies.
+  Transit Admit(NetDirection dir, int invoker, NetPriority priority,
+                NetMessageKind kind);
+  template <typename F>
+  void Deliver(Link* link, Duration delay, F&& deliver) {
+    ++link->in_flight;
+    queue_->ScheduleAfter(
+        delay, [this, link, deliver = std::forward<F>(deliver)]() mutable {
+          --link->in_flight;
+          ++counters_.delivered;
+          deliver();
+        });
+  }
 
   EventQueue* queue_;
   NetworkConfig config_;
@@ -166,70 +225,151 @@ class NetworkModel {
   NetCounters counters_;
 };
 
+// Bounded FIFO id window (the reply cache and the seen-notify window): it
+// remembers the last `capacity` inserted ids with one cached bool each.
+// A ring keeps insertion order for exact FIFO eviction; an open-addressing
+// index (linear probing, backward-shift deletion, load <= 1/2) answers
+// lookups.  Both grow on demand up to the capacity, then stop allocating.
+// INT64_MIN is reserved as the index's empty marker and cannot be an id.
+class DedupWindow {
+ public:
+  explicit DedupWindow(size_t capacity);
+
+  // The cached value of `id`, or nullopt when the window does not hold it.
+  std::optional<bool> Find(int64_t id) const;
+  bool Contains(int64_t id) const { return Find(id).has_value(); }
+  // Appends `id` (keeping the first value if it is already held), then
+  // evicts the oldest insertions beyond the capacity.
+  void Insert(int64_t id, bool value);
+  size_t size() const { return count_; }
+
+ private:
+  static constexpr int64_t kEmpty = INT64_MIN;
+  size_t Home(int64_t id) const;
+  // The cell holding `id`, or the empty cell ending its probe run.
+  size_t Probe(int64_t id) const;
+  void Erase(int64_t id);
+  void Grow();
+
+  size_t capacity_;
+  Ring<int64_t> order_;         // Insertions, oldest first.
+  std::vector<int64_t> keys_;   // Power-of-two size; kEmpty = free cell.
+  std::vector<uint8_t> values_; // Parallel to keys_.
+  int shift_ = 64;              // 64 - log2(keys_.size()).
+  size_t count_ = 0;            // Distinct ids held.
+};
+
+// The controller end of the RPC plane: call outcomes and notifications are
+// delivered here.
+class RpcClient {
+ public:
+  // The invoker answered the call for `activation_id`.
+  virtual void OnProbeResponse(int64_t activation_id, int invoker,
+                               bool accepted) = 0;
+  // The call's retransmit budget ran out without a response.
+  virtual void OnProbeGiveUp(int64_t activation_id, int invoker) = 0;
+  virtual void OnCompletion(const CompletionMessage& message) = 0;
+  virtual void OnFailure(const FailureMessage& message) = 0;
+
+ protected:
+  ~RpcClient() = default;
+};
+
 // At-most-once RPC + reliable notify on top of the datagram layer.
 class RpcPlane {
  public:
   explicit RpcPlane(NetworkModel* network);
 
-  // Controller -> invoker request/response.  `handler` runs invoker-side at
-  // request delivery and returns whether the invoker accepted the work; the
-  // response ships the bool back.  Exactly one of `on_response` /
-  // `on_give_up` eventually runs: on_response(accepted) when a response
-  // arrives, on_give_up() when the retransmit budget is spent without one.
-  // The handler runs at most once per call — retransmitted or duplicated
-  // requests are answered from the invoker's reply cache.
-  void Call(int invoker, std::function<bool()> handler,
-            std::function<void(bool)> on_response,
-            std::function<void()> on_give_up);
+  // Where responses, give-ups and notifications go; set before traffic.
+  void set_client(RpcClient* client) { client_ = client; }
 
-  // Invoker -> controller reliable one-way notification (completions,
-  // failures).  `deliver` runs controller-side at most once; the plane
-  // retransmits until ACKed or the budget is spent (a notify that gives up
-  // is dropped — the controller's activation timeout is the backstop).
-  void Notify(int invoker, std::function<void()> deliver);
+  // Controller -> invoker placement probe: `target->HandleActivation`
+  // runs invoker-side at request delivery, at most once per call —
+  // retransmitted or duplicated requests are answered from the invoker's
+  // reply cache.  Exactly one of OnProbeResponse / OnProbeGiveUp reaches
+  // the client for each call.  A request that arrives after the caller
+  // gave up still runs (and is answered from the cache on any later
+  // duplicate): the work it starts is a zombie the caller's duplicate-
+  // response suppression discards.
+  void Call(Invoker* target, const ActivationMessage& message);
+
+  // Invoker -> controller reliable one-way notification.  The client's
+  // OnCompletion / OnFailure runs at most once; the plane retransmits until
+  // ACKed or the budget is spent (a notify that gives up is dropped — the
+  // controller's activation timeout is the backstop).
+  void Notify(const CompletionMessage& message);
+  void Notify(const FailureMessage& message);
 
   // The datagram layer underneath (for raw fire-and-forget sends).
   NetworkModel* network() const { return net_; }
 
  private:
+  using Notice = std::variant<CompletionMessage, FailureMessage>;
   struct CallState {
-    int invoker = 0;
-    std::function<bool()> handler;
-    std::function<void(bool)> on_response;
-    std::function<void()> on_give_up;
+    Invoker* target = nullptr;
+    ActivationMessage message;
     int retransmits_left = 0;
     EventQueue::Handle timer;
   };
   struct NotifyState {
     int invoker = 0;
-    std::function<void()> deliver;
+    Notice notice;
     int retransmits_left = 0;
     EventQueue::Handle timer;
   };
-  // Bounded FIFO id window (reply cache keys / seen notify ids).
-  struct DedupWindow {
-    std::unordered_map<int64_t, bool> entries;  // id -> cached reply.
-    std::deque<int64_t> order;
+  // Live states keyed by sequential id (ids are handed out 1, 2, 3, ...):
+  // a ring from the oldest live id to the newest.  Ids resolve roughly in
+  // order and within the retransmit budget, so the ring stays short.
+  template <typename State>
+  class IdTable {
+   public:
+    int64_t Add(State state) {
+      states_.push_back({std::move(state), true});
+      return first_id_ + static_cast<int64_t>(states_.size()) - 1;
+    }
+    State* Find(int64_t id) {
+      if (id < first_id_ ||
+          id >= first_id_ + static_cast<int64_t>(states_.size())) {
+        return nullptr;
+      }
+      Entry& entry = states_[static_cast<size_t>(id - first_id_)];
+      return entry.live ? &entry.state : nullptr;
+    }
+    void Erase(int64_t id) {
+      states_[static_cast<size_t>(id - first_id_)].live = false;
+      while (!states_.empty() && !states_.front().live) {
+        states_.pop_front();
+        ++first_id_;
+      }
+    }
 
-    bool Contains(int64_t id) const { return entries.count(id) > 0; }
-    void Insert(int64_t id, bool value, size_t capacity);
+   private:
+    struct Entry {
+      State state;
+      bool live = false;
+    };
+    Ring<Entry> states_;
+    int64_t first_id_ = 1;
   };
 
-  void SendRequest(int64_t call_id);
+  void StartNotify(int invoker, Notice notice);
+  void SendRequest(int64_t call_id, const CallState& call);
   void SendResponse(int invoker, int64_t call_id, bool accepted);
-  void ArmCallTimer(int64_t call_id);
+  void ArmCallTimer(int64_t call_id, CallState& call);
   void OnCallTimeout(int64_t call_id);
-  void SendNotify(int64_t notify_id);
-  void ArmNotifyTimer(int64_t notify_id);
+  void SendNotify(int64_t notify_id, const NotifyState& notify);
+  void ArmNotifyTimer(int64_t notify_id, NotifyState& notify);
   void OnNotifyTimeout(int64_t notify_id);
+  void DeliverNotice(const Notice& notice);
 
   NetworkModel* net_;
   EventQueue* queue_;
   NetworkConfig config_;
-  int64_t next_call_id_ = 1;
-  int64_t next_notify_id_ = 1;
-  std::unordered_map<int64_t, CallState> calls_;
-  std::unordered_map<int64_t, NotifyState> notifies_;
+  RpcClient* client_ = nullptr;
+  // The one fixed-delay lane all call and notify timers ride.
+  int timeout_lane_;
+  IdTable<CallState> calls_;
+  IdTable<NotifyState> notifies_;
   // Per-invoker reply caches (invoker side of Call).
   std::vector<DedupWindow> reply_caches_;
   // Per-invoker seen-notify windows (controller side of Notify).

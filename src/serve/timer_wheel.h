@@ -1,12 +1,12 @@
 // Wall-clock timer wheel for the serving event loops.
 //
-// The simulator orders future work through a binary-heap EventQueue in
-// virtual time; a serving event loop cannot, because wall time advances on
-// its own and the loop must find "everything due by now" in O(due), not
-// O(log pending).  This is the classic hashed timer wheel: a power-of-two
-// ring of slots, each holding the timers whose deadline hashes onto it, a
-// cursor that advances tick by tick, and timers past the current rotation
-// simply staying in their slot until the cursor comes around again.
+// The simulator orders future work through a slab-backed 4-ary-heap
+// EventQueue in virtual time; a serving event loop cannot, because wall
+// time advances on its own and the loop must find "everything due by now"
+// in O(due), not O(log pending).  This is the classic hashed timer wheel: a
+// power-of-two ring of slots, each holding the timers whose deadline hashes
+// onto it, a cursor that advances tick by tick, and timers past the current
+// rotation simply staying in their slot until the cursor comes around again.
 // Schedule and fire are O(1) amortised; a full rotation of empty slots
 // costs one vector-emptiness check per tick.
 //

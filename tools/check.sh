@@ -32,7 +32,13 @@
 # Nelder-Mead swaps its reused trial buffers into the simplex.  The invoker
 # suite (invoker_test) runs under UBSan and ASan: its event closures hold
 # std::list iterators to containers, and ASan is the leg that would catch a
-# closure firing after its container was erased.
+# closure firing after its container was erased.  The event-queue suite
+# (event_queue_test: EventQueueTest, DedupWindowTest) runs under UBSan and
+# ASan: the queue recycles slab slots by generation and constructs each
+# event's callable with placement new in a slot's inline buffer, so a
+# stale handle or a callable destroyed twice or run after its slot was
+# reused is a use-after-free ASan would catch; the dedup window's
+# open-addressing index shifts cells on delete.
 # --quick adds a pareto_sweep smoke over a small generated trace and a
 # 2-second serve_chaos hostile-client battery (garbage, truncation,
 # half-frame RST, slowloris, oversize) against an in-process loopback
@@ -103,9 +109,10 @@ else
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test resource_ledger_test serve_overload_test \
       arrival_test generator_test compiled_trace_test \
-      series_test arima_model_test auto_arima_test nelder_mead_test
+      series_test arima_model_test auto_arima_test nelder_mead_test \
+      event_queue_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|InvokerTest|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|CompiledTrace|CompiledReplay|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
+      -R 'EventQueue|DedupWindow|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|InvokerTest|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|CompiledTrace|CompiledReplay|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -121,12 +128,13 @@ else
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
       serve_overload_test latency_recorder_test resource_ledger_test \
       arrival_test generator_test \
-      series_test arima_model_test auto_arima_test nelder_mead_test
+      series_test arima_model_test auto_arima_test nelder_mead_test \
+      event_queue_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep rotates shard arenas.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|InvokerTest|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
+      -R 'EventQueue|DedupWindow|Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|InvokerTest|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 echo "== all checks passed =="
