@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <utility>
@@ -13,6 +14,9 @@
 namespace faas {
 
 namespace {
+
+// The memo AutoArima consults on this thread; set only by ArimaMemoScope.
+thread_local ArimaMemo* t_arima_memo = nullptr;
 
 // Fits ARIMA(p, d, q) for the search's fixed d; nullopt when the series is
 // too short for that order.
@@ -85,10 +89,34 @@ std::optional<ArimaModel> StepwiseSearch(const CandidateFit& fit,
 
 }  // namespace
 
+const std::optional<ArimaModel>* ArimaMemo::Find(
+    std::span<const double> series, const AutoArimaOptions& options) const {
+  for (const Entry& entry : entries_) {
+    if (entry.options == options && entry.series.size() == series.size() &&
+        std::memcmp(entry.series.data(), series.data(),
+                    series.size_bytes()) == 0) {
+      return &entry.model;
+    }
+  }
+  return nullptr;
+}
+
+ArimaMemoScope::ArimaMemoScope(ArimaMemo* memo) : previous_(t_arima_memo) {
+  t_arima_memo = memo;
+}
+
+ArimaMemoScope::~ArimaMemoScope() { t_arima_memo = previous_; }
+
 std::optional<ArimaModel> AutoArima(std::span<const double> series,
                                     const AutoArimaOptions& options) {
   if (series.size() < 4) {
     return std::nullopt;
+  }
+  ArimaMemo* const memo = t_arima_memo;
+  if (memo != nullptr) {
+    if (const std::optional<ArimaModel>* hit = memo->Find(series, options)) {
+      return *hit;
+    }
   }
   int d = EstimateDifferencingOrder(series, options.max_d);
   // Ensure the differenced series leaves room to fit something.
@@ -113,6 +141,10 @@ std::optional<ArimaModel> AutoArima(std::span<const double> series,
   if (!best.has_value() && ArimaModel::CanFit(series.size(), {0, 0, 0})) {
     // Last resort: random-walk-style mean model.
     best = IfFiniteAic(ArimaModel::Fit(series, {0, 0, 0}, /*with_mean=*/true));
+  }
+  if (memo != nullptr) {
+    memo->entries_.push_back(
+        {options, std::vector<double>(series.begin(), series.end()), best});
   }
   return best;
 }

@@ -50,7 +50,10 @@ struct HybridPolicyConfig {
   double cv_threshold = 2.0;
 
   // Pre-warming on/off (Figure 17's "No PW" ablation keeps the image loaded
-  // from execution end to the tail percentile).
+  // from execution end to the tail percentile).  Known quirk, kept because
+  // fixing it moves recorded results: only the histogram branch honours
+  // this flag.  The ARIMA branch (DecideFromArima) still unloads and
+  // pre-warms around its forecast, so "No PW" pre-warms ARIMA apps.
   bool enable_prewarm = true;
 
   // ARIMA fallback: engaged when the out-of-bounds share of ITs exceeds

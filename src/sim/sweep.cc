@@ -9,6 +9,7 @@
 #include <numeric>
 #include <utility>
 
+#include "src/arima/auto_arima.h"
 #include "src/common/arena_pool.h"
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
@@ -54,11 +55,21 @@ void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index,
 // cell of `compiled` against a fresh policy instance and writes the result
 // to points[p].result.apps[app_offset + i], stamped with its global AppId;
 // every cell owns its slot, so scheduling order cannot change the output.
-// One task is one chunk of apps under one policy: enough tasks to balance
-// the threads without one dispatch per app.  The rate distribution is
-// heavy-tailed, so a giant chunk claimed last would serialise the region
-// behind one thread; tasks run largest chunk first (stable, so ties keep
-// policy-major order), claimed one at a time.
+// One task is one chunk of apps under every policy, app-major: each app is
+// replayed under all policies back to back.  The chunk size divides the
+// apps by threads * 4 * policies: about 4 * policies tasks per thread,
+// enough to balance the threads without one dispatch per app.  The rate
+// distribution is heavy-tailed, so a giant chunk claimed last would
+// serialise the region behind one thread; tasks run largest chunk first
+// (stable, so ties keep app order), claimed one at a time.
+//
+// App-major order lets the policies of one app share ARIMA fits: the
+// idle-time series a hybrid policy fits depends on the trace alone, so every
+// ARIMA-enabled config fits the same series at the same invocation.  Each
+// task installs its own ArimaMemo on its thread and clears it after each
+// app.  AutoArima is a pure function of (series, options) and a hit returns
+// a copy of the stored result, so the output is bit-identical with or
+// without the memo, for any thread count and task order.
 //
 // `instruments` is empty or one bundle per policy.  Counters and series
 // flush from the workers; the per-app cold-start histogram is observed
@@ -79,8 +90,9 @@ void ReplayShard(const CompiledTrace& compiled, size_t app_offset,
   const int threads =
       options.num_threads == 0 ? HardwareThreads() : options.num_threads;
   const size_t chunk_size = std::clamp<size_t>(
-      num_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4), 1,
-      256);
+      num_apps / std::max<size_t>(
+                     1, static_cast<size_t>(threads) * 4 * num_policies),
+      1, std::max<size_t>(1, 256 / num_policies));
   const size_t num_chunks =
       num_apps == 0 ? 0 : (num_apps + chunk_size - 1) / chunk_size;
   std::vector<int64_t> chunk_cost(num_chunks, 0);
@@ -91,33 +103,36 @@ void ReplayShard(const CompiledTrace& compiled, size_t app_offset,
       chunk_cost[chunk] += static_cast<int64_t>(compiled.spans[i].size());
     }
   }
-  std::vector<size_t> task_order(num_policies * num_chunks);
+  std::vector<size_t> task_order(num_chunks);
   std::iota(task_order.begin(), task_order.end(), size_t{0});
   std::stable_sort(task_order.begin(), task_order.end(),
                    [&](size_t a, size_t b) {
-                     return chunk_cost[a % num_chunks] >
-                            chunk_cost[b % num_chunks];
+                     return chunk_cost[a] > chunk_cost[b];
                    });
 
   ParallelFor(
       task_order.size(),
       [&](size_t slot) {
-        const size_t task = task_order[slot];
-        const size_t p = task / num_chunks;
-        const size_t chunk = task % num_chunks;
+        const size_t chunk = task_order[slot];
         const size_t begin = chunk * chunk_size;
         const size_t end = std::min(begin + chunk_size, num_apps);
-        const SimPolicyInstruments* policy_instruments =
-            instruments.empty() ? nullptr : &instruments[p];
+        ArimaMemo memo;
+        const ArimaMemoScope memo_scope(&memo);
         for (size_t i = begin; i < end; ++i) {
-          const std::unique_ptr<KeepAlivePolicy> policy =
-              factories[p]->CreateForApp();
-          AppSimResult result =
-              simulator.SimulateApp(compiled, i, *policy, policy_instruments);
-          // SimulateApp stamps the shard-local id; lift it to the global
-          // dense range.
-          result.app = AppId(static_cast<int64_t>(app_offset + i));
-          points[p].result.apps[app_offset + i] = std::move(result);
+          for (size_t p = 0; p < num_policies; ++p) {
+            const std::unique_ptr<KeepAlivePolicy> policy =
+                factories[p]->CreateForApp();
+            AppSimResult result = simulator.SimulateApp(
+                compiled, i, *policy,
+                instruments.empty() ? nullptr : &instruments[p]);
+            // SimulateApp stamps the shard-local id; lift it to the global
+            // dense range.
+            result.app = AppId(static_cast<int64_t>(app_offset + i));
+            points[p].result.apps[app_offset + i] = std::move(result);
+          }
+          // Hits come from the policies of one app; clearing bounds the
+          // memo to one app's fits.
+          memo.Clear();
         }
       },
       options.num_threads, /*chunk=*/1);

@@ -2,11 +2,15 @@
 // normalises wasted memory time against a baseline policy, producing the
 // (cold-start %, normalized waste %) points that Figures 15-18 plot.
 //
-// One step replays a compiled trace (or one shard of it): it schedules
-// (policy x app-chunk) tasks on the shared thread pool, largest chunk first,
-// so a handful of invocation-heavy chunks (the rate distribution is
-// heavy-tailed) cannot serialise the tail of the region.  Each (policy, app)
-// cell gets a fresh policy instance and writes its own result slot, so the
+// One step replays a compiled trace (or one shard of it): it schedules one
+// task per app chunk on the shared thread pool, largest chunk first, so a
+// handful of invocation-heavy chunks (the rate distribution is heavy-tailed)
+// cannot serialise the tail of the region.  A task replays its apps
+// app-major, every policy back to back per app, with an ArimaMemo installed
+// on its thread: the ARIMA-enabled hybrid configs of one app fit the same
+// idle-time series, so each distinct fit is paid once per sweep.  Each
+// (policy, app) cell gets a fresh policy instance and writes its own result
+// slot, and a memo hit is a copy of what the fit would return, so the
 // output is bit-identical to evaluating the policies one after another on a
 // single thread.  Two entry points call that step:
 //
@@ -50,10 +54,11 @@ struct PolicyPoint {
 };
 
 // Runs each factory on the trace; the entry at `baseline_index` defines 100%
-// wasted memory time.  options.num_threads parallelises across (policy, app)
-// pairs: 0 = hardware concurrency, <= 1 = sequential.  The Trace overload
-// compiles the trace once and delegates.  The trace must hold at least one
-// app (the p75 roll-up is undefined on none).
+// wasted memory time.  options.num_threads parallelises across app chunks
+// (each covering every policy): 0 = hardware concurrency, <= 1 =
+// sequential.  The Trace overload compiles the trace once and delegates.
+// The trace must hold at least one app (the p75 roll-up is undefined on
+// none).
 std::vector<PolicyPoint> EvaluatePolicies(
     const Trace& trace,
     const std::vector<const PolicyFactory*>& factories,

@@ -1,8 +1,10 @@
 #include "src/arima/auto_arima.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -188,6 +190,146 @@ TEST(AutoArimaTest, GoldenFitsAreBitIdentical) {
     ASSERT_TRUE(model.has_value()) << "case " << i;
     EXPECT_EQ(Fingerprint(*model), cases[i].expected) << "case " << i;
   }
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Every field a caller reads off a fitted model, compared bit for bit.
+void ExpectSameModel(const ArimaModel& a, const ArimaModel& b) {
+  EXPECT_EQ(a.order(), b.order());
+  ASSERT_EQ(a.ar().size(), b.ar().size());
+  for (size_t i = 0; i < a.ar().size(); ++i) {
+    EXPECT_EQ(Bits(a.ar()[i]), Bits(b.ar()[i]));
+  }
+  ASSERT_EQ(a.ma().size(), b.ma().size());
+  for (size_t i = 0; i < a.ma().size(); ++i) {
+    EXPECT_EQ(Bits(a.ma()[i]), Bits(b.ma()[i]));
+  }
+  EXPECT_EQ(Bits(a.mean()), Bits(b.mean()));
+  EXPECT_EQ(Bits(a.sigma2()), Bits(b.sigma2()));
+  EXPECT_EQ(Bits(a.Aic()), Bits(b.Aic()));
+  EXPECT_EQ(Bits(a.ForecastOne()), Bits(b.ForecastOne()));
+  const auto a_interval = a.ForecastWithErrors(1);
+  const auto b_interval = b.ForecastWithErrors(1);
+  ASSERT_EQ(a_interval.size(), 1u);
+  ASSERT_EQ(b_interval.size(), 1u);
+  EXPECT_EQ(Bits(a_interval[0].mean), Bits(b_interval[0].mean));
+  EXPECT_EQ(Bits(a_interval[0].stderr_), Bits(b_interval[0].stderr_));
+}
+
+TEST(AutoArimaMemoTest, HitMatchesFreshFitBitForBit) {
+  const std::vector<double> series = IdleTimes(410, 41, 0.6, 300.0, 1.0);
+  const std::optional<ArimaModel> fresh = AutoArima(series);
+  ASSERT_TRUE(fresh.has_value());
+
+  ArimaMemo memo;
+  const ArimaMemoScope scope(&memo);
+  const std::optional<ArimaModel> miss = AutoArima(series);
+  EXPECT_EQ(memo.size(), 1u);
+  const std::optional<ArimaModel> hit = AutoArima(series);
+  EXPECT_EQ(memo.size(), 1u);  // Served from the memo, not fitted again.
+  ASSERT_TRUE(miss.has_value());
+  ASSERT_TRUE(hit.has_value());
+  ExpectSameModel(*miss, *fresh);
+  ExpectSameModel(*hit, *fresh);
+}
+
+TEST(AutoArimaMemoTest, OneUlpChangeInOneElementIsAMiss) {
+  const std::vector<double> series = IdleTimes(411, 30, 0.4, 600.0, 0.0);
+  std::vector<double> nudged = series;
+  nudged[17] = std::nextafter(nudged[17], 1e9);
+  ArimaMemo memo;
+  const ArimaMemoScope scope(&memo);
+  AutoArima(series);
+  const std::optional<ArimaModel> model = AutoArima(nudged);
+  EXPECT_EQ(memo.size(), 2u);
+  const ArimaMemoScope unmemoized(nullptr);
+  const std::optional<ArimaModel> fresh = AutoArima(nudged);
+  ASSERT_TRUE(model.has_value());
+  ASSERT_TRUE(fresh.has_value());
+  ExpectSameModel(*model, *fresh);
+}
+
+TEST(AutoArimaMemoTest, SignedZeroIsAMiss) {
+  // == treats -0.0 and +0.0 as equal; the memo compares bytes.
+  std::vector<double> series = IdleTimes(412, 20, 0.3, 200.0, 0.0);
+  series[5] = 0.0;
+  std::vector<double> negative = series;
+  negative[5] = -0.0;
+  ArimaMemo memo;
+  const ArimaMemoScope scope(&memo);
+  AutoArima(series);
+  AutoArima(negative);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(AutoArimaMemoTest, EveryOptionFieldIsPartOfTheKey) {
+  const std::vector<double> series = IdleTimes(413, 36, 0.5, 400.0, 0.5);
+  AutoArimaOptions max_p;
+  max_p.max_p = 2;
+  AutoArimaOptions stepwise;
+  stepwise.stepwise = true;
+  AutoArimaOptions no_mean;
+  no_mean.with_mean = false;
+  AutoArimaOptions max_q;
+  max_q.max_q = 1;
+  AutoArimaOptions max_d;
+  max_d.max_d = 1;
+
+  ArimaMemo memo;
+  const ArimaMemoScope scope(&memo);
+  AutoArima(series, AutoArimaOptions{});
+  size_t expected = 1;
+  for (const AutoArimaOptions& options :
+       {max_p, stepwise, no_mean, max_q, max_d}) {
+    const std::optional<ArimaModel> memoized = AutoArima(series, options);
+    EXPECT_EQ(memo.size(), ++expected);
+    const ArimaMemoScope unmemoized(nullptr);
+    const std::optional<ArimaModel> fresh = AutoArima(series, options);
+    ASSERT_EQ(memoized.has_value(), fresh.has_value());
+    if (fresh.has_value()) {
+      ExpectSameModel(*memoized, *fresh);
+    }
+  }
+}
+
+TEST(AutoArimaMemoTest, NothingIsRecordedWithoutAScope) {
+  ArimaMemo memo;
+  const std::vector<double> series = IdleTimes(414, 24, 0.2, 500.0, 0.0);
+  AutoArima(series);
+  EXPECT_EQ(memo.size(), 0u);
+  {
+    const ArimaMemoScope scope(&memo);
+    AutoArima(series);
+  }
+  EXPECT_EQ(memo.size(), 1u);
+  // The scope has ended: a fresh series fits without touching the memo.
+  AutoArima(IdleTimes(415, 24, 0.2, 500.0, 0.0));
+  EXPECT_EQ(memo.size(), 1u);
+  memo.Clear();
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(AutoArimaMemoTest, NestedScopesRestoreTheOuterMemo) {
+  const std::vector<double> first = IdleTimes(416, 20, 0.3, 300.0, 0.0);
+  const std::vector<double> second = IdleTimes(417, 20, 0.3, 300.0, 0.0);
+  const std::vector<double> third = IdleTimes(418, 20, 0.3, 300.0, 0.0);
+  ArimaMemo outer;
+  ArimaMemo inner;
+  const ArimaMemoScope outer_scope(&outer);
+  AutoArima(first);
+  {
+    const ArimaMemoScope inner_scope(&inner);
+    AutoArima(second);
+    {
+      const ArimaMemoScope none(nullptr);
+      AutoArima(third);
+    }
+    AutoArima(first);  // A miss in the inner memo.
+  }
+  AutoArima(third);
+  EXPECT_EQ(outer.size(), 2u);  // first, third
+  EXPECT_EQ(inner.size(), 2u);  // second, first
 }
 
 }  // namespace

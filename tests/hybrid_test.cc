@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/sim/compiled_trace.h"
+#include "src/sim/simulator.h"
 
 namespace faas {
 namespace {
@@ -404,6 +406,50 @@ TEST_P(HybridRangeSweep, WindowsBoundedByRange) {
 
 INSTANTIATE_TEST_SUITE_P(Ranges, HybridRangeSweep,
                          ::testing::Values(60, 120, 180, 240));
+
+// One app idling 4.5-7 hours between invocations: nearly every idle time is
+// outside the 4-hour histogram, so the policy decides by ARIMA.
+Trace ArimaHeavyTrace() {
+  Trace trace;
+  trace.horizon = Duration::Hours(24 * 6);
+  AppTrace app;
+  app.owner_id = "o";
+  app.app_id = "arima";
+  app.memory = {100.0, 90.0, 120.0, 1};
+  FunctionTrace function;
+  function.function_id = "f";
+  function.trigger = TriggerType::kTimer;
+  function.execution = {0, 0, 0, 1};
+  Rng rng(2020);
+  for (int64_t minute = 0; minute < 24 * 6 * 60;
+       minute += rng.UniformInt(270, 420)) {
+    function.invocations.push_back(TimePoint(minute * 60'000));
+  }
+  app.functions.push_back(std::move(function));
+  trace.apps.push_back(std::move(app));
+  return trace;
+}
+
+TEST(HybridArimaMemoTest, PoliciesOfOneAppShareEveryFit) {
+  // The idle-time series is a property of the trace, so a second
+  // ARIMA-enabled config replayed on the same app fits nothing new.
+  const CompiledTrace compiled = CompiledTrace::Compile(ArimaHeavyTrace());
+  const ColdStartSimulator simulator;
+  ArimaMemo memo;
+  const ArimaMemoScope scope(&memo);
+
+  HybridHistogramPolicy hybrid(DefaultConfig());
+  simulator.SimulateApp(compiled, 0, hybrid);
+  ASSERT_GT(hybrid.decisions_by_arima(), 8);
+  EXPECT_EQ(static_cast<int64_t>(memo.size()), hybrid.decisions_by_arima());
+
+  HybridPolicyConfig no_prewarm_config = DefaultConfig();
+  no_prewarm_config.enable_prewarm = false;
+  HybridHistogramPolicy no_prewarm(no_prewarm_config);
+  simulator.SimulateApp(compiled, 0, no_prewarm);
+  EXPECT_EQ(no_prewarm.decisions_by_arima(), hybrid.decisions_by_arima());
+  EXPECT_EQ(static_cast<int64_t>(memo.size()), hybrid.decisions_by_arima());
+}
 
 }  // namespace
 }  // namespace faas

@@ -29,7 +29,14 @@
 # (series_test, arima_model_test, auto_arima_test, nelder_mead_test) runs
 # under UBSan and ASan: the root check indexes fixed-size arrays by degree,
 # the CSS recursion splits into warm-up and steady-state rows, and
-# Nelder-Mead swaps its reused trial buffers into the simplex.  The invoker
+# Nelder-Mead swaps its reused trial buffers into the simplex.  The sweep's
+# replay tasks each install their own AutoArima memo through a thread-local
+# pointer, and the memo must never be reached from another thread, so
+# SweepTest.SharedArimaFitsBitIdenticalToSoloRuns (several hybrid configs
+# sharing fits at 4 threads and on the streamed path) rides the TSan leg's
+# Sweep filter; the memo suite (AutoArimaMemoTest, matched by AutoArima)
+# rides the UBSan and ASan legs, since a hit copies a stored model whose
+# vectors a dangling or cleared entry would corrupt.  The invoker
 # suite (invoker_test) runs under UBSan and ASan: its event closures hold
 # std::list iterators to containers, and ASan is the leg that would catch a
 # closure firing after its container was erased.  The event-queue suite
