@@ -1,8 +1,9 @@
 // Sweep-engine throughput and memory: end-to-end wall time of a 5-policy
 // keep-alive sweep over the one-week policy trace, comparing
 //
-//   streamed sweep      generator-sourced shards through the bounded
-//                       pipeline (the full trace is never materialized)
+//   streamed sweep      generator-sourced shards, a window at a time, at
+//                       the default residency bound (the full trace is
+//                       never materialized)
 //   serial-recompile    the seed execution model: one policy after another,
 //                       re-merging the trace for every policy point
 //   compiled sweep      the shared-CompiledTrace engine at 1/4/8/16 threads
@@ -136,7 +137,7 @@ int main() {
   // Phase 1 — streamed sweeps, before anything materializes the full trace,
   // so the rows' RSS peaks genuinely bound the streaming engine.  One
   // generator serves every row: pass 1 (plans) is paid once, and each row
-  // re-materializes all shards through the bounded pipeline.
+  // re-materializes all shards, a window at a time.
   int64_t invocations = 0;
   double streamed_p75 = 0.0;
   {
@@ -145,11 +146,9 @@ int main() {
     for (int threads : ThreadCounts()) {
       SimulatorOptions options;
       options.num_threads = threads;
-      StreamingSweepOptions stream;
-      stream.max_resident_shards = 2;
       const auto start = std::chrono::steady_clock::now();
       const std::vector<PolicyPoint> points = EvaluatePoliciesStreamed(
-          source, factories, /*baseline_index=*/1, options, stream);
+          source, factories, /*baseline_index=*/1, options);
       const double wall_ms = MillisSince(start);
       invocations = points[0].result.TotalInvocations();
       streamed_p75 = points.back().cold_start_p75;

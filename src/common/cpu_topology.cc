@@ -95,16 +95,6 @@ std::vector<int> CpuTopology::InterleavedCpus() const {
   return cpus;
 }
 
-int CpuTopology::NodeOfCpu(int cpu) const {
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    const auto& cpus = nodes[n].cpus;
-    if (std::find(cpus.begin(), cpus.end(), cpu) != cpus.end()) {
-      return static_cast<int>(n);
-    }
-  }
-  return 0;
-}
-
 const CpuTopology& CpuTopology::Detect() {
   static const CpuTopology topo = DetectUncached();
   return topo;

@@ -1,12 +1,10 @@
-// CPU / NUMA topology detection for worker pinning.
+// CPU / NUMA topology detection for pinning the serve event loops.
 //
-// The sweep engine's multi-thread scaling stalls when workers migrate
-// between sockets mid-sweep: a shard arena is first-touched (and therefore
-// page-allocated) on the node that generated it, and a worker that simulates
-// it from the other socket pays cross-socket latency on every invocation
-// load.  Pinning workers to CPUs — interleaved across NUMA nodes so a pool
-// smaller than the machine still spans every memory controller — keeps the
-// generate-on-node / simulate-on-node pairing stable.
+// A serve event loop owns everything a connection touches — its packets,
+// decoder stash, timers and admission state (see src/serve/server.h) — so
+// pinning loop i to one CPU keeps that state in one core's caches.  Loops
+// take CPUs interleaved across NUMA nodes, so a loop count smaller than the
+// machine still spans every memory controller.
 //
 // Detection reads /sys/devices/system/node/node*/cpulist on Linux and falls
 // back to a single node holding every hardware thread elsewhere (or when
@@ -32,15 +30,9 @@ struct CpuTopology {
   int num_cpus() const;
 
   // CPUs ordered round-robin across nodes (node0-cpu0, node1-cpu0, ...,
-  // node0-cpu1, ...), so pinning the first K workers to the first K entries
-  // spreads any pool size evenly over the memory controllers.
+  // node0-cpu1, ...), so pinning the first K loops to the first K entries
+  // spreads any loop count evenly over the memory controllers.
   std::vector<int> InterleavedCpus() const;
-
-  // Dense position (in `nodes`) of the node owning `cpu`, or 0 when the CPU
-  // is not in the map — the safe default: callers use the value to pick an
-  // arena shelf, and shelf 0 always exists.  Positions, not Node::id, so the
-  // result indexes [0, num_nodes()) even with sparse node ids.
-  int NodeOfCpu(int cpu) const;
 
   // Reads the machine topology (see header comment).  Cached per process;
   // the first call pays the sysfs walk.

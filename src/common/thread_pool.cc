@@ -6,35 +6,11 @@
 #include <exception>
 #include <memory>
 
-#include "src/common/cpu_topology.h"
 #include "src/common/parallel.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace faas {
 
 namespace {
-
-// NUMA node of the current thread; written once by pinned workers before
-// they start serving tasks, read by CurrentNodeId() on any thread.
-thread_local int tls_node_id = 0;
-
-// Binds the calling thread to one CPU.  Best-effort: failure (e.g. a cgroup
-// that masks the CPU) leaves the thread unpinned, which is always correct.
-bool PinCurrentThread(int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
 
 // Shared state of one For() region.  Kept alive by shared_ptr so helper
 // tasks that wake after the caller returned (having found no chunk left)
@@ -94,31 +70,14 @@ struct ForRegion {
 
 }  // namespace
 
-ThreadPool::ThreadPool(const ThreadPoolOptions& options) {
-  int num_threads = options.num_threads;
+ThreadPool::ThreadPool(int num_threads) {
   if (num_threads == 0) {
     num_threads = HardwareThreads();
   }
   const int workers = std::max(0, num_threads - 1);
   threads_.reserve(static_cast<size_t>(workers));
-  std::vector<int> cpus;
-  const CpuTopology* topo = nullptr;
-  if (options.pin_threads) {
-    topo = &CpuTopology::Detect();
-    cpus = topo->InterleavedCpus();
-    pinned_ = !cpus.empty();
-  }
   for (int i = 0; i < workers; ++i) {
-    int cpu = -1;
-    int node = 0;
-    if (pinned_) {
-      // The caller thread is participant 0 and typically runs on the first
-      // CPU the scheduler gave the process; start workers at slot 1 so the
-      // pool as a whole covers distinct CPUs when it is hardware-sized.
-      cpu = cpus[static_cast<size_t>(i + 1) % cpus.size()];
-      node = topo->NodeOfCpu(cpu);
-    }
-    threads_.emplace_back([this, cpu, node] { WorkerLoop(cpu, node); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -133,10 +92,7 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::WorkerLoop(int cpu, int node) {
-  if (cpu >= 0 && PinCurrentThread(cpu)) {
-    tls_node_id = node;
-  }
+void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
     {
@@ -194,22 +150,16 @@ void ThreadPool::For(size_t count, const std::function<void(size_t)>& fn,
 
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool pool([] {
-    ThreadPoolOptions options;
     if (const char* env = std::getenv("FAAS_POOL_THREADS");
         env != nullptr && env[0] != '\0') {
       const int n = std::atoi(env);
       if (n > 0) {
-        options.num_threads = n;
+        return n;
       }
     }
-    if (const char* env = std::getenv("FAAS_PIN_THREADS")) {
-      options.pin_threads = env[0] != '\0' && env[0] != '0';
-    }
-    return options;
+    return 0;
   }());
   return pool;
 }
-
-int ThreadPool::CurrentNodeId() { return tls_node_id; }
 
 }  // namespace faas

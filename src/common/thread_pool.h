@@ -1,5 +1,4 @@
-// Persistent worker-thread pool with a chunked parallel-for and optional
-// NUMA-aware worker pinning.
+// Persistent worker-thread pool with a chunked parallel-for.
 //
 // The seed ParallelFor spawned and joined fresh std::threads on every call
 // and claimed one index per atomic operation; for sweep workloads that call
@@ -8,16 +7,6 @@
 // once (see ThreadPool::Shared), parks its workers on a condition variable
 // between parallel regions, and hands out *chunks* of the index range so the
 // shared counter is touched O(count / chunk) times instead of O(count).
-//
-// Pinning (ThreadPoolOptions::pin_threads): each worker is bound to one CPU,
-// workers interleaved across NUMA nodes (see cpu_topology.h), and publishes
-// its node id through a thread-local read by CurrentNodeId().  The streaming
-// sweep engine uses that id to return shard arenas to a node-local freelist,
-// so a shard's pages are generated, simulated, and recycled on the same
-// memory controller instead of bouncing across sockets.  Pinning is off by
-// default (it is a pessimisation for pools sharing a machine with other
-// work); the shared pool turns it on when FAAS_PIN_THREADS is set to a
-// non-zero value, and FAAS_POOL_THREADS overrides its size.
 //
 // Design notes:
 //   - The calling thread always participates in the loop body, so a region
@@ -45,19 +34,11 @@
 
 namespace faas {
 
-struct ThreadPoolOptions {
-  // 0 means hardware concurrency.  The pool keeps (num_threads - 1) parked
-  // workers: the caller of For() is the remaining participant.
-  int num_threads = 0;
-  // Bind each worker to one CPU, interleaved across NUMA nodes.
-  bool pin_threads = false;
-};
-
 class ThreadPool {
  public:
-  explicit ThreadPool(int num_threads = 0)
-      : ThreadPool(ThreadPoolOptions{num_threads, false}) {}
-  explicit ThreadPool(const ThreadPoolOptions& options);
+  // 0 means hardware concurrency.  The pool keeps (num_threads - 1) parked
+  // workers: the caller of For() is the remaining participant.
+  explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -65,7 +46,6 @@ class ThreadPool {
 
   // Number of parked worker threads (callers add one more on top).
   int num_workers() const { return static_cast<int>(threads_.size()); }
-  bool pinned() const { return pinned_; }
 
   // Invokes fn(i) for every i in [0, count) using the calling thread plus up
   // to (max_parallelism - 1) pool workers.  chunk == 0 picks a chunk size
@@ -74,30 +54,20 @@ class ThreadPool {
   void For(size_t count, const std::function<void(size_t)>& fn,
            int max_parallelism = 0, size_t chunk = 0);
 
-  // Enqueues one fire-and-forget task for a pool worker.  Intended for the
-  // For() implementation, shard prefetching, and tests; tasks must not
-  // throw.  Callers must not rely on a task ever running when the pool has
-  // zero workers — check num_workers() first.
-  void Submit(std::function<void()> task);
-
   // Process-wide pool sized to the hardware, created on first use.
-  // FAAS_POOL_THREADS=N overrides the size; FAAS_PIN_THREADS=1 enables
-  // NUMA-interleaved pinning of its workers.
+  // FAAS_POOL_THREADS=N overrides the size.
   static ThreadPool& Shared();
 
-  // NUMA node id of the calling thread: set for pinned pool workers, 0 for
-  // everyone else (including unpinned workers and outside threads).  Always
-  // in [0, CpuTopology::Detect().num_nodes()).
-  static int CurrentNodeId();
-
  private:
-  void WorkerLoop(int cpu, int node);
+  // Enqueues one helper task of a For() region for a pool worker; the task
+  // must not throw.
+  void Submit(std::function<void()> task);
+  void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  bool pinned_ = false;
   std::vector<std::thread> threads_;
 };
 

@@ -7,7 +7,7 @@
 // kernel's REUSEPORT hash spreads connections across loops, and everything
 // a loop touches (connections, timers, admission state, ledgers, latency
 // recorder) is loop-local, so the data plane takes no locks.  Loops may be
-// pinned to CPUs through the same NUMA-interleaved map the ThreadPool uses
+// pinned to CPUs through a NUMA-interleaved map
 // (CpuTopology::InterleavedCpus), keeping a connection's packets, decoder
 // stash, and admission state on one core.
 //
@@ -44,8 +44,8 @@ struct ServeConfig {
   uint16_t port = 0;
   // Event loops (and listening sockets); 0 = one per online CPU.
   int num_loops = 0;
-  // Pin loop i to the i-th NUMA-interleaved CPU (CpuTopology), the same
-  // placement scheme as ThreadPoolOptions::pin_threads.
+  // Pin loop i to the i-th NUMA-interleaved CPU
+  // (CpuTopology::InterleavedCpus).
   bool pin_loops = false;
   int listen_backlog = 1024;
   size_t read_buffer_bytes = 256 * 1024;

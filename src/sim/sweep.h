@@ -19,12 +19,12 @@
 //     instead of once per policy point, and all policy points progress
 //     concurrently.  A single-policy run is a one-factory call.
 //   - EvaluatePoliciesStreamed never holds the full trace: a ShardSource
-//     materializes compiled per-app-shard arenas on demand, a bounded-depth
-//     pipeline generates shard k+1 on pool workers while shard k replays,
-//     and the step writes each shard's results at its global app offset.
-//     Peak memory is O(max_resident_shards * shard size + results) instead
-//     of O(trace).  Output is bit-identical to the materialized sweep —
-//     see DESIGN.md for the determinism argument.
+//     materializes compiled per-app-shard arenas on demand, the step
+//     replays a window of shards at a time and, in the same parallel
+//     region, fills the next window, and it writes each shard's results at
+//     its global app offset.  Peak memory is O(max_resident_shards * shard
+//     size + results) instead of O(trace).  Output is bit-identical to the
+//     materialized sweep — see DESIGN.md for the determinism argument.
 
 #ifndef SRC_SIM_SWEEP_H_
 #define SRC_SIM_SWEEP_H_
@@ -70,15 +70,16 @@ std::vector<PolicyPoint> EvaluatePolicies(
     size_t baseline_index = 0, const SimulatorOptions& options = {});
 
 struct StreamingSweepOptions {
-  // Upper bound on shard arenas alive at once: the consumer simulates shard
-  // k while pool workers pre-generate up to (max_resident_shards - 1)
-  // shards ahead.  1 disables prefetch (strictly alternate generate /
-  // simulate); 0 is clamped to 1.
-  int max_resident_shards = 2;
+  // Upper bound on shard arenas alive at once.  With more than one thread,
+  // shards replay in windows of W = min(max_resident_shards / 2, threads)
+  // (at least 1) while the next window is filled, so at most 2 * W arenas
+  // are resident.  With one thread or a bound of 1, one arena is filled and
+  // replayed in turn.  0 is clamped to 1.
+  int max_resident_shards = 4;
 };
 
 // Streaming counterpart of EvaluatePolicies: pulls shards from `source`
-// through a bounded pipeline, simulates every (policy, app) cell, and folds
+// a window at a time, simulates every (policy, app) cell, and folds
 // per-app results in shard order, re-stamping shard-local app ids onto the
 // global dense range.  Bit-identical to EvaluatePolicies on the equivalent
 // materialized trace, for any max_resident_shards and any --threads.

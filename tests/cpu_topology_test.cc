@@ -80,17 +80,5 @@ TEST(CpuTopologyTest, InterleavedRoundRobinsAcrossNodes) {
   EXPECT_EQ(topo.InterleavedCpus(), (std::vector<int>{0, 4, 1, 5, 2}));
 }
 
-TEST(CpuTopologyTest, NodeOfCpuMapsBackToDensePosition) {
-  const CpuTopology& topo = CpuTopology::Detect();
-  for (int n = 0; n < topo.num_nodes(); ++n) {
-    for (int cpu : topo.nodes[static_cast<size_t>(n)].cpus) {
-      EXPECT_EQ(topo.NodeOfCpu(cpu), n);
-    }
-  }
-  // Unknown CPUs map to the always-valid shelf 0.
-  EXPECT_EQ(topo.NodeOfCpu(1 << 20), 0);
-  EXPECT_EQ(topo.NodeOfCpu(-1), 0);
-}
-
 }  // namespace
 }  // namespace faas

@@ -1,17 +1,23 @@
 // Streaming sweep engine equivalence: EvaluatePoliciesStreamed must be
 // bit-identical to the materialized EvaluatePolicies for every residency
-// bound, thread count, and shard source — and robust to policies throwing
-// mid-shard and to a chaos replay running concurrently (the ASan smoke the
-// check.sh leg drives).
+// bound, thread count, and shard source; must fill every shard exactly once
+// into at most max_resident_shards arenas; and must be robust to policies
+// or fills throwing mid-region and to a chaos replay running concurrently
+// (the ASan smoke the check.sh leg drives).
 
 #include "src/sim/sweep.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -149,9 +155,9 @@ TEST(SweepStreamTest, StreamedGlobalIdsAreDense) {
   }
 }
 
-// Policy whose instances throw on the Nth simulated app; exercises the
-// pipeline's unwind path (queued prefetch tasks must not touch destroyed
-// slots — ASan would flag the use-after-free this test guards against).
+// Policy whose instances throw on the first decision; exercises the unwind
+// path out of a replay region while fill tasks of the next window may still
+// be running (ASan would flag an arena freed under a running fill).
 class ThrowingPolicy final : public KeepAlivePolicy {
  public:
   void RecordIdleTime(Duration) override {}
@@ -184,6 +190,111 @@ TEST(SweepStreamTest, PolicyExceptionPropagatesAndPipelineUnwindsCleanly) {
     EXPECT_THROW(
         EvaluatePoliciesStreamed(source, factories, 0, options, stream),
         std::runtime_error);
+  }
+}
+
+// Forwards to another source and records, for each Fill, the shard and the
+// arena it went into, plus the peak number of Fill calls in flight at once.
+// Fill throws on shard `throw_on` (none when negative).
+class RecordingShardSource final : public ShardSource {
+ public:
+  explicit RecordingShardSource(const ShardSource& inner, int throw_on = -1)
+      : inner_(inner), throw_on_(throw_on) {}
+
+  int num_shards() const override { return inner_.num_shards(); }
+  int shard_begin(int k) const override { return inner_.shard_begin(k); }
+  int shard_end(int k) const override { return inner_.shard_end(k); }
+  void Fill(int k, CompiledTrace* arena) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fills_.emplace_back(k, arena);
+    }
+    if (k == throw_on_) {
+      throw std::runtime_error("injected fill failure");
+    }
+    const int in_flight = ++in_flight_;
+    int peak = peak_in_flight_.load();
+    while (in_flight > peak &&
+           !peak_in_flight_.compare_exchange_weak(peak, in_flight)) {
+    }
+    inner_.Fill(k, arena);
+    --in_flight_;
+  }
+
+  std::vector<std::pair<int, const CompiledTrace*>> fills() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fills_;
+  }
+  int peak_in_flight() const { return peak_in_flight_.load(); }
+
+ private:
+  const ShardSource& inner_;
+  const int throw_on_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::pair<int, const CompiledTrace*>> fills_;
+  mutable std::atomic<int> in_flight_{0};
+  mutable std::atomic<int> peak_in_flight_{0};
+};
+
+TEST(SweepStreamTest, EveryShardFilledOnceIntoAtMostKArenas) {
+  WorkloadGenerator gen(SmallConfig());
+  const Trace trace = gen.Generate();
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  const std::vector<const PolicyFactory*> factories = {&fixed10, &hybrid};
+  const auto materialized = EvaluatePolicies(trace, factories, 0);
+  const TraceShardSource inner(trace, /*shard_apps=*/16);
+  const int num_shards = inner.num_shards();
+  ASSERT_GE(num_shards, 8);
+
+  for (const int threads : {1, 4}) {
+    for (const int residency : {1, 2, 4, 1 << 20}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " residency=" + std::to_string(residency));
+      const RecordingShardSource source(inner);
+      SimulatorOptions options;
+      options.num_threads = threads;
+      StreamingSweepOptions stream;
+      stream.max_resident_shards = residency;
+      ExpectPointsIdentical(
+          EvaluatePoliciesStreamed(source, factories, 0, options, stream),
+          materialized);
+
+      std::vector<int> fills_per_shard(static_cast<size_t>(num_shards), 0);
+      std::set<const CompiledTrace*> arenas;
+      for (const auto& [shard, arena] : source.fills()) {
+        ++fills_per_shard[static_cast<size_t>(shard)];
+        arenas.insert(arena);
+      }
+      EXPECT_EQ(fills_per_shard,
+                std::vector<int>(static_cast<size_t>(num_shards), 1));
+      EXPECT_LE(static_cast<int>(arenas.size()), residency);
+      if (threads == 1 || residency == 1) {
+        EXPECT_EQ(arenas.size(), 1u);
+      }
+      const int window =
+          std::clamp(std::min(residency / 2, threads), 1, num_shards);
+      EXPECT_LE(source.peak_in_flight(), window);
+    }
+  }
+}
+
+TEST(SweepStreamTest, FillExceptionPropagatesOutOfTheReplayRegion) {
+  // At 4 threads and the default bound of 4, shards 0-1 replay while shards
+  // 2-3 fill as tasks of the same region, so shard 3's throw comes from a
+  // fill task in the middle of a replay region.
+  WorkloadGenerator gen(SmallConfig());
+  const Trace trace = gen.Generate();
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const std::vector<const PolicyFactory*> factories = {&fixed10};
+  const TraceShardSource inner(trace, 16);
+  const RecordingShardSource source(inner, /*throw_on=*/3);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SimulatorOptions options;
+    options.num_threads = threads;
+    EXPECT_THROW(EvaluatePoliciesStreamed(source, factories, 0, options),
+                 std::runtime_error);
   }
 }
 

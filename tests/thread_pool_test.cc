@@ -1,8 +1,6 @@
 #include "src/common/thread_pool.h"
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -125,21 +123,6 @@ TEST(ThreadPoolTest, ReusableAcrossManyRegions) {
     pool.For(64, [&](size_t i) { sum.fetch_add(static_cast<int64_t>(i)); });
   }
   EXPECT_EQ(sum.load(), 200 * (64 * 63 / 2));
-}
-
-TEST(ThreadPoolTest, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ran = false;
-  pool.Submit([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    ran = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return ran; });
-  EXPECT_TRUE(ran);
 }
 
 TEST(ThreadPoolTest, SharedPoolSizedToHardware) {

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite, then the concurrency
-# tests (thread pool, parallel-for, sweep engine, streaming pipeline, shard
-# generation, arena pool, compiled trace) plus the chaos-engine, network,
+# tests (thread pool, parallel-for, sweep engine, streamed sweep windows,
+# shard generation, compiled trace) plus the chaos-engine, network,
 # overload-control, and telemetry tests rebuilt and re-run under
 # ThreadSanitizer, the chaos/overload/controller/telemetry/streaming tests
 # once more under UndefinedBehaviorSanitizer, and the interning/trace/
 # cluster/streaming tests under AddressSanitizer (the intern tables hand out
-# string_views into deque storage, and the streaming sweep recycles shard
-# arenas while a chaos replay runs concurrently — ASan is the pass that
-# would catch a dangling view or a freed arena; the
+# string_views into deque storage, and the streamed sweep refills shard
+# arenas from fill tasks inside its replay regions while a chaos replay runs
+# concurrently — ASan is the pass that would catch a dangling view or an
+# arena freed under a running fill; the
 # SweepStreamTest.StreamedSweepWithConcurrentChaosReplay smoke drives both
-# at once).  The serving leg (wire codec, timer wheel, latency recorder, and
+# at once, and the fill- and policy-exception cases of SweepStream unwind a
+# region mid-fill under TSan and ASan).  The serving leg (wire codec, timer wheel, latency recorder, and
 # the live loopback suite with its multi-loop epoll threads and graceful
 # shutdown) runs under both TSan and ASan: TSan watches the Snapshot/Stop
 # cross-thread paths, ASan the decoder stash and per-connection buffers.
@@ -93,7 +95,7 @@ else
   cmake -B build-tsan -S . -DFAAS_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target \
       thread_pool_test parallel_test sweep_test sweep_stream_test \
-      generator_shard_test arena_pool_test cpu_topology_test \
+      generator_shard_test cpu_topology_test \
       compiled_trace_test faults_test network_test overload_test \
       controller_test telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test \
@@ -102,7 +104,7 @@ else
   # gtest_discover_tests registers suite names (not target names), so match
   # the suites those binaries contain.
   (cd build-tsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'ThreadPool|ParallelFor|ParallelSimulation|Sweep|SweepStream|GeneratorShard|ArenaPool|CpuTopology|CompiledTrace|CompiledReplay|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger')
+      -R 'ThreadPool|ParallelFor|ParallelSimulation|Sweep|SweepStream|GeneratorShard|CpuTopology|CompiledTrace|CompiledReplay|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger')
 fi
 
 if [[ "${SKIP_UBSAN}" == "1" ]]; then
@@ -129,7 +131,7 @@ else
   cmake -B build-asan -S . -DFAAS_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
       intern_test trace_csv_test transform_test compiled_trace_test \
-      sweep_test sweep_stream_test generator_shard_test arena_pool_test \
+      sweep_test sweep_stream_test generator_shard_test \
       faults_test network_test controller_test cluster_test overload_test \
       invoker_test telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
@@ -139,9 +141,9 @@ else
       event_queue_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
-  # fault plan runs while the streamed sweep rotates shard arenas.
+  # fault plan runs while the streamed sweep refills shard arenas.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'EventQueue|DedupWindow|Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|InvokerTest|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
+      -R 'EventQueue|DedupWindow|Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|InvokerTest|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|DiurnalProfile|PeriodicArrivals|PoissonArrivals|BurstyArrivals|SnapToTimerPeriod|GeneratorCalibration|GeneratorEdgeCase|AcfTest|PacfTest|DifferenceTest|IntegrateForecast|KpssTest|EstimateDifferencingOrder|YuleWalker|RootsTest|ArimaModel|ArimaForecastError|ArimaOrderSweep|AutoArima|NelderMead')
 fi
 
 echo "== all checks passed =="

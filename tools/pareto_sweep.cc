@@ -27,7 +27,7 @@
 //                [--gen-rate-cap R=4000]
 //   pareto_sweep --trace DIR [--skip-malformed]
 // common flags:
-//   [--threads N=0] [--shard-apps N=128] [--max-resident-shards K=2]
+//   [--threads N=0] [--shard-apps N=128] [--max-resident-shards K=4]
 //   [--use-exec-times] [--weight-by-memory]
 //   [--cost-gb-s X=1.66667e-5]   dollars per GB-second of residency
 //   [--cost-cpu-s X=0]           dollars per CPU-second executed
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
         "                    [--gen-rate-cap R]\n"
         "       pareto_sweep --trace DIR [--skip-malformed]\n"
         "common:             [--threads N] [--shard-apps N]\n"
-        "                    [--max-resident-shards K]\n"
+        "                    [--max-resident-shards K=4]\n"
         "                    [--use-exec-times] [--weight-by-memory]\n"
         "                    [--cost-gb-s X] [--cost-cpu-s X]\n"
         "                    [--cost-invoke X] [--out FILE]\n");
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
   options.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   const int shard_apps = static_cast<int>(flags.GetInt("shard-apps", 128));
   StreamingSweepOptions stream;
-  stream.max_resident_shards =
-      static_cast<int>(flags.GetInt("max-resident-shards", 2));
+  stream.max_resident_shards = static_cast<int>(
+      flags.GetInt("max-resident-shards", stream.max_resident_shards));
   if (options.num_threads < 0 || shard_apps <= 0 ||
       stream.max_resident_shards <= 0) {
     std::fprintf(stderr, "--threads must be >= 0; --shard-apps and "

@@ -24,8 +24,10 @@
 //                            all (shards come straight from the generator)
 //   --shard-apps N=1024      apps per shard
 //   --max-resident-shards    bound on shard arenas resident at once
-//         K=2                (generation of shard k+1 overlaps simulation
-//                            of shard k when K >= 2 and --threads > 1)
+//         K=4                (with --threads > 1, windows of
+//                            min(K / 2, threads) shards replay while the
+//                            next window generates; K = 1 or one thread
+//                            alternates generate / replay on one arena)
 // Streamed results are byte-identical to the materialized sweep at any
 // shard size, residency bound and thread count.  Streaming is incompatible
 // with chaos/overload mode, telemetry exports and --flash-crowds.
@@ -699,7 +701,7 @@ int main(int argc, char** argv) {
         "                   [--gen-days D=14] [--gen-seed S=42]\n"
         "                   [--gen-rate-cap R=8000]\n"
         "                   [--stream] [--shard-apps N=1024]\n"
-        "                   [--max-resident-shards K=2]\n"
+        "                   [--max-resident-shards K=4]\n"
         "                   [--policies fixed-10,hybrid,...]\n"
         "                   [--range-minutes N=240] [--cv T=2]\n"
         "                   [--head P=5] [--tail P=99]\n"
@@ -916,7 +918,8 @@ int main(int argc, char** argv) {
   int max_resident = 0;
   if (stream) {
     shard_apps = static_cast<int>(flags.GetInt("shard-apps", 1024));
-    max_resident = static_cast<int>(flags.GetInt("max-resident-shards", 2));
+    max_resident = static_cast<int>(flags.GetInt(
+        "max-resident-shards", StreamingSweepOptions{}.max_resident_shards));
     if (shard_apps <= 0 || max_resident <= 0) {
       std::fprintf(stderr,
                    "--shard-apps and --max-resident-shards must be "
