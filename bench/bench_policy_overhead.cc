@@ -8,6 +8,8 @@
 // The BM_*Telemetry{Off,On} pairs measure the telemetry subsystem's cost on
 // the simulation hot paths: Off runs with null instrument pointers (the
 // zero-cost branch), On runs with metrics and tracing fully enabled.  The
+// sweep pairs run at 1 and 4 threads; at 4, the replay tasks record into
+// blocks and span buffers of their own and fold them concurrently.  The
 // acceptance bar is <5% overhead on the end-to-end replay loops.
 
 #include <benchmark/benchmark.h>
@@ -133,8 +135,8 @@ BENCHMARK(BM_PolicyFootprint);
 // --- Telemetry overhead -------------------------------------------------
 
 const Trace& OverheadTrace() {
-  // Large enough that per-run fixed costs (instrument registration, first
-  // shard/ring allocation) amortize away and the steady-state replay loop
+  // Large enough that per-run fixed costs (instrument registration, the
+  // tasks' blocks and folds) amortize away and the steady-state replay loop
   // dominates, as it does in a real policy_eval run.
   static const Trace trace = [] {
     GeneratorConfig config;
@@ -151,12 +153,16 @@ void BM_SweepReplayTelemetryOff(benchmark::State& state) {
   const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
   const std::vector<const PolicyFactory*> factories = {&hybrid};
   SimulatorOptions options;
-  options.num_threads = 1;
+  options.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(EvaluatePolicies(trace, factories, 0, options));
   }
 }
-BENCHMARK(BM_SweepReplayTelemetryOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepReplayTelemetryOff)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SweepReplayTelemetryOn(benchmark::State& state) {
   const Trace& trace = OverheadTrace();
@@ -167,12 +173,16 @@ void BM_SweepReplayTelemetryOn(benchmark::State& state) {
     // span storage from accumulating across iterations.
     Telemetry telemetry;
     SimulatorOptions options;
-    options.num_threads = 1;
+    options.num_threads = static_cast<int>(state.range(0));
     options.telemetry = &telemetry;
     benchmark::DoNotOptimize(EvaluatePolicies(trace, factories, 0, options));
   }
 }
-BENCHMARK(BM_SweepReplayTelemetryOn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepReplayTelemetryOn)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ClusterReplayTelemetryOff(benchmark::State& state) {
   const Trace& trace = OverheadTrace();
@@ -198,7 +208,59 @@ void BM_ClusterReplayTelemetryOn(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterReplayTelemetryOn)->Unit(benchmark::kMillisecond);
 
-// Raw instrument costs, for attributing any overhead seen above.
+// Raw instrument costs, for attributing any overhead seen above.  A writer
+// records into its own block and span buffer (no lock) and folds them: a
+// sweep task once, the cluster at each sampler tick.  Histograms, and the
+// cluster's gauges, are written to the registry directly (one lock each).
+void BM_BlockCounterInc(benchmark::State& state) {
+  MetricsRegistry registry;
+  const CounterId id = registry.AddCounter("bench_total", "bench");
+  MetricsBlock block(registry);
+  for (auto _ : state) {
+    block.Inc(id);
+  }
+  registry.Fold(block);
+}
+BENCHMARK(BM_BlockCounterInc);
+
+// One add per touched minute bin, as the sweep's run-length-batched series
+// flush does; 1024 adds over a two-week series stay in the block's log of
+// touched bins, and the fold walks only those.
+void BM_BlockSeriesAdd(benchmark::State& state) {
+  MetricsRegistry registry;
+  const SeriesId id = registry.AddSeries("bench_minute", "bench",
+                                         Duration::Minutes(1), 14 * 1440);
+  int64_t minute = 0;
+  for (auto _ : state) {
+    MetricsBlock block(registry);
+    for (int i = 0; i < 1024; ++i) {
+      block.SeriesAdd(id, TimePoint(minute * 60'000), 3);
+      minute = minute < 14 * 1440 ? minute + 7 : 0;
+    }
+    registry.Fold(block);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_BlockSeriesAdd);
+
+void BM_SpanBufferRecordAndFold(benchmark::State& state) {
+  SpanRecord span;
+  span.dur_ms = 5;
+  span.name = static_cast<int16_t>(SpanName::kActivation);
+  for (auto _ : state) {
+    Tracer tracer;
+    SpanBuffer buffer;
+    for (int i = 0; i < 1024; ++i) {
+      buffer.push_back(span);
+      ++span.start_ms;
+    }
+    tracer.Fold(buffer);
+    benchmark::DoNotOptimize(tracer.num_spans());
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_SpanBufferRecordAndFold);
+
 void BM_TelemetryCounterInc(benchmark::State& state) {
   MetricsRegistry registry;
   const CounterId id = registry.AddCounter("bench_total", "bench");
@@ -219,18 +281,6 @@ void BM_TelemetryHistogramObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TelemetryHistogramObserve);
-
-void BM_TracerRecordSpan(benchmark::State& state) {
-  Tracer tracer;
-  SpanRecord span;
-  span.dur_ms = 5;
-  span.name = static_cast<int16_t>(SpanName::kActivation);
-  for (auto _ : state) {
-    tracer.Record(span);
-    ++span.start_ms;
-  }
-}
-BENCHMARK(BM_TracerRecordSpan);
 
 }  // namespace
 }  // namespace faas

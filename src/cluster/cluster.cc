@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/cluster/controller.h"
@@ -53,14 +54,26 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
       << "fault plan has network faults but the network model is disabled";
 
   // Telemetry instruments for this replay (one bundle per policy label).
+  // The replay is their single owner: counters and spans go to a block and
+  // a buffer of its own, folded in at each sampler tick and at the end;
+  // histograms and gauges go to the registry directly.
   ClusterInstruments instruments_storage;
   const ClusterInstruments* instruments = nullptr;
+  std::optional<MetricsBlock> metrics_block;
+  SpanBuffer span_buffer;
   if (config_.telemetry != nullptr) {
     instruments_storage = ClusterInstruments::Register(
         *config_.telemetry, factory.name(), config_.telemetry_pid,
         trace.horizon, config_.metrics_interval,
         config_.overload.AnyEnabled(), config_.network.enabled,
         config_.resource_telemetry);
+    if (instruments_storage.registry != nullptr) {
+      instruments_storage.metrics =
+          &metrics_block.emplace(*instruments_storage.registry);
+    }
+    if (instruments_storage.tracer != nullptr) {
+      instruments_storage.spans = &span_buffer;
+    }
     instruments = &instruments_storage;
     if (instruments_storage.tracer != nullptr) {
       for (int i = 0; i < config_.num_invokers; ++i) {
@@ -144,7 +157,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   const auto record_event = [instruments](SpanName name, int64_t start_ms,
                                           int64_t dur_ms, int32_t tid,
                                           int64_t arg0) {
-    if (instruments == nullptr || instruments->tracer == nullptr) {
+    if (instruments == nullptr || instruments->spans == nullptr) {
       return;
     }
     SpanRecord record;
@@ -155,7 +168,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     record.name = static_cast<int16_t>(name);
     record.pid = instruments->pid;
     record.tid = tid;
-    instruments->tracer->Record(record);
+    instruments->spans->push_back(record);
   };
 
   // Schedule fault-injection outages.
@@ -277,9 +290,13 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                resources_on, cost_model]() {
       const TimePoint now = queue.now();
       const TimePoint window_start = now - interval;
-      const int64_t invocations =
-          registry->CounterValue(instruments->invocations);
-      const int64_t cold = registry->CounterValue(instruments->cold_starts);
+      // Deltas of the replay's own counts, which move in step with the
+      // invocation and cold-start counters.
+      const int64_t invocations = controller.policy_invocations();
+      int64_t cold = 0;
+      for (const Invoker* invoker : invoker_ptrs) {
+        cold += invoker->cold_starts();
+      }
       registry->SeriesAdd(instruments->minute_invocations, window_start,
                           invocations - last->invocations);
       registry->SeriesAdd(instruments->minute_cold_starts, window_start,
@@ -347,6 +364,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
         registry->Set(instruments->resource_cost_dollars,
                       sampled.CostDollars(cost_model), now);
       }
+      instruments->Fold();
       if (now + interval <= end) {
         queue.ScheduleAfter(interval, [sample]() { (*sample)(); });
       }
@@ -469,7 +487,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
             end);
       r.Set(instruments->resource_cost_dollars, result.cost_dollars, end);
     }
-    if (instruments->tracer != nullptr) {
+    if (instruments->spans != nullptr) {
       SpanRecord record;
       record.start_ms = 0;
       record.dur_ms = trace.horizon.millis();
@@ -479,8 +497,11 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
       record.name = static_cast<int16_t>(SpanName::kResourceCost);
       record.pid = instruments->pid;
       record.tid = 0;
-      instruments->tracer->Record(record);
+      instruments->spans->push_back(record);
     }
+  }
+  if (instruments != nullptr) {
+    instruments->Fold();
   }
   return result;
 }

@@ -91,7 +91,7 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
 
 void Controller::RecordInstant(SpanName name, int64_t trace_id,
                                int64_t arg0) {
-  if (instruments_ == nullptr || instruments_->tracer == nullptr) {
+  if (instruments_ == nullptr || instruments_->spans == nullptr) {
     return;
   }
   SpanRecord record;
@@ -102,12 +102,12 @@ void Controller::RecordInstant(SpanName name, int64_t trace_id,
   record.name = static_cast<int16_t>(name);
   record.pid = instruments_->pid;
   record.tid = 0;
-  instruments_->tracer->Record(record);
+  instruments_->spans->push_back(record);
 }
 
 void Controller::RecordSpan(SpanName name, TimePoint start, Duration dur,
                             int64_t trace_id, int64_t arg0, int64_t arg1) {
-  if (instruments_ == nullptr || instruments_->tracer == nullptr) {
+  if (instruments_ == nullptr || instruments_->spans == nullptr) {
     return;
   }
   SpanRecord record;
@@ -120,7 +120,7 @@ void Controller::RecordSpan(SpanName name, TimePoint start, Duration dur,
   record.name = static_cast<int16_t>(name);
   record.pid = instruments_->pid;
   record.tid = 0;
-  instruments_->tracer->Record(record);
+  instruments_->spans->push_back(record);
 }
 
 void Controller::RecordActivationSpan(const PendingActivation& pending,
@@ -133,8 +133,8 @@ void Controller::RecordActivationSpan(const PendingActivation& pending,
 
 void Controller::IncCounter(CounterId ClusterInstruments::*field,
                             int64_t delta) {
-  if (instruments_ != nullptr && instruments_->registry != nullptr) {
-    instruments_->registry->Inc(instruments_->*field, delta);
+  if (instruments_ != nullptr && instruments_->metrics != nullptr) {
+    instruments_->metrics->Inc(instruments_->*field, delta);
   }
 }
 

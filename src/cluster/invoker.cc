@@ -27,14 +27,14 @@ Invoker::Invoker(int id, double memory_capacity_mb, EventQueue* queue,
 
 void Invoker::IncCounter(CounterId ClusterInstruments::*field,
                          int64_t delta) {
-  if (instruments_ != nullptr && instruments_->registry != nullptr) {
-    instruments_->registry->Inc(instruments_->*field, delta);
+  if (instruments_ != nullptr && instruments_->metrics != nullptr) {
+    instruments_->metrics->Inc(instruments_->*field, delta);
   }
 }
 
 void Invoker::RecordSpanAt(SpanName name, TimePoint start, int64_t dur_ms,
                            int64_t trace_id, int64_t arg0) {
-  if (instruments_ == nullptr || instruments_->tracer == nullptr) {
+  if (instruments_ == nullptr || instruments_->spans == nullptr) {
     return;
   }
   SpanRecord record;
@@ -46,7 +46,7 @@ void Invoker::RecordSpanAt(SpanName name, TimePoint start, int64_t dur_ms,
   record.name = static_cast<int16_t>(name);
   record.pid = instruments_->pid;
   record.tid = id_ + 1;  // Lane 0 is the controller.
-  instruments_->tracer->Record(record);
+  instruments_->spans->push_back(record);
 }
 
 void Invoker::AccrueMemoryTime() {

@@ -63,10 +63,10 @@ void NetworkModel::RecordDrop(int invoker, int64_t cause) {
   if (instruments_ == nullptr) {
     return;
   }
-  if (instruments_->registry != nullptr) {
-    instruments_->registry->Inc(instruments_->net_dropped);
+  if (instruments_->metrics != nullptr) {
+    instruments_->metrics->Inc(instruments_->net_dropped);
   }
-  if (instruments_->tracer != nullptr) {
+  if (instruments_->spans != nullptr) {
     SpanRecord record;
     record.start_ms = queue_->now().millis_since_origin();
     record.trace_id = invoker;
@@ -75,7 +75,7 @@ void NetworkModel::RecordDrop(int invoker, int64_t cause) {
     record.name = static_cast<int16_t>(SpanName::kNetDrop);
     record.pid = instruments_->pid;
     record.tid = 0;
-    instruments_->tracer->Record(record);
+    instruments_->spans->push_back(record);
   }
 }
 
@@ -163,8 +163,8 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   transit.delay = shaping + latency;
   if (duplicate) {
     ++counters_.duplicates_delivered;
-    if (instruments_ != nullptr && instruments_->registry != nullptr) {
-      instruments_->registry->Inc(instruments_->net_duplicates);
+    if (instruments_ != nullptr && instruments_->metrics != nullptr) {
+      instruments_->metrics->Inc(instruments_->net_duplicates);
     }
     transit.duplicate = true;
     transit.copy_delay = shaping + sample_latency(link.rng);
@@ -177,10 +177,10 @@ void NetworkModel::NoteRetransmit(int invoker) {
   if (instruments_ == nullptr) {
     return;
   }
-  if (instruments_->registry != nullptr) {
-    instruments_->registry->Inc(instruments_->net_retransmits);
+  if (instruments_->metrics != nullptr) {
+    instruments_->metrics->Inc(instruments_->net_retransmits);
   }
-  if (instruments_->tracer != nullptr) {
+  if (instruments_->spans != nullptr) {
     SpanRecord record;
     record.start_ms = queue_->now().millis_since_origin();
     record.trace_id = invoker;
@@ -188,7 +188,7 @@ void NetworkModel::NoteRetransmit(int invoker) {
     record.name = static_cast<int16_t>(SpanName::kNetRetransmit);
     record.pid = instruments_->pid;
     record.tid = 0;
-    instruments_->tracer->Record(record);
+    instruments_->spans->push_back(record);
   }
 }
 
@@ -197,10 +197,10 @@ void NetworkModel::NoteDuplicateSuppressed(int invoker) {
   if (instruments_ == nullptr) {
     return;
   }
-  if (instruments_->registry != nullptr) {
-    instruments_->registry->Inc(instruments_->net_dup_suppressed);
+  if (instruments_->metrics != nullptr) {
+    instruments_->metrics->Inc(instruments_->net_dup_suppressed);
   }
-  if (instruments_->tracer != nullptr) {
+  if (instruments_->spans != nullptr) {
     SpanRecord record;
     record.start_ms = queue_->now().millis_since_origin();
     record.trace_id = invoker;
@@ -208,7 +208,7 @@ void NetworkModel::NoteDuplicateSuppressed(int invoker) {
     record.name = static_cast<int16_t>(SpanName::kNetDuplicate);
     record.pid = instruments_->pid;
     record.tid = 0;
-    instruments_->tracer->Record(record);
+    instruments_->spans->push_back(record);
   }
 }
 
@@ -217,10 +217,10 @@ void NetworkModel::NoteGiveUp(int invoker) {
   if (instruments_ == nullptr) {
     return;
   }
-  if (instruments_->registry != nullptr) {
-    instruments_->registry->Inc(instruments_->net_give_ups);
+  if (instruments_->metrics != nullptr) {
+    instruments_->metrics->Inc(instruments_->net_give_ups);
   }
-  if (instruments_->tracer != nullptr) {
+  if (instruments_->spans != nullptr) {
     SpanRecord record;
     record.start_ms = queue_->now().millis_since_origin();
     record.trace_id = invoker;
@@ -228,7 +228,7 @@ void NetworkModel::NoteGiveUp(int invoker) {
     record.name = static_cast<int16_t>(SpanName::kRpcGiveUp);
     record.pid = instruments_->pid;
     record.tid = 0;
-    instruments_->tracer->Record(record);
+    instruments_->spans->push_back(record);
   }
 }
 

@@ -55,7 +55,7 @@ AppSimResult ColdStartSimulator::SimulateApp(
       compiled.times_ms.data() + span.begin, exec, span.size(),
       compiled.memory_mb[app_index], compiled.horizon, policy, instruments);
   result.app = AppId(app_index);
-  if (instruments != nullptr && instruments->tracer != nullptr &&
+  if (instruments != nullptr && instruments->spans != nullptr &&
       span.size() > 0) {
     // One span per (policy, app): start at the first invocation, run to the
     // last, keyed so the span set is a pure function of the sweep shape.
@@ -70,7 +70,7 @@ AppSimResult ColdStartSimulator::SimulateApp(
     record.name = static_cast<int16_t>(SpanName::kAppReplay);
     record.pid = instruments->pid;
     record.tid = 0;
-    instruments->tracer->Record(record);
+    instruments->spans->push_back(record);
   }
   return result;
 }
@@ -152,7 +152,7 @@ AppSimResult ColdStartSimulator::SimulateStream(
   // decisions take the general path: they are rare and branch-heavier.)
   const bool static_decision = policy.HasStaticDecision();
   const bool plain_replay =
-      instruments == nullptr || instruments->registry == nullptr;
+      instruments == nullptr || instruments->metrics == nullptr;
   if (static_decision && plain_replay && !options_.track_hourly) {
     const PolicyDecision fixed = policy.NextWindows();
     if (!fixed.KeepsLoadedForever() && fixed.prewarm_window.IsZero()) {
@@ -172,13 +172,13 @@ AppSimResult ColdStartSimulator::SimulateStream(
   // Per-invocation telemetry rides the classification the loop already
   // makes.  Invocation times are ordered, so the per-minute series updates
   // are run-length batched: counts accumulate in two locals and flush to the
-  // registry only when the minute bin changes.  The counters flush once per
+  // task's metrics block only when the minute bin changes.  The counters flush once per
   // app below, keeping the per-invocation cost at a couple of arithmetic ops
   // when enabled and one pointer test when not.  The per-app histogram is
   // left to the sweep, which observes it in app order after the parallel
   // region.
-  MetricsRegistry* metrics =
-      instruments != nullptr ? instruments->registry : nullptr;
+  MetricsBlock* metrics =
+      instruments != nullptr ? instruments->metrics : nullptr;
   int64_t series_bin = -1;
   int64_t bin_invocations = 0;
   int64_t bin_cold = 0;

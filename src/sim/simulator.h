@@ -126,9 +126,10 @@ class ColdStartSimulator {
   // Simulates app `app_index` of a compiled trace against `policy` (a fresh
   // instance per app) and stamps AppId(app_index) on the result; sweeps
   // (sweep.h) call it once per (policy, app) cell.  `instruments`
-  // (optional) receives per-minute series updates, per-app counter flushes
-  // and one kAppReplay span; the simulated result itself is unaffected.  The
-  // per-app cold-start histogram is the caller's to observe.
+  // (optional) writes per-minute series updates and per-app counter flushes
+  // into its `metrics` block and one kAppReplay span into its `spans`
+  // buffer; the simulated result itself is unaffected.  The per-app
+  // cold-start histogram is the caller's to observe.
   AppSimResult SimulateApp(const CompiledTrace& compiled, size_t app_index,
                            KeepAlivePolicy& policy,
                            const SimPolicyInstruments* instruments =

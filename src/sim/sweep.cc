@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/arima/auto_arima.h"
@@ -73,10 +74,13 @@ void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index,
 // a copy of the stored result, so the output is bit-identical with or
 // without the memo, for any thread count and task order.
 //
-// `instruments` is empty or one bundle per policy.  Counters and series
-// flush from the workers; the per-app cold-start histogram is observed
-// after the region on this thread, in policy-major then app order, so its
-// floating-point sum does not depend on which worker ran which app.
+// `instruments` is empty or one bundle per policy.  An instrumented task
+// replays into a SimTaskTelemetry of its own (a metrics block and a span
+// buffer) and folds it into the shared registry and tracer when it ends;
+// counters, series and spans merge exactly in any fold order.  The per-app
+// cold-start histogram is observed after the region on this thread, in
+// policy-major then app order, so its floating-point sum does not depend on
+// which worker ran which app.  Uninstrumented, no task telemetry is made.
 void ReplayShards(const std::vector<const CompiledTrace*>& shards,
                   size_t app_offset,
                   const std::vector<const PolicyFactory*>& factories,
@@ -136,6 +140,10 @@ void ReplayShards(const std::vector<const CompiledTrace*>& shards,
         const Chunk& chunk = chunks[task - num_fills];
         ArimaMemo memo;
         const ArimaMemoScope memo_scope(&memo);
+        std::optional<SimTaskTelemetry> telemetry;
+        if (!instruments.empty()) {
+          telemetry.emplace(*options.telemetry, instruments);
+        }
         for (size_t i = chunk.begin; i < chunk.end; ++i) {
           const size_t app = chunk.app_id + i;
           for (size_t p = 0; p < num_policies; ++p) {
@@ -143,7 +151,7 @@ void ReplayShards(const std::vector<const CompiledTrace*>& shards,
                 factories[p]->CreateForApp();
             AppSimResult result = simulator.SimulateApp(
                 *chunk.shard, i, *policy,
-                instruments.empty() ? nullptr : &instruments[p]);
+                telemetry ? &telemetry->policy(p) : nullptr);
             // SimulateApp stamps the shard-local id; lift it to the global
             // dense range.
             result.app = AppId(static_cast<int64_t>(app));
@@ -152,6 +160,9 @@ void ReplayShards(const std::vector<const CompiledTrace*>& shards,
           // Hits come from the policies of one app; clearing bounds the
           // memo to one app's fits.
           memo.Clear();
+        }
+        if (telemetry) {
+          telemetry->Fold();
         }
       },
       options.num_threads, /*chunk=*/1);
@@ -189,7 +200,7 @@ std::vector<PolicyPoint> EvaluatePolicies(
   const size_t num_policies = factories.size();
 
   // Telemetry: one instrument bundle per policy, registered on this thread
-  // before the parallel region so worker shards are sized correctly.  The
+  // before the parallel region so the tasks' blocks are sized from it.  The
   // Chrome-trace process lane is the policy ordinal and kAppReplay trace ids
   // are p * num_apps + app, so the collected span set is a deterministic
   // function of the sweep shape, independent of --threads.

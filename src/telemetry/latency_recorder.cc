@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/logging.h"
+
 namespace faas {
 
 void LatencyRecorder::Merge(const LatencyRecorder& other) {
@@ -24,6 +26,8 @@ void LatencyRecorder::Reset() {
 
 void LatencyRecorder::BucketBounds(size_t index, int64_t* lo_ns,
                                    int64_t* hi_ns) {
+  FAAS_CHECK(index < static_cast<size_t>(kNumBuckets))
+      << "latency bucket " << index << " out of range";
   const size_t group = index >> kSubBits;
   const size_t sub = index & (kSubCount - 1);
   if (group == 0) {

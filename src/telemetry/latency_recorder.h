@@ -7,12 +7,12 @@
 // fixed, and whose per-thread instances merge losslessly at scrape time.
 // This is the standard log-bucketed design (HdrHistogram's bucketing): 32
 // sub-buckets per power of two gives <= ~3.2% relative error across the
-// full range 1 ns .. ~9.2 s in 1920 fixed counters (~15 KB).
+// full range [0, 2^63) ns in 1888 fixed counters (~15 KB).
 //
 // Lock-free by ownership, not by atomics: each event loop owns one
 // recorder and updates it single-threaded; Merge() folds per-loop
 // recorders into one after the loops quiesce (or on a snapshot copy), the
-// same shard-then-merge contract as MetricsRegistry.  Merging is exact —
+// same own-then-fold contract as a MetricsBlock.  Merging is exact —
 // buckets add — so percentiles over the merged recorder equal percentiles
 // over the union of samples up to bucket resolution.
 
@@ -29,7 +29,10 @@ class LatencyRecorder {
  public:
   static constexpr int kSubBits = 5;  // 32 sub-buckets per power of two.
   static constexpr int kSubCount = 1 << kSubBits;
-  static constexpr int kNumBuckets = (64 - kSubBits) << kSubBits;  // 1888+32
+  // Group 0 holds [0, 32) exactly; group g >= 1 holds the values whose most
+  // significant bit is g + 4.  Groups 0..58 cover [0, 2^63), every value
+  // Record can see.
+  static constexpr int kNumBuckets = (64 - kSubBits) << kSubBits;  // 1888
 
   LatencyRecorder() : counts_(kNumBuckets, 0) {}
 
@@ -69,6 +72,7 @@ class LatencyRecorder {
   };
   std::vector<Bucket> NonZeroBuckets() const;
 
+  // Bucket of `v`, for v < 2^63 (the non-negative int64 range).
   static size_t BucketIndex(uint64_t v) {
     if (v < kSubCount) {
       return static_cast<size_t>(v);
@@ -78,7 +82,7 @@ class LatencyRecorder {
     return (static_cast<size_t>(msb - kSubBits + 1) << kSubBits) +
            ((v >> shift) & (kSubCount - 1));
   }
-  // [lo, hi) value range covered by bucket `index`.
+  // [lo, hi) value range covered by bucket `index` < kNumBuckets.
   static void BucketBounds(size_t index, int64_t* lo_ns, int64_t* hi_ns);
 
  private:

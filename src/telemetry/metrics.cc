@@ -1,7 +1,6 @@
 #include "src/telemetry/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/common/logging.h"
 
@@ -9,21 +8,10 @@ namespace faas {
 
 namespace {
 
-std::atomic<uint64_t> g_registry_serial{1};
-
-// Thread-local shard cache.  Keyed by registry serial (not pointer) so a
-// registry allocated at a recycled address never inherits stale shards.
-// Bounded with move-to-front + tail eviction: a thread that outlives many
-// registries would otherwise scan an ever-growing list of dead entries on
-// every update.  Evicting a live registry's entry is safe — the next update
-// mints a fresh shard and the old one keeps merging on scrape, exactly the
-// shard-retirement path used for late registration.
-struct ShardCacheEntry {
-  uint64_t serial = 0;
-  void* shard = nullptr;
-};
-constexpr size_t kMaxShardCacheEntries = 8;
-thread_local std::vector<ShardCacheEntry> t_shard_cache;
+int64_t SeriesBin(TimePoint at, int64_t bin_width_ms, int64_t num_bins) {
+  return std::clamp<int64_t>(at.millis_since_origin() / bin_width_ms, 0,
+                             num_bins - 1);
+}
 
 }  // namespace
 
@@ -66,68 +54,93 @@ const MetricSnapshot* RegistrySnapshot::Find(std::string_view name,
   return nullptr;
 }
 
-MetricsRegistry::MetricsRegistry()
-    : serial_(g_registry_serial.fetch_add(1, std::memory_order_relaxed)) {}
+MetricsBlock::MetricsBlock(const MetricsRegistry& registry) {
+  std::lock_guard<std::mutex> lock(registry.mu_);
+  counters_.assign(registry.counters_.size(), 0);
+  gauges_.resize(registry.gauges_.size());
+  series_.resize(registry.series_.size());
+  for (size_t i = 0; i < series_.size(); ++i) {
+    series_[i].bin_width_ms = registry.series_[i].bin_width_ms;
+    series_[i].num_bins =
+        static_cast<int64_t>(registry.series_[i].bins.size());
+  }
+}
 
-MetricsRegistry::~MetricsRegistry() = default;
+void MetricsBlock::Inc(CounterId id, int64_t delta) {
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < counters_.size())
+      << "counter registered after the block was made";
+  counters_[static_cast<size_t>(id.index)] += delta;
+}
 
-int32_t MetricsRegistry::FindOrAdd(MetricKind kind, Definition definition) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = definition_index_.find(
-      DefinitionKey{definition.name, definition.label});
-  if (it != definition_index_.end()) {
-    const Definition& existing = definitions_[static_cast<size_t>(it->second)];
-    FAAS_CHECK(existing.kind == kind)
-        << "metric '" << existing.name
-        << "' re-registered with a different kind";
-    if (kind == MetricKind::kHistogram) {
-      FAAS_CHECK(*existing.edges == *definition.edges)
-          << "histogram '" << existing.name << "' re-registered with new edges";
+void MetricsBlock::Set(GaugeId id, double value, TimePoint at) {
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < gauges_.size())
+      << "gauge registered after the block was made";
+  gauges_[static_cast<size_t>(id.index)] = {value, at.millis_since_origin(),
+                                            true};
+}
+
+void MetricsBlock::SeriesAdd(SeriesId id, TimePoint at, int64_t delta) {
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < series_.size())
+      << "series registered after the block was made";
+  SeriesLog& log = series_[static_cast<size_t>(id.index)];
+  const int64_t bin = SeriesBin(at, log.bin_width_ms, log.num_bins);
+  if (!log.bins.empty()) {
+    log.bins[static_cast<size_t>(bin)] += delta;
+    return;
+  }
+  std::vector<BinDelta>& deltas = log.deltas;
+  if (!deltas.empty() && deltas.back().bin == bin) {
+    deltas.back().delta += delta;
+    return;
+  }
+  deltas.push_back({bin, delta});
+  if (static_cast<int64_t>(deltas.size()) >= log.num_bins) {
+    log.bins.assign(static_cast<size_t>(log.num_bins), 0);
+    for (const BinDelta& entry : deltas) {
+      log.bins[static_cast<size_t>(entry.bin)] += entry.delta;
     }
-    return existing.slot;
+    deltas = {};
   }
-  switch (kind) {
-    case MetricKind::kCounter:
-      definition.slot = num_counters_++;
-      break;
-    case MetricKind::kGauge:
-      definition.slot = num_gauges_++;
-      break;
-    case MetricKind::kHistogram:
-      definition.slot = num_histograms_++;
-      break;
-    case MetricKind::kSeries:
-      definition.slot = num_series_++;
-      break;
+}
+
+std::pair<int32_t, bool> MetricsRegistry::FindOrAdd(MetricKind kind,
+                                                    std::string name,
+                                                    std::string help,
+                                                    std::string label) {
+  const auto [it, added] =
+      definition_index_.try_emplace({name, label}, definitions_.size());
+  if (!added) {
+    const Definition& existing = definitions_[it->second];
+    FAAS_CHECK(existing.kind == kind)
+        << "metric '" << name << "' re-registered with a different kind";
+    return {existing.slot, false};
   }
-  const int32_t slot = definition.slot;
-  definitions_.push_back(std::move(definition));
-  const Definition& stored = definitions_.back();
-  definition_index_.emplace(DefinitionKey{stored.name, stored.label},
-                            static_cast<int32_t>(definitions_.size() - 1));
-  version_.store(static_cast<int64_t>(definitions_.size()),
-                 std::memory_order_relaxed);
-  return slot;
+  const int32_t slot = num_slots_[static_cast<size_t>(kind)]++;
+  definitions_.push_back(
+      {std::move(name), std::move(label), std::move(help), kind, slot});
+  return {slot, true};
 }
 
 CounterId MetricsRegistry::AddCounter(std::string name, std::string help,
                                       std::string label) {
-  Definition definition;
-  definition.name = std::move(name);
-  definition.label = std::move(label);
-  definition.help = std::move(help);
-  definition.kind = MetricKind::kCounter;
-  return CounterId{FindOrAdd(MetricKind::kCounter, std::move(definition))};
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [slot, added] = FindOrAdd(MetricKind::kCounter, std::move(name),
+                                       std::move(help), std::move(label));
+  if (added) {
+    counters_.push_back(0);
+  }
+  return CounterId{slot};
 }
 
 GaugeId MetricsRegistry::AddGauge(std::string name, std::string help,
                                   std::string label) {
-  Definition definition;
-  definition.name = std::move(name);
-  definition.label = std::move(label);
-  definition.help = std::move(help);
-  definition.kind = MetricKind::kGauge;
-  return GaugeId{FindOrAdd(MetricKind::kGauge, std::move(definition))};
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [slot, added] = FindOrAdd(MetricKind::kGauge, std::move(name),
+                                       std::move(help), std::move(label));
+  if (added) {
+    gauges_.emplace_back();
+  }
+  return GaugeId{slot};
 }
 
 HistogramId MetricsRegistry::AddHistogram(std::string name, std::string help,
@@ -138,14 +151,15 @@ HistogramId MetricsRegistry::AddHistogram(std::string name, std::string help,
     FAAS_CHECK(edges[i - 1] < edges[i])
         << "histogram '" << name << "' edges must be strictly ascending";
   }
-  Definition definition;
-  definition.name = std::move(name);
-  definition.label = std::move(label);
-  definition.help = std::move(help);
-  definition.kind = MetricKind::kHistogram;
-  definition.edges =
-      std::make_shared<const std::vector<double>>(std::move(edges));
-  return HistogramId{FindOrAdd(MetricKind::kHistogram, std::move(definition))};
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [slot, added] = FindOrAdd(MetricKind::kHistogram, name,
+                                       std::move(help), std::move(label));
+  if (added) {
+    histograms_.push_back({edges, std::vector<int64_t>(edges.size() + 1, 0)});
+  }
+  FAAS_CHECK(histograms_[static_cast<size_t>(slot)].edges == edges)
+      << "histogram '" << name << "' re-registered with new edges";
+  return HistogramId{slot};
 }
 
 SeriesId MetricsRegistry::AddSeries(std::string name, std::string help,
@@ -154,144 +168,107 @@ SeriesId MetricsRegistry::AddSeries(std::string name, std::string help,
   FAAS_CHECK(bin_width > Duration::Zero())
       << "series '" << name << "' needs a positive bin width";
   FAAS_CHECK(num_bins > 0) << "series '" << name << "' needs bins";
-  Definition definition;
-  definition.name = std::move(name);
-  definition.label = std::move(label);
-  definition.help = std::move(help);
-  definition.kind = MetricKind::kSeries;
-  definition.bin_width_ms = bin_width.millis();
-  definition.num_bins = num_bins;
-  return SeriesId{FindOrAdd(MetricKind::kSeries, std::move(definition))};
-}
-
-MetricsRegistry::Shard& MetricsRegistry::LocalShard() const {
-  std::vector<ShardCacheEntry>& cache = t_shard_cache;
-  ShardCacheEntry* cached = nullptr;
-  for (size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].serial == serial_) {
-      if (i != 0) {
-        std::swap(cache[0], cache[i]);  // Keep the hot registry up front.
-      }
-      cached = &cache[0];
-      break;
-    }
-  }
-  if (cached != nullptr) {
-    Shard* shard = static_cast<Shard*>(cached->shard);
-    if (shard->version == version_.load(std::memory_order_relaxed)) {
-      return *shard;
-    }
-    // Definitions were added since this shard was sized.  Retire it (it
-    // stays in shards_ and keeps merging on scrape) and fall through to
-    // mint a fresh, full-size replacement.
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto shard = std::make_unique<Shard>();
-  shard->version = static_cast<int64_t>(definitions_.size());
-  shard->counters = std::vector<std::atomic<int64_t>>(
-      static_cast<size_t>(num_counters_));
-  shard->gauges.resize(static_cast<size_t>(num_gauges_));
-  shard->histograms.resize(static_cast<size_t>(num_histograms_));
-  shard->series.resize(static_cast<size_t>(num_series_));
-  for (const Definition& definition : definitions_) {
-    if (definition.kind == MetricKind::kHistogram) {
-      HistogramCell& cell =
-          shard->histograms[static_cast<size_t>(definition.slot)];
-      cell.edges = definition.edges;
-      cell.counts.assign(definition.edges->size() + 1, 0);
-    } else if (definition.kind == MetricKind::kSeries) {
-      SeriesCell& cell = shard->series[static_cast<size_t>(definition.slot)];
-      cell.bin_width_ms = definition.bin_width_ms;
-      cell.bins.assign(definition.num_bins, 0);
-    }
+  const auto [slot, added] = FindOrAdd(MetricKind::kSeries, std::move(name),
+                                       std::move(help), std::move(label));
+  if (added) {
+    series_.push_back({bin_width.millis(), std::vector<int64_t>(num_bins, 0)});
   }
-  Shard* raw = shard.get();
-  shards_.push_back(std::move(shard));
-  if (cached != nullptr) {
-    cached->shard = raw;
-  } else {
-    if (cache.size() >= kMaxShardCacheEntries) {
-      cache.pop_back();
-    }
-    cache.insert(cache.begin(), ShardCacheEntry{serial_, raw});
-  }
-  return *raw;
+  return SeriesId{slot};
 }
 
 void MetricsRegistry::Inc(CounterId id, int64_t delta) {
-  Shard& shard = LocalShard();
-  FAAS_CHECK(id.valid() &&
-             static_cast<size_t>(id.index) < shard.counters.size())
-      << "counter used before registration (register metrics before the "
-         "first update on any thread)";
-  shard.counters[static_cast<size_t>(id.index)].fetch_add(
-      delta, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < counters_.size())
+      << "counter used before registration";
+  counters_[static_cast<size_t>(id.index)] += delta;
 }
 
 void MetricsRegistry::Set(GaugeId id, double value, TimePoint at) {
-  Shard& shard = LocalShard();
-  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < shard.gauges.size())
+  std::lock_guard<std::mutex> lock(mu_);
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < gauges_.size())
       << "gauge used before registration";
-  GaugeCell& cell = shard.gauges[static_cast<size_t>(id.index)];
-  cell.value = value;
-  cell.at_ms = at.millis_since_origin();
-  cell.set = true;
+  gauges_[static_cast<size_t>(id.index)] = {value, at.millis_since_origin(),
+                                            true};
 }
 
 void MetricsRegistry::Observe(HistogramId id, double value) {
-  Shard& shard = LocalShard();
+  std::lock_guard<std::mutex> lock(mu_);
   FAAS_CHECK(id.valid() &&
-             static_cast<size_t>(id.index) < shard.histograms.size())
+             static_cast<size_t>(id.index) < histograms_.size())
       << "histogram used before registration";
-  HistogramCell& cell = shard.histograms[static_cast<size_t>(id.index)];
+  Histogram& cell = histograms_[static_cast<size_t>(id.index)];
   // counts[0] is underflow, counts[i] covers [edges[i-1], edges[i]), and
   // counts[edges.size()] is overflow; upper_bound yields exactly that index
   // (values on an edge land in the bucket whose lower edge they equal).
-  const std::vector<double>& edges = *cell.edges;
   const size_t bucket = static_cast<size_t>(
-      std::upper_bound(edges.begin(), edges.end(), value) - edges.begin());
+      std::upper_bound(cell.edges.begin(), cell.edges.end(), value) -
+      cell.edges.begin());
   ++cell.counts[bucket];
   ++cell.observations;
   cell.sum += value;
 }
 
 void MetricsRegistry::SeriesAdd(SeriesId id, TimePoint at, int64_t delta) {
-  Shard& shard = LocalShard();
-  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < shard.series.size())
+  std::lock_guard<std::mutex> lock(mu_);
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < series_.size())
       << "series used before registration";
-  SeriesCell& cell = shard.series[static_cast<size_t>(id.index)];
-  int64_t bin = at.millis_since_origin() / cell.bin_width_ms;
-  bin = std::clamp<int64_t>(bin, 0,
-                            static_cast<int64_t>(cell.bins.size()) - 1);
+  Series& cell = series_[static_cast<size_t>(id.index)];
+  const int64_t bin = SeriesBin(at, cell.bin_width_ms,
+                                static_cast<int64_t>(cell.bins.size()));
   cell.bins[static_cast<size_t>(bin)] += delta;
 }
 
-int64_t MetricsRegistry::CounterValue(CounterId id) const {
-  FAAS_CHECK(id.valid()) << "invalid counter id";
-  int64_t total = 0;
+void MetricsRegistry::Fold(MetricsBlock& block) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (static_cast<size_t>(id.index) < shard->counters.size()) {
-      total += shard->counters[static_cast<size_t>(id.index)].load(
-          std::memory_order_relaxed);
+  // A block never has more slots than the registry: it is sized from it,
+  // and definitions are never removed.
+  for (size_t i = 0; i < block.counters_.size(); ++i) {
+    counters_[i] += block.counters_[i];
+  }
+  for (size_t i = 0; i < block.gauges_.size(); ++i) {
+    const MetricsBlock::Gauge& sample = block.gauges_[i];
+    MetricsBlock::Gauge& merged = gauges_[i];
+    // Latest simulation timestamp wins; ties resolve to the larger value,
+    // so the merge does not depend on fold order.
+    if (sample.set &&
+        (!merged.set || sample.at_ms > merged.at_ms ||
+         (sample.at_ms == merged.at_ms && sample.value > merged.value))) {
+      merged = sample;
     }
   }
-  return total;
+  for (size_t i = 0; i < block.series_.size(); ++i) {
+    const MetricsBlock::SeriesLog& log = block.series_[i];
+    std::vector<int64_t>& bins = series_[i].bins;
+    for (const MetricsBlock::BinDelta& entry : log.deltas) {
+      bins[static_cast<size_t>(entry.bin)] += entry.delta;
+    }
+    for (size_t bin = 0; bin < log.bins.size(); ++bin) {
+      bins[bin] += log.bins[bin];
+    }
+  }
+  std::fill(block.counters_.begin(), block.counters_.end(), 0);
+  std::fill(block.gauges_.begin(), block.gauges_.end(), MetricsBlock::Gauge{});
+  for (MetricsBlock::SeriesLog& log : block.series_) {
+    log.deltas.clear();
+    log.bins.clear();
+  }
+}
+
+int64_t MetricsRegistry::CounterValue(CounterId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  FAAS_CHECK(id.valid() && static_cast<size_t>(id.index) < counters_.size())
+      << "invalid counter id";
+  return counters_[static_cast<size_t>(id.index)];
 }
 
 int64_t MetricsRegistry::SumCountersByBase(std::string_view name) const {
-  std::vector<int32_t> slots;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Definition& definition : definitions_) {
-      if (definition.kind == MetricKind::kCounter && definition.name == name) {
-        slots.push_back(definition.slot);
-      }
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t total = 0;
-  for (int32_t slot : slots) {
-    total += CounterValue(CounterId{slot});
+  for (const Definition& definition : definitions_) {
+    if (definition.kind == MetricKind::kCounter && definition.name == name) {
+      total += counters_[static_cast<size_t>(definition.slot)];
+    }
   }
   return total;
 }
@@ -309,70 +286,27 @@ RegistrySnapshot MetricsRegistry::Scrape() const {
     const size_t slot = static_cast<size_t>(definition.slot);
     switch (definition.kind) {
       case MetricKind::kCounter:
-        for (const std::unique_ptr<Shard>& shard : shards_) {
-          if (slot < shard->counters.size()) {
-            metric.counter +=
-                shard->counters[slot].load(std::memory_order_relaxed);
-          }
-        }
+        metric.counter = counters_[slot];
         break;
       case MetricKind::kGauge:
-        for (const std::unique_ptr<Shard>& shard : shards_) {
-          if (slot >= shard->gauges.size()) {
-            continue;
-          }
-          const GaugeCell& cell = shard->gauges[slot];
-          if (!cell.set) {
-            continue;
-          }
-          // Latest simulation timestamp wins; ties resolve to the larger
-          // value so the merge is independent of shard order.
-          if (!metric.gauge_set || cell.at_ms > metric.gauge_at.millis_since_origin() ||
-              (cell.at_ms == metric.gauge_at.millis_since_origin() &&
-               cell.value > metric.gauge)) {
-            metric.gauge = cell.value;
-            metric.gauge_at = TimePoint(cell.at_ms);
-            metric.gauge_set = true;
-          }
-        }
+        metric.gauge = gauges_[slot].value;
+        metric.gauge_at = TimePoint(gauges_[slot].at_ms);
+        metric.gauge_set = gauges_[slot].set;
         break;
       case MetricKind::kHistogram:
-        metric.edges = *definition.edges;
-        metric.counts.assign(definition.edges->size() + 1, 0);
-        for (const std::unique_ptr<Shard>& shard : shards_) {
-          if (slot >= shard->histograms.size()) {
-            continue;
-          }
-          const HistogramCell& cell = shard->histograms[slot];
-          for (size_t i = 0; i < cell.counts.size(); ++i) {
-            metric.counts[i] += cell.counts[i];
-          }
-          metric.observations += cell.observations;
-          metric.sum += cell.sum;
-        }
+        metric.edges = histograms_[slot].edges;
+        metric.counts = histograms_[slot].counts;
+        metric.observations = histograms_[slot].observations;
+        metric.sum = histograms_[slot].sum;
         break;
       case MetricKind::kSeries:
-        metric.bin_width_ms = definition.bin_width_ms;
-        metric.bins.assign(definition.num_bins, 0);
-        for (const std::unique_ptr<Shard>& shard : shards_) {
-          if (slot >= shard->series.size()) {
-            continue;
-          }
-          const std::vector<int64_t>& bins = shard->series[slot].bins;
-          for (size_t i = 0; i < bins.size(); ++i) {
-            metric.bins[i] += bins[i];
-          }
-        }
+        metric.bin_width_ms = series_[slot].bin_width_ms;
+        metric.bins = series_[slot].bins;
         break;
     }
     snapshot.metrics.push_back(std::move(metric));
   }
   return snapshot;
-}
-
-size_t MetricsRegistry::num_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return definitions_.size();
 }
 
 }  // namespace faas

@@ -1,31 +1,29 @@
-// Metrics registry with per-thread shards.
+// Metrics registry and the per-writer blocks folded into it.
 //
-// The sweep engine touches a metric once (or twice) per simulated
-// invocation, from every pool worker at once; a single shared cell would
-// serialise the whole sweep on one cache line.  Instead, every metric is a
-// *definition* (name, kind, bucket edges) and each thread lazily creates a
-// private shard holding one slot per definition.  Hot-path updates touch
-// only the calling thread's shard; Scrape() merges all shards into one
-// snapshot.  The pattern mirrors the chunked ThreadPool design: contention
-// is paid O(threads) times at setup, never per increment.
+// Every metric is a *definition* (name, label, kind, shape) plus one merged
+// cell, all behind the registry's mutex.  Data is owned by its writer:
 //
-// Concurrency contract:
-//   - Registration must happen-before any update that uses the returned id
-//     (the registering thread hands ids to workers through a fence such as
-//     the thread-pool queue).  Late registration is allowed: a thread whose
-//     shard predates newer definitions retires it — the old shard keeps its
-//     accumulated values and still merges on scrape — and mints a fresh
-//     full-size shard on its next update.
-//   - Counter cells are relaxed atomics, so CounterValue()/SumCountersByBase()
-//     may be called concurrently with updates (the --progress heartbeat).
-//   - Gauges, histograms, and minute series use plain owner-thread cells;
-//     a full Scrape() requires quiescence (call it after the parallel
-//     region joins, as the sweep engine and cluster replayer do).
+//   - A writer records into a MetricsBlock of its own: plain int64 counter
+//     and series cells and timestamped gauges, no lock.  It folds the block
+//     in with Fold(), under the lock: a sweep task when it ends, the
+//     cluster replayer at each sampler tick.
+//   - A single owner may also write the registry directly (the cluster's
+//     gauges and sampler series, a tool exporting its final stats):
+//     Inc / Set / Observe / SeriesAdd each take the lock once.
+//   - A histogram has exactly one owner, which observes it straight into the
+//     registry in its own order.  Blocks carry no histograms: a double
+//     `_sum` added in fold order would depend on scheduling, while every
+//     cell a block does carry merges exactly in any order.
 //
-// Merge semantics are order-independent so the snapshot is bit-identical
-// at any thread count: counters, histogram buckets, and series bins add;
-// gauges keep the sample with the latest simulation timestamp (ties resolve
-// to the larger value).
+// Scrape(), CounterValue() and SumCountersByBase() read under the same lock,
+// so a live reader (the --progress heartbeat, a SIGINT flush) may run
+// beside the writers and sees each fold whole.
+//
+// Merge semantics are order-independent, so a sweep's snapshot is
+// bit-identical at any thread count: counters and series bins add; a
+// folded gauge replaces the merged one when its simulation timestamp is
+// later, or equal with a larger value.  A direct Set() is its owner's
+// latest sample and simply overwrites.
 //
 // Metric kinds:
 //   Counter    monotonically increasing int64.
@@ -39,14 +37,13 @@
 #ifndef SRC_TELEMETRY_METRICS_H_
 #define SRC_TELEMETRY_METRICS_H_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -116,17 +113,60 @@ struct RegistrySnapshot {
                              std::string_view label = "") const;
 };
 
+class MetricsRegistry;
+
+// One writer's private counters, gauges and series, sized from the
+// definitions registered when the block is made.  Not thread-safe: exactly
+// one thread writes it and folds it with MetricsRegistry::Fold, once when
+// its task ends or repeatedly (the cluster folds at each sampler tick).
+class MetricsBlock {
+ public:
+  explicit MetricsBlock(const MetricsRegistry& registry);
+
+  void Inc(CounterId id, int64_t delta = 1);
+  void Set(GaugeId id, double value, TimePoint at);
+  // Same binning and clamping as MetricsRegistry::SeriesAdd.
+  void SeriesAdd(SeriesId id, TimePoint at, int64_t delta = 1);
+
+ private:
+  friend class MetricsRegistry;
+
+  struct Gauge {
+    double value = 0.0;
+    int64_t at_ms = 0;
+    bool set = false;
+  };
+  struct BinDelta {
+    int64_t bin = 0;
+    int64_t delta = 0;
+  };
+  // Only the bins this block touched: a sweep task replays a few apps, so a
+  // dense copy of every series would dwarf what it writes.  Adds append to
+  // `deltas` (consecutive adds to one bin merge in place); once the log
+  // holds as many entries as the series has bins, it turns into the dense
+  // `bins`, whose size the adds have by then paid for.
+  struct SeriesLog {
+    int64_t bin_width_ms = 0;
+    int64_t num_bins = 0;
+    std::vector<BinDelta> deltas;
+    std::vector<int64_t> bins;  // Empty until the log turns dense.
+  };
+
+  std::vector<int64_t> counters_;
+  std::vector<Gauge> gauges_;
+  std::vector<SeriesLog> series_;
+};
+
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Registration is idempotent on (name, label): re-registering returns the
-  // existing id (kind and shape must match).  Thread-safe, but see the
-  // header contract: register before worker threads start updating.
+  // existing id (kind and shape must match).  A block sees only the
+  // definitions registered before it was made.
   CounterId AddCounter(std::string name, std::string help,
                        std::string label = "");
   GaugeId AddGauge(std::string name, std::string help, std::string label = "");
@@ -138,100 +178,58 @@ class MetricsRegistry {
   SeriesId AddSeries(std::string name, std::string help, Duration bin_width,
                      size_t num_bins, std::string label = "");
 
-  // --- Hot-path updates (thread-local shard; see concurrency contract) ---
+  // --- Single-owner updates, each under the lock ---
   void Inc(CounterId id, int64_t delta = 1);
   void Set(GaugeId id, double value, TimePoint at);
   void Observe(HistogramId id, double value);
   void SeriesAdd(SeriesId id, TimePoint at, int64_t delta = 1);
 
-  // Concurrent-safe sum of a counter across all shards (relaxed reads).
+  // Merges a block's counters, gauges and touched series bins, and empties
+  // the block for reuse.  Exact in any fold order.
+  void Fold(MetricsBlock& block);
+
+  // Merged value of a counter, or the sum of every counter whose base name
+  // equals `name` (across labels).
   int64_t CounterValue(CounterId id) const;
-  // Sum of every counter whose base name equals `name` (across labels).
   int64_t SumCountersByBase(std::string_view name) const;
 
-  // Full merge of all shards.  Requires quiescence for gauges, histograms
-  // and series (no concurrent updates); counters are always safe.
   RegistrySnapshot Scrape() const;
 
-  size_t num_metrics() const;
-
  private:
-  struct GaugeCell {
-    double value = 0.0;
-    int64_t at_ms = 0;
-    bool set = false;
-  };
-  struct HistogramCell {
-    // Shared with the definition so the hot path reads edges without a lock
-    // (definitions are immutable once registered).
-    std::shared_ptr<const std::vector<double>> edges;
-    std::vector<int64_t> counts;  // edges->size() + 1
+  friend class MetricsBlock;
+
+  struct Histogram {
+    std::vector<double> edges;
+    std::vector<int64_t> counts;  // edges.size() + 1
     int64_t observations = 0;
     double sum = 0.0;
   };
-  struct SeriesCell {
+  struct Series {
     int64_t bin_width_ms = 0;
     std::vector<int64_t> bins;
-  };
-  struct Shard {
-    // Fixed-size at construction: one slot per definition then registered.
-    // A shard is never resized — when definitions are added later, the
-    // owning thread retires it (it still merges on scrape) and creates a
-    // fresh one, so concurrent counter readers never race a reallocation.
-    int64_t version = 0;  // definitions_.size() at creation.
-    std::vector<std::atomic<int64_t>> counters;
-    std::vector<GaugeCell> gauges;
-    std::vector<HistogramCell> histograms;
-    std::vector<SeriesCell> series;
   };
   struct Definition {
     std::string name;
     std::string label;
     std::string help;
     MetricKind kind = MetricKind::kCounter;
-    int32_t slot = 0;  // Index within the kind-specific shard vector.
-    std::shared_ptr<const std::vector<double>> edges;  // kHistogram
-    int64_t bin_width_ms = 0;                          // kSeries
-    size_t num_bins = 0;                               // kSeries
+    int32_t slot = 0;  // Index within the kind's cell vector.
   };
 
-  // Composite (name, label) key viewing into a stored Definition; lookups
-  // hash without concatenating or copying strings.
-  struct DefinitionKey {
-    std::string_view name;
-    std::string_view label;
-    friend bool operator==(const DefinitionKey&,
-                           const DefinitionKey&) = default;
-  };
-  struct DefinitionKeyHash {
-    size_t operator()(const DefinitionKey& key) const noexcept {
-      const size_t h = std::hash<std::string_view>{}(key.name);
-      return h ^ (std::hash<std::string_view>{}(key.label) +
-                  0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    }
-  };
-
-  // Returns this thread's shard, creating + registering it on first use.
-  Shard& LocalShard() const;
-  int32_t FindOrAdd(MetricKind kind, Definition definition);
-
-  const uint64_t serial_;  // Distinguishes registries in thread-local caches.
-  // Bumped on every new definition; a cached shard with an older version is
-  // retired on the owner's next update (relaxed load on the hot path).
-  std::atomic<int64_t> version_{0};
+  // Slot of (name, label), and whether it was just added (the caller then
+  // appends the kind's cell).  Requires mu_.
+  std::pair<int32_t, bool> FindOrAdd(MetricKind kind, std::string name,
+                                     std::string help, std::string label);
 
   mutable std::mutex mu_;
-  // Deque keeps Definition addresses stable so the index below can view the
-  // stored name/label strings; registration order is preserved for Scrape.
-  std::deque<Definition> definitions_;
-  std::unordered_map<DefinitionKey, int32_t, DefinitionKeyHash>
-      definition_index_;
-  // Slot counts per kind (sizes for newly created shards).
-  int32_t num_counters_ = 0;
-  int32_t num_gauges_ = 0;
-  int32_t num_histograms_ = 0;
-  int32_t num_series_ = 0;
-  mutable std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Definition> definitions_;  // In registration order.
+  std::map<std::pair<std::string, std::string>, size_t> definition_index_;
+  std::array<int32_t, 4> num_slots_{};  // Per MetricKind.
+  // Merged cells, one per definition of each kind, indexed by slot.
+  std::vector<int64_t> counters_;
+  std::vector<MetricsBlock::Gauge> gauges_;
+  std::vector<Histogram> histograms_;
+  std::vector<Series> series_;
 };
 
 }  // namespace faas

@@ -40,8 +40,7 @@ std::vector<double> LatencyEdgesMs() {
 
 }  // namespace
 
-Telemetry::Telemetry(TelemetryConfig config)
-    : config_(config), tracer_(config.ring_capacity) {}
+Telemetry::Telemetry(TelemetryConfig config) : config_(config) {}
 
 ClusterInstruments ClusterInstruments::Register(Telemetry& telemetry,
                                                 std::string_view policy_name,
@@ -243,6 +242,15 @@ ClusterInstruments ClusterInstruments::Register(Telemetry& telemetry,
   return instruments;
 }
 
+void ClusterInstruments::Fold() const {
+  if (metrics != nullptr) {
+    registry->Fold(*metrics);
+  }
+  if (spans != nullptr) {
+    tracer->Fold(*spans);
+  }
+}
+
 SimPolicyInstruments SimPolicyInstruments::Register(
     Telemetry& telemetry, std::string_view policy_name, int16_t pid,
     int64_t trace_id_base, Duration horizon) {
@@ -286,6 +294,27 @@ SimPolicyInstruments SimPolicyInstruments::Register(
       r.AddSeries("faas_sim_minute_cold_starts", "Cold starts per minute",
                   Duration::Minutes(1), bins, label);
   return instruments;
+}
+
+SimTaskTelemetry::SimTaskTelemetry(
+    Telemetry& telemetry, const std::vector<SimPolicyInstruments>& policies)
+    : telemetry_(telemetry), policies_(policies) {
+  if (telemetry.metrics_enabled()) {
+    metrics_.emplace(telemetry.metrics());
+  }
+  for (SimPolicyInstruments& policy : policies_) {
+    policy.metrics = metrics_ ? &*metrics_ : nullptr;
+    policy.spans = telemetry.trace_enabled() ? &spans_ : nullptr;
+  }
+}
+
+void SimTaskTelemetry::Fold() {
+  if (metrics_) {
+    telemetry_.metrics().Fold(*metrics_);
+  }
+  if (telemetry_.trace_enabled()) {
+    telemetry_.tracer().Fold(spans_);
+  }
 }
 
 }  // namespace faas

@@ -12,14 +12,21 @@
 // The instrument bundles are registered per policy with a pre-rendered
 // Prometheus label body (`policy="hybrid"`), so one registry can hold every
 // policy of a sweep side by side.
+//
+// Writers own what they record (metrics.h, tracer.h).  A sweep's replay
+// tasks run beside each other, so each records into a SimTaskTelemetry of
+// its own and folds it in when the task ends.  A cluster replay, one owner
+// on one thread, folds its counter block and span buffer at each sampler
+// tick and writes its gauges and histograms to the registry directly.
 
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/tracer.h"
@@ -31,7 +38,6 @@ struct TelemetryConfig {
   bool trace_enabled = true;
   // Update the metrics registry (enables --metrics-out and --progress).
   bool metrics_enabled = true;
-  size_t ring_capacity = Tracer::kDefaultRingCapacity;
 };
 
 class Telemetry {
@@ -56,11 +62,15 @@ class Telemetry {
 };
 
 // Instruments for one policy's cluster replay (controller + invokers).
-// `registry`/`tracer` are non-owning; either may be null when that half of
-// telemetry is disabled, and call sites must check before use.
+// All pointers are non-owning and null when that half of telemetry is
+// disabled; call sites must check before use.  Counters and spans go to the
+// replay's own `metrics` block and `spans` buffer (set by the replay, null
+// in the registered bundle); histograms and gauges go to `registry`.
 struct ClusterInstruments {
   MetricsRegistry* registry = nullptr;
   Tracer* tracer = nullptr;
+  MetricsBlock* metrics = nullptr;
+  SpanBuffer* spans = nullptr;
   int32_t label_id = -1;  // Interned `policy="<name>"` for spans.
   int16_t pid = 0;        // Chrome-trace process lane.
 
@@ -138,16 +148,24 @@ struct ClusterInstruments {
                                      bool overload = false,
                                      bool network = false,
                                      bool resources = false);
+
+  // Folds `metrics` and `spans` into the registry and tracer, emptying
+  // both.
+  void Fold() const;
 };
 
 // Instruments for one policy of an analytic sweep.  The hot loop
-// (ColdStartSimulator::SimulateStream) batches its counter flushes per app,
-// so the per-invocation cost is one SeriesAdd (plus one more per cold
-// start).  `app_cold_percent` is observed by the sweep step (sweep.cc) after
-// its parallel region, in app order, so its sum is thread-count independent.
+// (ColdStartSimulator::SimulateStream) records into `metrics` and `spans`,
+// the writing task's own block and buffer (null in the registered bundle),
+// and batches its series adds per minute bin and its counters per app.
+// `app_cold_percent` is observed straight into `registry` by the sweep
+// (sweep.cc) after its parallel region, in app order, so its sum is
+// thread-count independent.
 struct SimPolicyInstruments {
   MetricsRegistry* registry = nullptr;
   Tracer* tracer = nullptr;
+  MetricsBlock* metrics = nullptr;
+  SpanBuffer* spans = nullptr;
   int32_t label_id = -1;
   int16_t pid = 0;
   // kAppReplay spans use trace_id_base + app_index, so the span set of a
@@ -166,6 +184,28 @@ struct SimPolicyInstruments {
                                        std::string_view policy_name,
                                        int16_t pid, int64_t trace_id_base,
                                        Duration horizon);
+};
+
+// One sweep task's telemetry: a metrics block and a span buffer of its own,
+// and a copy of every policy's bundle pointed at them.  Fold() merges both
+// into the shared registry and tracer, each under its lock.
+class SimTaskTelemetry {
+ public:
+  SimTaskTelemetry(Telemetry& telemetry,
+                   const std::vector<SimPolicyInstruments>& policies);
+
+  SimTaskTelemetry(const SimTaskTelemetry&) = delete;
+  SimTaskTelemetry& operator=(const SimTaskTelemetry&) = delete;
+
+  const SimPolicyInstruments& policy(size_t p) const { return policies_[p]; }
+
+  void Fold();
+
+ private:
+  Telemetry& telemetry_;
+  std::optional<MetricsBlock> metrics_;
+  SpanBuffer spans_;
+  std::vector<SimPolicyInstruments> policies_;
 };
 
 }  // namespace faas

@@ -1,108 +1,30 @@
 #include "src/telemetry/tracer.h"
 
 #include <algorithm>
-#include <atomic>
+#include <iterator>
 #include <tuple>
 
 #include "src/common/logging.h"
 
 namespace faas {
 
-namespace {
-
-std::atomic<uint64_t> g_tracer_serial{1};
-
-// Bounded like the metrics shard cache: move-to-front on hit, tail eviction
-// on insert.  Evicting a live tracer's entry is safe — the next Record mints
-// a fresh ring and the old one's spans still surface in Collect.
-struct RingCacheEntry {
-  uint64_t serial = 0;
-  void* ring = nullptr;
-};
-constexpr size_t kMaxRingCacheEntries = 8;
-thread_local std::vector<RingCacheEntry> t_ring_cache;
-
-}  // namespace
-
 const char* SpanNameString(SpanName name) {
-  switch (name) {
-    case SpanName::kActivation:
-      return "activation";
-    case SpanName::kBackoff:
-      return "backoff";
-    case SpanName::kRetry:
-      return "retry";
-    case SpanName::kTimeout:
-      return "timeout";
-    case SpanName::kAbandon:
-      return "abandon";
-    case SpanName::kDrop:
-      return "drop";
-    case SpanName::kRejectOutage:
-      return "reject_outage";
-    case SpanName::kLost:
-      return "lost";
-    case SpanName::kPolicyWipe:
-      return "policy_wipe";
-    case SpanName::kCheckpoint:
-      return "checkpoint";
-    case SpanName::kColdLoad:
-      return "cold_load";
-    case SpanName::kWarmHit:
-      return "warm_hit";
-    case SpanName::kPrewarmLoad:
-      return "prewarm_load";
-    case SpanName::kExecute:
-      return "execute";
-    case SpanName::kEviction:
-      return "eviction";
-    case SpanName::kTransientFault:
-      return "transient_fault";
-    case SpanName::kInvokerCrash:
-      return "invoker_crash";
-    case SpanName::kInvokerRestart:
-      return "invoker_restart";
-    case SpanName::kOutage:
-      return "outage";
-    case SpanName::kLatencySpike:
-      return "latency_spike";
-    case SpanName::kFlakyWindow:
-      return "flaky_window";
-    case SpanName::kAdmissionQueue:
-      return "admission_queue";
-    case SpanName::kShed:
-      return "shed";
-    case SpanName::kHedge:
-      return "hedge";
-    case SpanName::kBreakerTransition:
-      return "breaker_transition";
-    case SpanName::kNetPartition:
-      return "net_partition";
-    case SpanName::kNetLossWindow:
-      return "net_loss_window";
-    case SpanName::kNetDrop:
-      return "net_drop";
-    case SpanName::kNetRetransmit:
-      return "net_retransmit";
-    case SpanName::kNetDuplicate:
-      return "net_duplicate";
-    case SpanName::kRpcGiveUp:
-      return "rpc_give_up";
-    case SpanName::kAppReplay:
-      return "app_replay";
-    case SpanName::kResourceCost:
-      return "resource_cost";
-    case SpanName::kNumSpanNames:
-      break;
-  }
-  return "unknown";
+  // Indexed by SpanName; keep in enum order.
+  static constexpr const char* kNames[] = {
+      "activation", "backoff", "retry", "timeout", "abandon", "drop",
+      "reject_outage", "lost", "policy_wipe", "checkpoint", "cold_load",
+      "warm_hit", "prewarm_load", "execute", "eviction", "transient_fault",
+      "invoker_crash", "invoker_restart", "outage", "latency_spike",
+      "flaky_window", "admission_queue", "shed", "hedge",
+      "breaker_transition", "net_partition", "net_loss_window", "net_drop",
+      "net_retransmit", "net_duplicate", "rpc_give_up", "app_replay",
+      "resource_cost",
+  };
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(SpanName::kNumSpanNames));
+  const auto index = static_cast<size_t>(name);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
-
-Tracer::Tracer(size_t ring_capacity)
-    : serial_(g_tracer_serial.fetch_add(1, std::memory_order_relaxed)),
-      ring_capacity_(std::max<size_t>(1, ring_capacity)) {}
-
-Tracer::~Tracer() = default;
 
 int32_t Tracer::InternLabel(std::string_view label) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -131,38 +53,10 @@ void Tracer::RegisterThread(int16_t pid, int32_t tid, std::string name) {
   threads_.emplace_back(std::make_pair(pid, tid), std::move(name));
 }
 
-Tracer::Ring& Tracer::LocalRing() const {
-  std::vector<RingCacheEntry>& cache = t_ring_cache;
-  for (size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].serial == serial_) {
-      if (i != 0) {
-        std::swap(cache[0], cache[i]);  // Keep the hot tracer up front.
-      }
-      return *static_cast<Ring*>(cache[0].ring);
-    }
-  }
+void Tracer::Fold(SpanBuffer& spans) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto ring = std::make_unique<Ring>();
-  ring->spans.reserve(ring_capacity_);
-  Ring* raw = ring.get();
-  rings_.push_back(std::move(ring));
-  if (cache.size() >= kMaxRingCacheEntries) {
-    cache.pop_back();
-  }
-  cache.insert(cache.begin(), RingCacheEntry{serial_, raw});
-  return *raw;
-}
-
-void Tracer::Record(const SpanRecord& span) {
-  Ring& ring = LocalRing();
-  ring.spans.push_back(span);
-  if (ring.spans.size() >= ring_capacity_) {
-    // Hand the full ring off to the central store: one lock acquisition per
-    // `ring_capacity_` records, and nothing is ever dropped.
-    std::lock_guard<std::mutex> lock(mu_);
-    flushed_.insert(flushed_.end(), ring.spans.begin(), ring.spans.end());
-    ring.spans.clear();
-  }
+  spans_.insert(spans_.end(), spans.begin(), spans.end());
+  spans.clear();
 }
 
 CollectedTrace Tracer::Collect() const {
@@ -186,16 +80,7 @@ CollectedTrace Tracer::Collect() const {
     trace.labels.push_back(labels_.NameOf(static_cast<uint32_t>(order[rank])));
   }
 
-  size_t total = flushed_.size();
-  for (const std::unique_ptr<Ring>& ring : rings_) {
-    total += ring->spans.size();
-  }
-  trace.spans.reserve(total);
-  trace.spans = flushed_;
-  for (const std::unique_ptr<Ring>& ring : rings_) {
-    trace.spans.insert(trace.spans.end(), ring->spans.begin(),
-                       ring->spans.end());
-  }
+  trace.spans = spans_;
   for (SpanRecord& span : trace.spans) {
     if (span.label_id >= 0) {
       FAAS_CHECK(static_cast<size_t>(span.label_id) < remap.size())
@@ -204,7 +89,7 @@ CollectedTrace Tracer::Collect() const {
     }
   }
   // Canonical order.  Every key is either simulation state or a remapped
-  // (string-ordered) id, so the sort is independent of recording thread.
+  // (string-ordered) id, so the sort is independent of fold order.
   std::sort(trace.spans.begin(), trace.spans.end(),
             [](const SpanRecord& a, const SpanRecord& b) {
               return std::tie(a.pid, a.start_ms, a.trace_id, a.name, a.tid,
@@ -222,11 +107,7 @@ CollectedTrace Tracer::Collect() const {
 
 size_t Tracer::num_spans() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t total = flushed_.size();
-  for (const std::unique_ptr<Ring>& ring : rings_) {
-    total += ring->spans.size();
-  }
-  return total;
+  return spans_.size();
 }
 
 }  // namespace faas

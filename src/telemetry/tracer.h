@@ -5,13 +5,12 @@
 // simulated schedule: running the same replay with --threads=1 and
 // --threads=N collects bit-identical traces.
 //
-// Hot-path recording writes into a per-thread ring buffer; when a ring
-// fills, the whole ring is handed off to a central store under one mutex
-// acquisition, so locking is amortised over `ring_capacity` records and no
-// span is ever dropped.  Collect() (which requires quiescence, like a
-// metrics scrape) merges the central store with every live ring, resolves
-// interned label strings, and sorts the result into a canonical order that
-// is independent of which thread recorded what.
+// Spans are owned by their writer, like metrics (metrics.h): a writer
+// appends to a SpanBuffer of its own and folds it in with Fold() — a sweep
+// task when it ends, the cluster replayer at each sampler tick.
+// Collect() runs under the same lock, so it may run beside the writers and
+// sees each fold whole; it resolves interned label strings and sorts the
+// spans into a canonical order that is independent of fold order.
 //
 // SpanRecord is deliberately a small POD of integers: the only strings in
 // the system are interned labels (e.g. `policy="hybrid"`) and registered
@@ -21,7 +20,6 @@
 #define SRC_TELEMETRY_TRACER_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -104,7 +102,10 @@ struct SpanRecord {
   bool operator==(const SpanRecord&) const = default;
 };
 
-// Quiesced, canonicalised view of everything the tracer recorded.  Label ids
+// One writer's spans, folded into a Tracer when the writer is done.
+using SpanBuffer = std::vector<SpanRecord>;
+
+// Canonicalised view of everything the tracer recorded.  Label ids
 // in `spans` are remapped to indices into `labels`, which is sorted, so the
 // whole structure is independent of interning order and thread count.
 struct CollectedTrace {
@@ -117,50 +118,35 @@ struct CollectedTrace {
 
 class Tracer {
  public:
-  static constexpr size_t kDefaultRingCapacity = 4096;
-
-  explicit Tracer(size_t ring_capacity = kDefaultRingCapacity);
-  ~Tracer();
+  Tracer() = default;
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   // Interns a label string (idempotent), returning its id for SpanRecord.
   // Heterogeneous: a string_view interns without building a temporary
-  // std::string on lookup.  Call at setup time; takes the central mutex.
+  // std::string on lookup.  Call at setup time; takes the lock.
   int32_t InternLabel(std::string_view label);
 
   // Names a process / thread lane for the Chrome trace metadata.
   void RegisterProcess(int16_t pid, std::string name);
   void RegisterThread(int16_t pid, int32_t tid, std::string name);
 
-  // Hot path: appends to this thread's ring, handing the full ring off to
-  // the central store when it reaches capacity.
-  void Record(const SpanRecord& span);
+  // Appends a writer's buffered spans under the lock and empties the
+  // buffer for reuse.
+  void Fold(SpanBuffer& spans);
 
-  // Merges the central store and all live rings into canonical order.
-  // Requires quiescence (no concurrent Record calls).
+  // Every span folded so far, in canonical order.
   CollectedTrace Collect() const;
 
-  // Total spans recorded so far (central + rings).  Requires quiescence.
   size_t num_spans() const;
 
  private:
-  struct Ring {
-    std::vector<SpanRecord> spans;
-  };
-
-  Ring& LocalRing() const;
-
-  const uint64_t serial_;  // Distinguishes tracers in thread-local caches.
-  const size_t ring_capacity_;
-
   mutable std::mutex mu_;
   InternTable labels_;  // Dense label ids; O(1) idempotent interning.
   std::vector<std::pair<int16_t, std::string>> processes_;
   std::vector<std::pair<std::pair<int16_t, int32_t>, std::string>> threads_;
-  mutable std::vector<std::unique_ptr<Ring>> rings_;
-  mutable std::vector<SpanRecord> flushed_;
+  std::vector<SpanRecord> spans_;
 };
 
 }  // namespace faas

@@ -32,7 +32,8 @@ TEST(LatencyRecorderTest, SmallValuesAreExact) {
 TEST(LatencyRecorderTest, BucketBoundsContainTheirValues) {
   std::mt19937_64 rng(99);
   for (int i = 0; i < 10'000; ++i) {
-    const uint64_t v = rng() >> (rng() % 50);  // Spread across magnitudes.
+    // Spread across magnitudes, within Record's domain [0, 2^63).
+    const uint64_t v = (rng() >> 1) >> (rng() % 50);
     const size_t index = LatencyRecorder::BucketIndex(v);
     int64_t lo = 0;
     int64_t hi = 0;

@@ -164,7 +164,7 @@ class JsonChecker {
     }
   }
 
-  const std::string& text_;
+  const std::string text_;  // A copy: callers may pass a temporary.
   size_t pos_ = 0;
 };
 
@@ -179,12 +179,12 @@ void FillTracer(Tracer& tracer) {
   span.arg0 = 1;
   span.label_id = label;
   span.name = static_cast<int16_t>(SpanName::kActivation);
-  tracer.Record(span);
   SpanRecord instant;
   instant.start_ms = 155;
   instant.trace_id = 7;
   instant.name = static_cast<int16_t>(SpanName::kWarmHit);
-  tracer.Record(instant);
+  SpanBuffer buffer = {span, instant};
+  tracer.Fold(buffer);
 }
 
 TEST(TelemetryExport, ChromeTraceIsValidJson) {

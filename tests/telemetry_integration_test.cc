@@ -1,10 +1,16 @@
 // End-to-end checks of the telemetry subsystem against the simulators: the
 // collected span set and scraped metrics must be bit-identical at any
-// thread count, telemetry must not perturb simulation results, and the
-// counters must agree with the simulators' own bookkeeping.
+// thread count and in any fold order, live readers must see whole folds,
+// telemetry must not perturb simulation results, and the counters must
+// agree with the simulators' own bookkeeping.
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +18,8 @@
 #include "src/cluster/cluster.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
+#include "src/sim/compiled_trace.h"
+#include "src/sim/simulator.h"
 #include "src/sim/sweep.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/telemetry.h"
@@ -45,6 +53,16 @@ Trace MakeTrace(int num_apps = 12) {
 std::string Prometheus(const Telemetry& telemetry) {
   std::ostringstream out;
   WritePrometheusText(telemetry.metrics().Scrape(), out);
+  return out.str();
+}
+
+// Every export a run can write: Prometheus text, series CSV, Chrome trace.
+std::string AllExports(const Telemetry& telemetry) {
+  std::ostringstream out;
+  const RegistrySnapshot snapshot = telemetry.metrics().Scrape();
+  WritePrometheusText(snapshot, out);
+  WriteSeriesCsv(snapshot, out);
+  WriteChromeTrace(telemetry.tracer().Collect(), out);
   return out.str();
 }
 
@@ -85,6 +103,130 @@ TEST(TelemetryIntegration, SweepTraceBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(chrome_a.str(), chrome_b.str());
 
   EXPECT_EQ(Prometheus(sequential_telemetry), Prometheus(parallel_telemetry));
+}
+
+TEST(TelemetryIntegration, TaskFoldsAreExactInEveryOrder) {
+  // Four sweep tasks replay disjoint apps into their own blocks and span
+  // buffers, as ReplayShards does, and also set a gauge (two at one
+  // timestamp); folding them in each of the 24 orders must give identical
+  // exports.  Histograms stay out of blocks: a double sum folded in task
+  // order would differ between orders.
+  const CompiledTrace compiled = CompiledTrace::Compile(MakeTrace(16));
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  const std::vector<const PolicyFactory*> factories = {&fixed10, &hybrid};
+  const ColdStartSimulator simulator;
+  const std::array<std::pair<double, int64_t>, 4> gauge_samples = {
+      {{5.0, 100}, {7.0, 300}, {9.0, 300}, {1.0, 200}}};
+
+  std::array<int, 4> order = {0, 1, 2, 3};
+  std::string first;
+  int orders = 0;
+  do {
+    Telemetry telemetry;
+    std::vector<SimPolicyInstruments> instruments;
+    for (size_t p = 0; p < factories.size(); ++p) {
+      instruments.push_back(SimPolicyInstruments::Register(
+          telemetry, factories[p]->name(), static_cast<int16_t>(p),
+          static_cast<int64_t>(p * compiled.num_apps()), compiled.horizon));
+    }
+    const GaugeId gauge =
+        telemetry.metrics().AddGauge("harness_gauge", "Harness gauge");
+    std::vector<std::unique_ptr<SimTaskTelemetry>> tasks;
+    for (size_t t = 0; t < 4; ++t) {
+      tasks.push_back(std::make_unique<SimTaskTelemetry>(telemetry,
+                                                         instruments));
+      for (size_t app = t; app < compiled.num_apps(); app += 4) {
+        for (size_t p = 0; p < factories.size(); ++p) {
+          const auto policy = factories[p]->CreateForApp();
+          simulator.SimulateApp(compiled, app, *policy,
+                                &tasks[t]->policy(p));
+        }
+      }
+      tasks[t]->policy(0).metrics->Set(
+          gauge, gauge_samples[t].first, TimePoint(gauge_samples[t].second));
+    }
+    for (const int t : order) {
+      tasks[static_cast<size_t>(t)]->Fold();
+    }
+    const std::string exports = AllExports(telemetry);
+    if (orders == 0) {
+      first = exports;
+      const RegistrySnapshot snapshot = telemetry.metrics().Scrape();
+      EXPECT_EQ(snapshot.Find("harness_gauge")->gauge, 9.0);
+      EXPECT_GT(snapshot.Find("faas_sim_invocations_total",
+                              "policy=\"" + hybrid.name() + "\"")
+                    ->counter,
+                0);
+      EXPECT_EQ(telemetry.tracer().num_spans(),
+                factories.size() * compiled.num_apps());
+    } else {
+      EXPECT_EQ(exports, first) << "fold order " << order[0] << order[1]
+                                << order[2] << order[3];
+    }
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 24);
+}
+
+TEST(TelemetryIntegration, LiveReadersDuringSweepSeeWholeFolds) {
+  // The --progress heartbeat and the SIGINT flush read the registry and
+  // the tracer while a 4-thread sweep is running.  Counters they see never
+  // decrease, and the final exports equal those of a quiet run.
+  GeneratorConfig config;
+  config.num_apps = 300;
+  config.days = 1;
+  config.seed = 23;
+  const Trace trace = WorkloadGenerator(config).Generate();
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  const std::vector<const PolicyFactory*> factories = {&fixed10, &hybrid};
+  SimulatorOptions options;
+  options.num_threads = 4;
+
+  Telemetry quiet;
+  options.telemetry = &quiet;
+  EvaluatePolicies(trace, factories, 0, options);
+
+  Telemetry live;
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  int64_t reads = 0;
+  std::thread reader([&]() {
+    int64_t last_apps = 0;
+    int64_t last_invocations = 0;
+    size_t last_spans = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const RegistrySnapshot snapshot = live.metrics().Scrape();
+      int64_t apps = 0;
+      for (const MetricSnapshot& metric : snapshot.metrics) {
+        if (metric.name == "faas_sim_apps_total") {
+          apps += metric.counter;
+        }
+      }
+      const int64_t invocations =
+          live.metrics().SumCountersByBase("faas_sim_invocations_total");
+      const size_t spans = live.tracer().Collect().spans.size();
+      EXPECT_GE(apps, last_apps);
+      EXPECT_GE(invocations, last_invocations);
+      EXPECT_GE(spans, last_spans);
+      last_apps = apps;
+      last_invocations = invocations;
+      last_spans = spans;
+      ++reads;
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  options.telemetry = &live;
+  EvaluatePolicies(trace, factories, 0, options);
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(AllExports(live), AllExports(quiet));
 }
 
 TEST(TelemetryIntegration, TelemetryDoesNotChangeSweepResults) {

@@ -23,43 +23,56 @@ TEST(TelemetryMetrics, CounterAccumulatesAndScrapes) {
 }
 
 TEST(TelemetryMetrics, CounterMergesAcrossThreadShards) {
+  // Four writer threads, each with its own block, fold into one registry;
+  // a fifth writes it directly.
   MetricsRegistry registry;
   const CounterId id = registry.AddCounter("hits_total", "hits");
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&registry, id]() {
+      MetricsBlock block(registry);
       for (int i = 0; i < 1000; ++i) {
-        registry.Inc(id);
+        block.Inc(id);
       }
+      registry.Fold(block);
     });
   }
+  threads.emplace_back([&registry, id]() {
+    for (int i = 0; i < 500; ++i) {
+      registry.Inc(id);
+    }
+  });
   for (std::thread& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(registry.CounterValue(id), 4000);
-  EXPECT_EQ(registry.Scrape().Find("hits_total")->counter, 4000);
+  EXPECT_EQ(registry.CounterValue(id), 4500);
+  EXPECT_EQ(registry.Scrape().Find("hits_total")->counter, 4500);
 }
 
 TEST(TelemetryMetrics, ConcurrentCounterReadsDuringUpdates) {
-  // The --progress heartbeat reads counters while workers increment them;
-  // reads must be safe and monotone observations must end at the true total.
+  // The --progress heartbeat reads counters while workers fold their
+  // blocks; reads must be safe, monotone and end at the true total.
   MetricsRegistry registry;
   const CounterId id = registry.AddCounter("hits_total", "hits");
-  registry.Inc(id, 0);  // Create the main thread's shard before readers run.
   std::atomic<bool> stop{false};
   std::thread reader([&]() {
     int64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const int64_t seen = registry.CounterValue(id);
       EXPECT_GE(seen, last);
+      EXPECT_EQ(seen % 100, 0);  // Every fold is seen whole.
       last = seen;
     }
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; ++t) {
     writers.emplace_back([&registry, id]() {
-      for (int i = 0; i < 20000; ++i) {
-        registry.Inc(id);
+      for (int fold = 0; fold < 200; ++fold) {
+        MetricsBlock block(registry);
+        for (int i = 0; i < 100; ++i) {
+          block.Inc(id);
+        }
+        registry.Fold(block);
       }
     });
   }
@@ -72,31 +85,50 @@ TEST(TelemetryMetrics, ConcurrentCounterReadsDuringUpdates) {
 }
 
 TEST(TelemetryMetrics, GaugeLatestSimTimestampWins) {
-  MetricsRegistry registry;
-  const GaugeId id = registry.AddGauge("depth", "queue depth");
-  registry.Set(id, 10.0, TimePoint(100));
-  std::thread other([&registry, id]() {
-    registry.Set(id, 3.0, TimePoint(200));
-  });
-  other.join();
-  const RegistrySnapshot snapshot = registry.Scrape();
-  const MetricSnapshot* metric = snapshot.Find("depth");
-  ASSERT_NE(metric, nullptr);
-  EXPECT_TRUE(metric->gauge_set);
-  EXPECT_EQ(metric->gauge, 3.0);
-  EXPECT_EQ(metric->gauge_at, TimePoint(200));
+  // Folded blocks merge by simulation timestamp, whatever the fold order.
+  for (const bool late_first : {false, true}) {
+    MetricsRegistry registry;
+    const GaugeId id = registry.AddGauge("depth", "queue depth");
+    MetricsBlock early(registry);
+    MetricsBlock late(registry);
+    MetricsBlock unset(registry);
+    early.Set(id, 10.0, TimePoint(100));
+    late.Set(id, 3.0, TimePoint(200));
+    registry.Fold(late_first ? late : early);
+    registry.Fold(unset);
+    registry.Fold(late_first ? early : late);
+    const RegistrySnapshot snapshot = registry.Scrape();
+    const MetricSnapshot* metric = snapshot.Find("depth");
+    ASSERT_NE(metric, nullptr);
+    EXPECT_TRUE(metric->gauge_set);
+    EXPECT_EQ(metric->gauge, 3.0);
+    EXPECT_EQ(metric->gauge_at, TimePoint(200));
+  }
 }
 
 TEST(TelemetryMetrics, GaugeTimestampTieResolvesToLargerValue) {
+  for (const bool larger_first : {false, true}) {
+    MetricsRegistry registry;
+    const GaugeId id = registry.AddGauge("depth", "queue depth");
+    MetricsBlock smaller(registry);
+    MetricsBlock larger(registry);
+    smaller.Set(id, 4.0, TimePoint(100));
+    larger.Set(id, 9.0, TimePoint(100));
+    // Same timestamp in two blocks: the merge must not depend on fold order.
+    registry.Fold(larger_first ? larger : smaller);
+    registry.Fold(larger_first ? smaller : larger);
+    EXPECT_EQ(registry.Scrape().Find("depth")->gauge, 9.0);
+  }
+}
+
+TEST(TelemetryMetrics, DirectGaugeSetIsLastWriteWins) {
+  // A single owner's samples arrive in its own order; the last one stands
+  // even at an equal or earlier timestamp.
   MetricsRegistry registry;
   const GaugeId id = registry.AddGauge("depth", "queue depth");
+  registry.Set(id, 9.0, TimePoint(100));
   registry.Set(id, 4.0, TimePoint(100));
-  std::thread other([&registry, id]() {
-    registry.Set(id, 9.0, TimePoint(100));
-  });
-  other.join();
-  // Same timestamp in two shards: the merge must not depend on shard order.
-  EXPECT_EQ(registry.Scrape().Find("depth")->gauge, 9.0);
+  EXPECT_EQ(registry.Scrape().Find("depth")->gauge, 4.0);
 }
 
 TEST(TelemetryMetrics, UnsetGaugeScrapesAsUnset) {
@@ -216,28 +248,37 @@ TEST(TelemetryMetrics, ReRegistrationIsIdempotent) {
   EXPECT_EQ(registry.SumCountersByBase("hits_total"), 9);
 }
 
-TEST(TelemetryMetrics, LateRegistrationRetiresStaleShard) {
+TEST(TelemetryMetrics, LateRegistrationKeepsEarlierValues) {
   // Chaos mode registers one instrument bundle per policy, each just before
-  // its replay, so the main thread's shard predates later definitions; its
-  // retired shard must keep its accumulated values.
+  // its replay: earlier values survive later registrations, and a block
+  // made before a registration still folds.
   MetricsRegistry registry;
   const CounterId first = registry.AddCounter("first_total", "first");
   const GaugeId gauge = registry.AddGauge("depth", "depth");
   registry.Inc(first, 3);
   registry.Set(gauge, 8.0, TimePoint(50));
+  MetricsBlock early_block(registry);
+  early_block.Inc(first, 10);
 
   const CounterId second = registry.AddCounter("second_total", "second");
-  registry.Inc(second, 2);  // Mints a fresh shard on this thread.
-  registry.Inc(first);      // New shard; merges with the retired one.
+  registry.Inc(second, 2);
+  registry.Inc(first);
+  registry.Fold(early_block);
 
-  EXPECT_EQ(registry.CounterValue(first), 4);
+  EXPECT_EQ(registry.CounterValue(first), 14);
   EXPECT_EQ(registry.CounterValue(second), 2);
   const RegistrySnapshot snapshot = registry.Scrape();
-  EXPECT_EQ(snapshot.Find("first_total")->counter, 4);
+  EXPECT_EQ(snapshot.Find("first_total")->counter, 14);
   EXPECT_EQ(snapshot.Find("second_total")->counter, 2);
-  // The retired shard's gauge sample is still the latest one.
   EXPECT_TRUE(snapshot.Find("depth")->gauge_set);
   EXPECT_EQ(snapshot.Find("depth")->gauge, 8.0);
+}
+
+TEST(TelemetryMetricsDeathTest, BlockRejectsLaterDefinitions) {
+  MetricsRegistry registry;
+  MetricsBlock block(registry);
+  const CounterId late = registry.AddCounter("late_total", "late");
+  EXPECT_DEATH(block.Inc(late), "registered after the block");
 }
 
 TEST(TelemetryMetrics, SeriesBinsByTimestampAndClamps) {
@@ -265,14 +306,48 @@ TEST(TelemetryMetrics, SeriesMergesAcrossShards) {
                                          Duration::Minutes(1), 2);
   registry.SeriesAdd(id, TimePoint(0));
   std::thread other([&registry, id]() {
-    registry.SeriesAdd(id, TimePoint(0), 2);
-    registry.SeriesAdd(id, TimePoint(60'000), 5);
+    MetricsBlock block(registry);
+    block.SeriesAdd(id, TimePoint(0), 2);
+    block.SeriesAdd(id, TimePoint(60'000), 5);
+    registry.Fold(block);
   });
   other.join();
   const RegistrySnapshot snapshot = registry.Scrape();
   const MetricSnapshot* metric = snapshot.Find("per_min");
   EXPECT_EQ(metric->bins[0], 3);
   EXPECT_EQ(metric->bins[1], 5);
+}
+
+TEST(TelemetryMetrics, BlockSeriesBinsLikeTheRegistry) {
+  // Same binning and clamping as SeriesBinsByTimestampAndClamps, through a
+  // block: first while its log is sparse, then, refilled after a fold,
+  // across enough revisits to turn it dense.
+  MetricsRegistry registry;
+  const SeriesId id = registry.AddSeries("per_min", "per minute",
+                                         Duration::Minutes(1), 8);
+  MetricsBlock block(registry);
+  block.SeriesAdd(id, TimePoint(0));
+  block.SeriesAdd(id, TimePoint(59'999));
+  block.SeriesAdd(id, TimePoint(10'000'000));
+  registry.Fold(block);
+  int64_t expected[8] = {2, 0, 0, 0, 0, 0, 0, 1};
+  for (int round = 0; round < 50; ++round) {
+    block.SeriesAdd(id, TimePoint(0));
+    block.SeriesAdd(id, TimePoint(60'000), 3);
+    block.SeriesAdd(id, TimePoint(10'000'000));
+    block.SeriesAdd(id, TimePoint(-5), 2);
+    expected[0] += 3;
+    expected[1] += 3;
+    expected[7] += 1;
+  }
+  registry.Fold(block);
+  registry.Fold(block);  // Emptied by the first fold: adds nothing.
+  const RegistrySnapshot snapshot = registry.Scrape();
+  const MetricSnapshot* metric = snapshot.Find("per_min");
+  ASSERT_EQ(metric->bins.size(), 8u);
+  for (size_t bin = 0; bin < 8; ++bin) {
+    EXPECT_EQ(metric->bins[bin], expected[bin]) << "bin " << bin;
+  }
 }
 
 TEST(TelemetryMetrics, ScrapePreservesRegistrationOrder) {
@@ -288,8 +363,7 @@ TEST(TelemetryMetrics, ScrapePreservesRegistrationOrder) {
 }
 
 TEST(TelemetryMetrics, TwoRegistriesDoNotShareShards) {
-  // The thread-local cache is keyed by registry serial: two live registries
-  // touched from one thread must stay independent.
+  // Two live registries touched from one thread stay independent.
   MetricsRegistry a;
   MetricsRegistry b;
   const CounterId ca = a.AddCounter("hits_total", "hits");

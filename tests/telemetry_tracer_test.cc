@@ -21,10 +21,16 @@ SpanRecord MakeSpan(int64_t start_ms, int64_t trace_id,
   return span;
 }
 
+// Folds a one-span buffer, as a writer with a single span would.
+void Record(Tracer& tracer, const SpanRecord& span) {
+  SpanBuffer buffer = {span};
+  tracer.Fold(buffer);
+}
+
 TEST(TelemetryTracer, RecordsAndCollects) {
   Tracer tracer;
-  tracer.Record(MakeSpan(100, 1));
-  tracer.Record(MakeSpan(200, 2));
+  Record(tracer, MakeSpan(100, 1));
+  Record(tracer, MakeSpan(200, 2));
   EXPECT_EQ(tracer.num_spans(), 2u);
   const CollectedTrace trace = tracer.Collect();
   ASSERT_EQ(trace.spans.size(), 2u);
@@ -32,13 +38,24 @@ TEST(TelemetryTracer, RecordsAndCollects) {
   EXPECT_EQ(trace.spans[1].start_ms, 200);
 }
 
-TEST(TelemetryTracer, RingHandoffLosesNothing) {
-  // A tiny ring forces many handoffs to the central store; every span must
-  // survive, whether it sits in the flushed store or a partly full ring.
-  Tracer tracer(/*ring_capacity=*/4);
+TEST(TelemetryTracer, FoldedBuffersLoseNothing) {
+  // Spans folded one at a time and from several writers' buffers all
+  // surface in Collect.
+  Tracer tracer;
+  std::vector<SpanBuffer> buffers(3);
   for (int i = 0; i < 23; ++i) {
-    tracer.Record(MakeSpan(i, i));
+    if (i % 4 == 3) {
+      Record(tracer, MakeSpan(i, i));
+    } else {
+      buffers[static_cast<size_t>(i % 4)].push_back(MakeSpan(i, i));
+    }
   }
+  for (SpanBuffer& buffer : buffers) {
+    tracer.Fold(buffer);
+    EXPECT_TRUE(buffer.empty());  // Emptied for reuse.
+  }
+  SpanBuffer empty;
+  tracer.Fold(empty);  // An empty fold is a no-op.
   EXPECT_EQ(tracer.num_spans(), 23u);
   const CollectedTrace trace = tracer.Collect();
   ASSERT_EQ(trace.spans.size(), 23u);
@@ -48,26 +65,32 @@ TEST(TelemetryTracer, RingHandoffLosesNothing) {
 }
 
 TEST(TelemetryTracer, CollectIsCanonicalAcrossRecordingThreads) {
-  // The same logical span set recorded on one thread vs scattered over four
-  // must collect to identical bytes — the determinism the --trace-out
-  // acceptance check relies on.
+  // The same logical span set recorded on one thread vs buffered by four
+  // writer threads and folded in whatever order they finish must collect to
+  // identical bytes — the determinism the --trace-out acceptance check
+  // relies on.
   std::vector<SpanRecord> spans;
   for (int i = 0; i < 200; ++i) {
     spans.push_back(MakeSpan(/*start_ms=*/i % 17, /*trace_id=*/i));
   }
 
-  Tracer single(/*ring_capacity=*/8);
+  Tracer single;
   for (const SpanRecord& span : spans) {
-    single.Record(span);
+    Record(single, span);
   }
 
-  Tracer sharded(/*ring_capacity=*/8);
+  Tracer folded;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&sharded, &spans, t]() {
+    threads.emplace_back([&folded, &spans, t]() {
+      SpanBuffer buffer;
       for (size_t i = static_cast<size_t>(t); i < spans.size(); i += 4) {
-        sharded.Record(spans[i]);
+        buffer.push_back(spans[i]);
+        if (buffer.size() == 8) {
+          folded.Fold(buffer);
+        }
       }
+      folded.Fold(buffer);
     });
   }
   for (std::thread& thread : threads) {
@@ -75,7 +98,7 @@ TEST(TelemetryTracer, CollectIsCanonicalAcrossRecordingThreads) {
   }
 
   const CollectedTrace a = single.Collect();
-  const CollectedTrace b = sharded.Collect();
+  const CollectedTrace b = folded.Collect();
   ASSERT_EQ(a.spans.size(), b.spans.size());
   EXPECT_EQ(a.spans, b.spans);
   EXPECT_EQ(a.labels, b.labels);
@@ -87,9 +110,9 @@ TEST(TelemetryTracer, CollectSortsByPidThenStart) {
   SpanRecord early = MakeSpan(100, 2);
   SpanRecord other_pid = MakeSpan(50, 3);
   other_pid.pid = 1;
-  tracer.Record(late);
-  tracer.Record(other_pid);
-  tracer.Record(early);
+  Record(tracer, late);
+  Record(tracer, other_pid);
+  Record(tracer, early);
   const CollectedTrace trace = tracer.Collect();
   ASSERT_EQ(trace.spans.size(), 3u);
   EXPECT_EQ(trace.spans[0].trace_id, 2);  // pid 0, start 100.
@@ -105,8 +128,8 @@ TEST(TelemetryTracer, LabelsRemapToLexicographicOrder) {
   const int32_t alpha = tracer.InternLabel("policy=\"alpha\"");
   EXPECT_NE(zebra, alpha);
   EXPECT_EQ(tracer.InternLabel("policy=\"zebra\""), zebra);  // Idempotent.
-  tracer.Record(MakeSpan(1, 1, SpanName::kActivation, zebra));
-  tracer.Record(MakeSpan(2, 2, SpanName::kActivation, alpha));
+  Record(tracer, MakeSpan(1, 1, SpanName::kActivation, zebra));
+  Record(tracer, MakeSpan(2, 2, SpanName::kActivation, alpha));
   const CollectedTrace trace = tracer.Collect();
   ASSERT_EQ(trace.labels.size(), 2u);
   EXPECT_EQ(trace.labels[0], "policy=\"alpha\"");
@@ -146,12 +169,13 @@ TEST(TelemetryTracer, SpanNameStringsAreDistinctAndNonEmpty) {
   }
 }
 
-TEST(TelemetryTracer, TwoTracersDoNotShareRings) {
-  Tracer a(/*ring_capacity=*/4);
-  Tracer b(/*ring_capacity=*/4);
-  a.Record(MakeSpan(1, 1));
-  b.Record(MakeSpan(2, 2));
-  b.Record(MakeSpan(3, 3));
+TEST(TelemetryTracer, TwoTracersStayIndependent) {
+  Tracer a;
+  Tracer b;
+  Record(a, MakeSpan(1, 1));
+  Record(b, MakeSpan(2, 2));
+  SpanBuffer buffer = {MakeSpan(3, 3)};
+  b.Fold(buffer);
   EXPECT_EQ(a.Collect().spans.size(), 1u);
   EXPECT_EQ(b.Collect().spans.size(), 2u);
 }

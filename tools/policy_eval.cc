@@ -289,9 +289,10 @@ int WriteTelemetryOutputs(const FlagParser& flags,
 // --progress marks a long interactive run; a SIGINT/SIGTERM mid-sweep
 // should still leave the requested telemetry exports on disk instead of
 // losing hours of counters.  The handler itself is async-signal-safe (one
-// byte to a self-pipe); a watcher thread does the flushing — MetricsRegistry
-// scrapes are sharded atomics, safe to read while workers run — and exits
-// with the conventional 128+signum status.
+// byte to a self-pipe); a watcher thread does the flushing and exits with
+// the conventional 128+signum status.  Scrape and Collect run under the
+// same locks as the sweep tasks' folds, so the flush races no writer and
+// exports every task folded so far, each one whole.
 int g_signal_pipe[2] = {-1, -1};
 
 void OnTerminateSignal(int signum) {
@@ -875,9 +876,11 @@ int main(int argc, char** argv) {
 
   // Telemetry is constructed only when a flag asks for it; otherwise the
   // simulators run with null instrument pointers (the zero-cost path).
+  // Each flag is read on its own line: a short-circuited Has() would leave
+  // --series-out unread next to --metrics-out and fail CheckAllRead.
   const bool want_trace = flags.Has("trace-out");
-  const bool want_metrics = flags.Has("metrics-out") ||
-                            flags.Has("series-out") ||
+  const bool want_series = flags.Has("series-out");
+  const bool want_metrics = flags.Has("metrics-out") || want_series ||
                             flags.GetBool("progress", false);
   std::unique_ptr<Telemetry> telemetry;
   if (want_trace || want_metrics) {
