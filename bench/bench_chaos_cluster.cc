@@ -18,38 +18,13 @@
 #include "bench/bench_common.h"
 #include "bench/series_writer.h"
 #include "src/cluster/cluster.h"
-#include "src/common/rng.h"
 #include "src/faults/fault_plan.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
-#include "src/trace/transform.h"
 
 namespace {
 
 using namespace faas;
-
-// Same slice as bench_fig20_cluster: mid-popularity apps with short
-// benchmark-function execution times.
-Trace SelectMidPopularitySlice(const Trace& full, size_t count,
-                               Duration horizon, uint64_t seed) {
-  const Trace candidates = FilterApps(
-      full, [&](const AppTrace& app) {
-        return InvocationCountBetween(40, 5'000)(app) &&
-               MedianIatBetween(Duration::Minutes(5), Duration::Minutes(60))(
-                   app);
-      });
-  Trace slice = ClipToHorizon(SampleApps(candidates, count, seed), horizon);
-  Rng rng(seed);
-  for (AppTrace& app : slice.apps) {
-    for (FunctionTrace& function : app.functions) {
-      const double avg_ms = 20.0 + 100.0 * rng.NextDouble();
-      function.execution.average_ms = avg_ms;
-      function.execution.minimum_ms = 0.7 * avg_ms;
-      function.execution.maximum_ms = 2.0 * avg_ms;
-    }
-  }
-  return slice;
-}
 
 // The canonical 8-hour chaos schedule used by EXPERIMENTS.md.
 FaultPlan CanonicalPlan() {
@@ -77,7 +52,7 @@ int main() {
                    "hybrid vs fixed keep-alive under a canonical fault plan");
   const Trace full = MakePolicyTrace();
   const Trace slice =
-      SelectMidPopularitySlice(full, 68, Duration::Hours(8), 42);
+      SelectMidPopularitySlice(full, 68, Duration::Hours(8), 42, 20.0, 100.0);
   std::printf("replaying %zu mid-popularity apps, %lld invocations, 8 hours, "
               "18 invokers\nplan: 2 crashes, 1 policy-state wipe, 1 flaky "
               "window (p=0.25), 1 latency spike (x4)\n",

@@ -10,9 +10,12 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "src/common/rng.h"
+#include "src/trace/transform.h"
 #include "src/trace/types.h"
 #include "src/workload/config.h"
 #include "src/workload/generator.h"
@@ -37,6 +40,35 @@ inline Trace MakePolicyTrace() {
   config.seed = 20190715;
   config.instants_rate_cap_per_day = 4000.0;
   return WorkloadGenerator(config).Generate();
+}
+
+// The cluster benches' replay slice.  "Mid-range popularity" selects the
+// population the fixed keep-alive handles worst and pre-warming handles
+// best: apps whose typical inter-arrival time sits between several minutes
+// and an hour (the paper's Figure 12 left column), with enough weekly
+// invocations to exercise the policy.  FaaSProfiler replays the trace with
+// short benchmark functions rather than the original code, so each
+// function's average execution time is redrawn uniformly from
+// [exec_lo_ms, exec_lo_ms + exec_span_ms), in app then function order.
+inline Trace SelectMidPopularitySlice(const Trace& full, size_t count,
+                                      Duration horizon, uint64_t seed,
+                                      double exec_lo_ms,
+                                      double exec_span_ms) {
+  const Trace candidates = FilterApps(full, [](const AppTrace& app) {
+    return InvocationCountBetween(40, 5'000)(app) &&
+           MedianIatBetween(Duration::Minutes(5), Duration::Minutes(60))(app);
+  });
+  Trace slice = ClipToHorizon(SampleApps(candidates, count, seed), horizon);
+  Rng rng(seed);
+  for (AppTrace& app : slice.apps) {
+    for (FunctionTrace& function : app.functions) {
+      const double avg_ms = exec_lo_ms + exec_span_ms * rng.NextDouble();
+      function.execution.average_ms = avg_ms;
+      function.execution.minimum_ms = 0.7 * avg_ms;
+      function.execution.maximum_ms = 2.0 * avg_ms;
+    }
+  }
+  return slice;
 }
 
 inline void PrintBenchHeader(const std::string& figure,

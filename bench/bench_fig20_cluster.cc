@@ -15,45 +15,8 @@
 #include "bench/bench_common.h"
 #include "bench/series_writer.h"
 #include "src/cluster/cluster.h"
-#include "src/common/rng.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
-#include "src/trace/transform.h"
-
-namespace {
-
-// Picks `count` mid-popularity apps and clips the trace to `horizon`.
-// "Mid-range popularity" selects the population the fixed keep-alive handles
-// worst and pre-warming handles best: apps whose typical inter-arrival time
-// sits between several minutes and an hour (the paper's Figure 12 left
-// column), with enough weekly invocations to exercise the policy.
-faas::Trace SelectMidPopularitySlice(const faas::Trace& full, size_t count,
-                                     faas::Duration horizon, uint64_t seed) {
-  using namespace faas;
-  const Trace candidates = FilterApps(
-      full, [&](const AppTrace& app) {
-        return InvocationCountBetween(40, 5'000)(app) &&
-               MedianIatBetween(Duration::Minutes(5), Duration::Minutes(60))(
-                   app);
-      });
-  Trace slice = ClipToHorizon(SampleApps(candidates, count, seed), horizon);
-
-  // FaaSProfiler replays the trace with short benchmark functions rather
-  // than the original code; mirror that so the runtime-initialisation
-  // effect on measured execution time is visible, as in the paper.
-  Rng rng(seed);
-  for (AppTrace& app : slice.apps) {
-    for (FunctionTrace& function : app.functions) {
-      const double avg_ms = 20.0 + 100.0 * rng.NextDouble();
-      function.execution.average_ms = avg_ms;
-      function.execution.minimum_ms = 0.7 * avg_ms;
-      function.execution.maximum_ms = 2.0 * avg_ms;
-    }
-  }
-  return slice;
-}
-
-}  // namespace
 
 int main() {
   using namespace faas;
@@ -61,7 +24,7 @@ int main() {
                    "mini-OpenWhisk cluster replay: hybrid vs fixed");
   const Trace full = MakePolicyTrace();
   const Trace slice =
-      SelectMidPopularitySlice(full, 68, Duration::Hours(8), 42);
+      SelectMidPopularitySlice(full, 68, Duration::Hours(8), 42, 20.0, 100.0);
   int64_t invocations = slice.TotalInvocations();
   std::printf("replaying %zu mid-popularity apps, %lld invocations, 8 hours, "
               "18 invokers\n(paper: 68 apps, 12383 invocations)\n",

@@ -21,38 +21,13 @@
 #include "bench/series_writer.h"
 #include "src/cluster/cluster.h"
 #include "src/common/parallel.h"
-#include "src/common/rng.h"
 #include "src/faults/fault_plan.h"
 #include "src/policy/policy.h"
 #include "src/stats/descriptive.h"
-#include "src/trace/transform.h"
 
 namespace {
 
 using namespace faas;
-
-// Same slice family as bench_chaos_cluster / bench_overload_cluster:
-// mid-popularity apps with short benchmark-function execution times.
-Trace SelectMidPopularitySlice(const Trace& full, size_t count,
-                               Duration horizon, uint64_t seed) {
-  const Trace candidates = FilterApps(
-      full, [&](const AppTrace& app) {
-        return InvocationCountBetween(40, 5'000)(app) &&
-               MedianIatBetween(Duration::Minutes(5), Duration::Minutes(60))(
-                   app);
-      });
-  Trace slice = ClipToHorizon(SampleApps(candidates, count, seed), horizon);
-  Rng rng(seed);
-  for (AppTrace& app : slice.apps) {
-    for (FunctionTrace& function : app.functions) {
-      const double avg_ms = 500.0 + 2'000.0 * rng.NextDouble();
-      function.execution.average_ms = avg_ms;
-      function.execution.minimum_ms = 0.7 * avg_ms;
-      function.execution.maximum_ms = 2.0 * avg_ms;
-    }
-  }
-  return slice;
-}
 
 struct Row {
   std::string label;
@@ -87,7 +62,8 @@ int main() {
                    "goodput and tail latency vs link loss, hedging on/off");
   const Trace full = MakePolicyTrace();
   const Trace slice =
-      SelectMidPopularitySlice(full, 68, Duration::Hours(6), 42);
+      SelectMidPopularitySlice(full, 68, Duration::Hours(6), 42, 500.0,
+                               2'000.0);
   std::printf("replaying %zu mid-popularity apps over 6 hours on 6 invokers "
               "behind a faulty network\n",
               slice.apps.size());

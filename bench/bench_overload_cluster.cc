@@ -18,35 +18,11 @@
 #include "src/common/rng.h"
 #include "src/policy/policy.h"
 #include "src/stats/descriptive.h"
-#include "src/trace/transform.h"
 #include "src/workload/arrival.h"
 
 namespace {
 
 using namespace faas;
-
-// Same slice family as bench_chaos_cluster: mid-popularity apps with short
-// benchmark-function execution times.
-Trace SelectMidPopularitySlice(const Trace& full, size_t count,
-                               Duration horizon, uint64_t seed) {
-  const Trace candidates = FilterApps(
-      full, [&](const AppTrace& app) {
-        return InvocationCountBetween(40, 5'000)(app) &&
-               MedianIatBetween(Duration::Minutes(5), Duration::Minutes(60))(
-                   app);
-      });
-  Trace slice = ClipToHorizon(SampleApps(candidates, count, seed), horizon);
-  Rng rng(seed);
-  for (AppTrace& app : slice.apps) {
-    for (FunctionTrace& function : app.functions) {
-      const double avg_ms = 500.0 + 2'000.0 * rng.NextDouble();
-      function.execution.average_ms = avg_ms;
-      function.execution.minimum_ms = 0.7 * avg_ms;
-      function.execution.maximum_ms = 2.0 * avg_ms;
-    }
-  }
-  return slice;
-}
 
 struct Row {
   const char* label;
@@ -63,7 +39,8 @@ int main() {
   PrintBenchHeader("Overload / flash crowds",
                    "admission queues + breakers vs retry-only under bursts");
   const Trace full = MakePolicyTrace();
-  Trace slice = SelectMidPopularitySlice(full, 68, Duration::Hours(8), 42);
+  Trace slice = SelectMidPopularitySlice(full, 68, Duration::Hours(8), 42,
+                                         500.0, 2'000.0);
 
   // Three synchronized 10-minute crowds, each recruiting half the apps for
   // ~60 extra invocations per function, stacked on the diurnal curve.

@@ -8,18 +8,22 @@
 //                       re-merging the trace for every policy point
 //   compiled sweep      the shared-CompiledTrace engine at 1/4/8/16 threads
 //
-// Every row carries the process peak RSS (getrusage high-water mark) at the
-// time the row finished; the streamed rows run FIRST so their peaks bound
-// streamed memory honestly — once the materialized trace exists, ru_maxrss
-// can never go back down.
+// Every row is timed kRepeats times back to back and reports the median wall
+// time with its min and max; throughput and speedup derive from the
+// medians.  Every row carries the process peak RSS (getrusage high-water
+// mark) at the time the row finished; the streamed rows run FIRST so their
+// peaks bound streamed memory honestly — once the materialized trace
+// exists, ru_maxrss can never go back down.
 //
-// Writes BENCH_sweep.json ({mode, threads, wall_ms, invocations_per_sec,
-// speedup_vs_seed, rss_peak_mb} rows, the 8-thread parallel efficiency, and
-// a host block with the core count, CPU model and build type) so successive
-// changes can track the perf trajectory; rows are comparable only between
-// files with the same host block.  Override the output path with
+// Writes BENCH_sweep.json ({mode, threads, wall_ms (the median),
+// wall_ms_min, wall_ms_max, invocations_per_sec, speedup_vs_seed,
+// rss_peak_mb} rows, the 8-thread parallel efficiency, and a host block
+// with the core count, CPU model and build type) so successive changes can
+// track the perf trajectory; rows are comparable only between files with
+// the same host block.  Override the output path with
 // FAAS_BENCH_SWEEP_JSON; set it to "off" to skip the file.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +50,30 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+// Timings per row.  A single timing is not enough on a shared host: five
+// back-to-back runs of one build read the streamed 4-thread row anywhere
+// from 184 to 387 ms.
+constexpr int kRepeats = 5;
+
+struct Timing {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+// Runs `body` kRepeats times and summarizes its wall times.
+template <typename F>
+Timing TimeRepeated(F&& body) {
+  std::vector<double> ms;
+  for (int i = 0; i < kRepeats; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    ms.push_back(MillisSince(start));
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms[kRepeats / 2], ms.front(), ms.back()};
 }
 
 double PeakRssMb() {
@@ -100,7 +128,7 @@ std::string JsonString(const std::string& text) {
 struct Row {
   std::string mode;
   int threads = 1;
-  double wall_ms = 0.0;
+  Timing wall;
   double invocations_per_sec = 0.0;
   double speedup_vs_seed = 1.0;
   double rss_peak_mb = 0.0;
@@ -146,16 +174,18 @@ int main() {
     for (int threads : ThreadCounts()) {
       SimulatorOptions options;
       options.num_threads = threads;
-      const auto start = std::chrono::steady_clock::now();
-      const std::vector<PolicyPoint> points = EvaluatePoliciesStreamed(
-          source, factories, /*baseline_index=*/1, options);
-      const double wall_ms = MillisSince(start);
+      std::vector<PolicyPoint> points;
+      const Timing wall = TimeRepeated([&]() {
+        points = EvaluatePoliciesStreamed(source, factories,
+                                          /*baseline_index=*/1, options);
+      });
       invocations = points[0].result.TotalInvocations();
       streamed_p75 = points.back().cold_start_p75;
       const double replayed = static_cast<double>(invocations) *
                               static_cast<double>(factories.size());
-      rows.push_back({"streamed sweep", threads, wall_ms,
-                      replayed / (wall_ms / 1000.0), 0.0, PeakRssMb()});
+      rows.push_back({"streamed sweep", threads, wall,
+                      replayed / (wall.median_ms / 1000.0), 0.0,
+                      PeakRssMb()});
     }
   }
   std::printf("trace: %d sampled apps, %lld invocations over %d days\n",
@@ -176,14 +206,15 @@ int main() {
   {
     SimulatorOptions options;
     options.num_threads = 1;
-    const auto start = std::chrono::steady_clock::now();
-    for (const PolicyFactory* factory : factories) {
-      seed_p75 = EvaluatePolicies(trace, {factory}, /*baseline_index=*/0,
-                                  options)[0]
-                     .cold_start_p75;
-    }
-    seed_wall_ms = MillisSince(start);
-    rows.push_back({"serial-recompile (seed)", 1, seed_wall_ms,
+    const Timing wall = TimeRepeated([&]() {
+      for (const PolicyFactory* factory : factories) {
+        seed_p75 = EvaluatePolicies(trace, {factory}, /*baseline_index=*/0,
+                                    options)[0]
+                       .cold_start_p75;
+      }
+    });
+    seed_wall_ms = wall.median_ms;
+    rows.push_back({"serial-recompile (seed)", 1, wall,
                     replayed / (seed_wall_ms / 1000.0), 1.0, PeakRssMb()});
   }
 
@@ -193,10 +224,12 @@ int main() {
   for (int threads : ThreadCounts()) {
     SimulatorOptions options;
     options.num_threads = threads;
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<PolicyPoint> points =
-        EvaluatePolicies(trace, factories, /*baseline_index=*/1, options);
-    const double wall_ms = MillisSince(start);
+    std::vector<PolicyPoint> points;
+    const Timing wall = TimeRepeated([&]() {
+      points =
+          EvaluatePolicies(trace, factories, /*baseline_index=*/1, options);
+    });
+    const double wall_ms = wall.median_ms;
     last_p75 = points.back().cold_start_p75;
     if (threads == 1) {
       compiled_wall_1t = wall_ms;
@@ -204,14 +237,14 @@ int main() {
     if (threads == 8) {
       compiled_wall_8t = wall_ms;
     }
-    rows.push_back({"compiled sweep", threads, wall_ms,
+    rows.push_back({"compiled sweep", threads, wall,
                     replayed / (wall_ms / 1000.0), seed_wall_ms / wall_ms,
                     PeakRssMb()});
   }
   // Streamed speedups are only known now that the seed wall time exists.
   for (Row& row : rows) {
     if (row.mode == "streamed sweep") {
-      row.speedup_vs_seed = seed_wall_ms / row.wall_ms;
+      row.speedup_vs_seed = seed_wall_ms / row.wall.median_ms;
     }
   }
   if (seed_p75 != last_p75 || seed_p75 != streamed_p75) {
@@ -229,13 +262,16 @@ int main() {
           ? (compiled_wall_1t / compiled_wall_8t) / 8.0
           : 0.0;
 
-  std::printf("\n%-26s %8s %12s %16s %10s %12s\n", "mode", "threads",
-              "wall ms", "invocations/s", "speedup", "peak rss MB");
+  std::printf("\n%-26s %8s %12s %19s %16s %10s %12s\n", "mode", "threads",
+              "median ms", "min-max ms", "invocations/s", "speedup",
+              "peak rss MB");
   for (const Row& row : rows) {
-    std::printf("%-26s %8d %12.1f %16.0f %9.2fx %12.1f\n", row.mode.c_str(),
-                row.threads, row.wall_ms, row.invocations_per_sec,
+    std::printf("%-26s %8d %12.1f %9.1f-%-9.1f %16.0f %9.2fx %12.1f\n",
+                row.mode.c_str(), row.threads, row.wall.median_ms,
+                row.wall.min_ms, row.wall.max_ms, row.invocations_per_sec,
                 row.speedup_vs_seed, row.rss_peak_mb);
   }
+  std::printf("(wall times: median of %d back-to-back runs)\n", kRepeats);
   std::printf("\n(host has %d hardware threads; rows above that clamp to the "
               "hardware.  RSS is the monotone process high-water mark — the "
               "streamed rows run first so their peaks bound streamed "
@@ -255,6 +291,7 @@ int main() {
     out << "{\n  \"bench\": \"sweep_throughput\",\n";
     out << "  \"policies\": " << factories.size() << ",\n";
     out << "  \"invocations_per_policy\": " << invocations << ",\n";
+    out << "  \"repeats\": " << kRepeats << ",\n";
     out << "  \"host\": {\"cores\": " << cores
         << ", \"cpu_model\": " << JsonString(cpu_model)
         << ", \"build_type\": " << JsonString(FAAS_BUILD_TYPE) << "},\n";
@@ -263,7 +300,9 @@ int main() {
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       out << "    {\"mode\": \"" << row.mode << "\", \"threads\": "
-          << row.threads << ", \"wall_ms\": " << row.wall_ms
+          << row.threads << ", \"wall_ms\": " << row.wall.median_ms
+          << ", \"wall_ms_min\": " << row.wall.min_ms
+          << ", \"wall_ms_max\": " << row.wall.max_ms
           << ", \"invocations_per_sec\": " << row.invocations_per_sec
           << ", \"speedup_vs_seed\": " << row.speedup_vs_seed
           << ", \"rss_peak_mb\": " << row.rss_peak_mb << "}"

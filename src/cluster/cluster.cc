@@ -53,35 +53,26 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   FAAS_CHECK(!config_.faults.HasNetworkFaults() || config_.network.enabled)
       << "fault plan has network faults but the network model is disabled";
 
-  // Telemetry instruments for this replay (one bundle per policy label).
-  // The replay is their single owner: counters and spans go to a block and
-  // a buffer of its own, folded in at each sampler tick and at the end;
-  // histograms and gauges go to the registry directly.
-  ClusterInstruments instruments_storage;
-  const ClusterInstruments* instruments = nullptr;
-  std::optional<MetricsBlock> metrics_block;
-  SpanBuffer span_buffer;
+  // Telemetry for this replay (one instrument bundle per policy label),
+  // written through the replay's single writer, which folds at each sampler
+  // tick and at the end.
+  ClusterInstruments instruments;
+  std::optional<TelemetryWriter> writer;
   if (config_.telemetry != nullptr) {
-    instruments_storage = ClusterInstruments::Register(
+    instruments = ClusterInstruments::Register(
         *config_.telemetry, factory.name(), config_.telemetry_pid,
         trace.horizon, config_.metrics_interval,
         config_.overload.AnyEnabled(), config_.network.enabled,
         config_.resource_telemetry);
-    if (instruments_storage.registry != nullptr) {
-      instruments_storage.metrics =
-          &metrics_block.emplace(*instruments_storage.registry);
-    }
-    if (instruments_storage.tracer != nullptr) {
-      instruments_storage.spans = &span_buffer;
-    }
-    instruments = &instruments_storage;
-    if (instruments_storage.tracer != nullptr) {
+    writer.emplace(*config_.telemetry, instruments.lane);
+    if (config_.telemetry->trace_enabled()) {
       for (int i = 0; i < config_.num_invokers; ++i) {
-        instruments_storage.tracer->RegisterThread(
+        config_.telemetry->tracer().RegisterThread(
             config_.telemetry_pid, i + 1, "invoker " + std::to_string(i));
       }
     }
   }
+  TelemetryWriter* const telemetry = writer ? &*writer : nullptr;
 
   std::vector<std::unique_ptr<Invoker>> invokers;
   std::vector<Invoker*> invoker_ptrs;
@@ -89,7 +80,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   for (int i = 0; i < config_.num_invokers; ++i) {
     invokers.push_back(std::make_unique<Invoker>(
         i, config_.invoker_memory_mb, &queue, config_.latency, rng.Fork(),
-        &config_.faults, instruments));
+        &config_.faults, telemetry, &instruments));
     invoker_ptrs.push_back(invokers.back().get());
   }
   // Network model + RPC plane, constructed only when enabled: the fork
@@ -101,14 +92,14 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   if (config_.network.enabled) {
     network = std::make_unique<NetworkModel>(
         &queue, config_.network, &config_.faults, config_.num_invokers,
-        rng.Fork(), instruments);
+        rng.Fork(), telemetry, &instruments);
     rpc = std::make_unique<RpcPlane>(network.get());
   }
   const std::shared_ptr<const EntityIndex> entities = EntityIndexFor(trace);
   Controller controller(&queue, invoker_ptrs, entities.get(), factory,
                         config_.latency, rng.Fork(), config_.collect_latencies,
                         config_.load_balancing, config_.retry,
-                        config_.overload, instruments, rpc.get());
+                        config_.overload, telemetry, &instruments, rpc.get());
 
   // Overload control plane wiring.  Both hooks are registered only when the
   // corresponding feature is on, so a disabled control plane leaves the
@@ -152,25 +143,6 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   }
   std::stable_sort(events.begin(), events.end());
 
-  // Telemetry event recorder for the fault schedule (a copyable no-op when
-  // telemetry is off).  arg0 carries the window's scaled parameter.
-  const auto record_event = [instruments](SpanName name, int64_t start_ms,
-                                          int64_t dur_ms, int32_t tid,
-                                          int64_t arg0) {
-    if (instruments == nullptr || instruments->spans == nullptr) {
-      return;
-    }
-    SpanRecord record;
-    record.start_ms = start_ms;
-    record.dur_ms = dur_ms;
-    record.arg0 = arg0;
-    record.label_id = instruments->label_id;
-    record.name = static_cast<int16_t>(name);
-    record.pid = instruments->pid;
-    record.tid = tid;
-    instruments->spans->push_back(record);
-  };
-
   // Schedule fault-injection outages.
   for (const ClusterConfig::Outage& outage : config_.outages) {
     FAAS_CHECK(outage.invoker >= 0 && outage.invoker < config_.num_invokers)
@@ -180,36 +152,39 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                    [target]() { target->SetHealthy(false); });
     queue.Schedule(TimePoint::Origin() + outage.end,
                    [target]() { target->SetHealthy(true); });
-    record_event(SpanName::kOutage, outage.start.millis(),
-                 (outage.end - outage.start).millis(), outage.invoker + 1, 0);
+    if (telemetry != nullptr) {
+      telemetry->Span(SpanName::kOutage, outage.invoker + 1,
+                      TimePoint::Origin() + outage.start,
+                      outage.end - outage.start);
+    }
   }
 
   // The fault plan's windows are known up front, so their spans are recorded
-  // at setup; crash/restart instants are recorded when they actually fire.
-  for (const LatencySpike& spike : config_.faults.spikes) {
-    record_event(SpanName::kLatencySpike,
-                 spike.start.millis_since_origin(), spike.duration.millis(),
-                 0, static_cast<int64_t>(spike.multiplier * 100.0));
-  }
-  for (const TransientFaultWindow& window : config_.faults.transient_windows) {
-    record_event(SpanName::kFlakyWindow,
-                 window.start.millis_since_origin(),
-                 window.duration.millis(), 0,
-                 static_cast<int64_t>(window.failure_probability * 1e6));
-  }
-  for (const NetPartitionEvent& partition : config_.faults.partitions) {
-    record_event(SpanName::kNetPartition,
-                 partition.start.millis_since_origin(),
-                 partition.duration.millis(),
-                 partition.invoker >= 0 ? partition.invoker + 1 : 0,
-                 static_cast<int64_t>(partition.dir));
-  }
-  for (const NetLossWindow& window : config_.faults.loss_windows) {
-    record_event(SpanName::kNetLossWindow,
-                 window.start.millis_since_origin(),
-                 window.duration.millis(),
-                 window.invoker >= 0 ? window.invoker + 1 : 0,
-                 static_cast<int64_t>(window.probability * 1e6));
+  // at setup (arg0 carries the window's scaled parameter); crash/restart
+  // instants are recorded when they actually fire.
+  if (telemetry != nullptr) {
+    for (const LatencySpike& spike : config_.faults.spikes) {
+      telemetry->Span(SpanName::kLatencySpike, 0, spike.start, spike.duration,
+                      0, static_cast<int64_t>(spike.multiplier * 100.0));
+    }
+    for (const TransientFaultWindow& window :
+         config_.faults.transient_windows) {
+      telemetry->Span(
+          SpanName::kFlakyWindow, 0, window.start, window.duration, 0,
+          static_cast<int64_t>(window.failure_probability * 1e6));
+    }
+    for (const NetPartitionEvent& partition : config_.faults.partitions) {
+      telemetry->Span(SpanName::kNetPartition,
+                      partition.invoker >= 0 ? partition.invoker + 1 : 0,
+                      partition.start, partition.duration, 0,
+                      static_cast<int64_t>(partition.dir));
+    }
+    for (const NetLossWindow& window : config_.faults.loss_windows) {
+      telemetry->Span(SpanName::kNetLossWindow,
+                      window.invoker >= 0 ? window.invoker + 1 : 0,
+                      window.start, window.duration, 0,
+                      static_cast<int64_t>(window.probability * 1e6));
+    }
   }
 
   const TimePoint end = TimePoint::Origin() + trace.horizon;
@@ -220,26 +195,16 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   for (const CrashEvent& crash : config_.faults.crashes) {
     Invoker* target = invoker_ptrs[static_cast<size_t>(crash.invoker)];
     const Duration downtime = crash.downtime;
-    queue.Schedule(crash.at,
-                   [target, &controller, &queue, downtime, record_event]() {
-                     // Crash() reports each in-flight activation to the
-                     // controller synchronously, which may schedule retries.
-                     const int64_t epoch = target->Crash();
-                     controller.NoteInvokerCrash();
-                     record_event(SpanName::kInvokerCrash,
-                                  queue.now().millis_since_origin(),
-                                  SpanRecord::kInstant, target->id() + 1, 0);
-                     queue.ScheduleAfter(
-                         downtime,
-                         [target, &controller, &queue, epoch, record_event]() {
-                           if (target->Restart(epoch)) {
-                             controller.NoteInvokerRestart();
-                             record_event(SpanName::kInvokerRestart,
-                                          queue.now().millis_since_origin(),
-                                          SpanRecord::kInstant,
-                                          target->id() + 1, 0);
-                           }
-                         });
+    queue.Schedule(crash.at, [target, &controller, &queue, downtime]() {
+      // Crash() reports each in-flight activation to the controller
+      // synchronously, which may schedule retries.
+      const int64_t epoch = target->Crash();
+      controller.NoteInvokerCrash(target->id());
+      queue.ScheduleAfter(downtime, [target, &controller, epoch]() {
+        if (target->Restart(epoch)) {
+          controller.NoteInvokerRestart(target->id());
+        }
+      });
     });
   }
   for (const StateWipeEvent& wipe : config_.faults.wipes) {
@@ -264,9 +229,8 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   // resident memory.  Read-only with respect to simulation state, so the
   // replayed behaviour is unchanged; scheduled at all only when telemetry is
   // on, so a telemetry-off replay consumes identical event sequence numbers.
-  if (instruments != nullptr && instruments->registry != nullptr &&
+  if (telemetry != nullptr && telemetry->metrics_enabled() &&
       config_.metrics_interval > Duration::Zero()) {
-    MetricsRegistry* registry = instruments->registry;
     const Duration interval = config_.metrics_interval;
     const bool overload_on = config_.overload.AnyEnabled();
     const bool resources_on = config_.resource_telemetry;
@@ -285,8 +249,8 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     auto last = std::make_shared<SampleState>();
     repeating_events.push_back(std::make_unique<std::function<void()>>());
     std::function<void()>* sample = repeating_events.back().get();
-    *sample = [&queue, &controller, &invoker_ptrs, sample, last, registry,
-               instruments, interval, end, overload_on, network_ptr,
+    *sample = [&queue, &controller, &invoker_ptrs, &instruments, sample, last,
+               telemetry, interval, end, overload_on, network_ptr,
                resources_on, cost_model]() {
       const TimePoint now = queue.now();
       const TimePoint window_start = now - interval;
@@ -297,31 +261,31 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
       for (const Invoker* invoker : invoker_ptrs) {
         cold += invoker->cold_starts();
       }
-      registry->SeriesAdd(instruments->minute_invocations, window_start,
-                          invocations - last->invocations);
-      registry->SeriesAdd(instruments->minute_cold_starts, window_start,
-                          cold - last->cold);
+      telemetry->SeriesAdd(instruments.minute_invocations, window_start,
+                           invocations - last->invocations);
+      telemetry->SeriesAdd(instruments.minute_cold_starts, window_start,
+                           cold - last->cold);
       last->invocations = invocations;
       last->cold = cold;
       double memory_mb = 0.0;
       for (Invoker* invoker : invoker_ptrs) {
         memory_mb += invoker->memory_in_use_mb();
       }
-      registry->SeriesAdd(
-          instruments->minute_queue_depth, window_start,
+      telemetry->SeriesAdd(
+          instruments.minute_queue_depth, window_start,
           static_cast<int64_t>(controller.pending_activations()));
-      registry->SeriesAdd(instruments->minute_memory_mb, window_start,
-                          static_cast<int64_t>(memory_mb));
-      registry->Set(instruments->memory_in_use_mb, memory_mb, now);
+      telemetry->SeriesAdd(instruments.minute_memory_mb, window_start,
+                           static_cast<int64_t>(memory_mb));
+      telemetry->Set(instruments.memory_in_use_mb, memory_mb, now);
       if (overload_on) {
         // These slots exist only when the control plane registered them.
         const int64_t shed =
             controller.overload_ledger().TotalShed();
-        registry->SeriesAdd(instruments->minute_shed, window_start,
-                            shed - last->shed);
+        telemetry->SeriesAdd(instruments.minute_shed, window_start,
+                             shed - last->shed);
         last->shed = shed;
-        registry->SeriesAdd(
-            instruments->minute_admission_queue, window_start,
+        telemetry->SeriesAdd(
+            instruments.minute_admission_queue, window_start,
             static_cast<int64_t>(controller.admission_queue_depth()));
       }
       if (network_ptr != nullptr) {
@@ -329,11 +293,11 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
         const NetCounters& net = network_ptr->counters();
         const int64_t drops =
             net.lost_to_loss + net.lost_to_partition + net.lost_to_queue;
-        registry->SeriesAdd(instruments->minute_net_drops, window_start,
-                            drops - last->net_drops);
+        telemetry->SeriesAdd(instruments.minute_net_drops, window_start,
+                             drops - last->net_drops);
         last->net_drops = drops;
-        registry->SeriesAdd(instruments->minute_net_retransmits, window_start,
-                            net.rpc_retransmits - last->net_retransmits);
+        telemetry->SeriesAdd(instruments.minute_net_retransmits, window_start,
+                             net.rpc_retransmits - last->net_retransmits);
         last->net_retransmits = net.rpc_retransmits;
       }
       if (resources_on) {
@@ -346,25 +310,25 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
         }
         const int64_t idle_mb_s =
             static_cast<int64_t>(sampled.idle_mb_ms / 1000.0);
-        registry->SeriesAdd(instruments->minute_idle_mb_seconds, window_start,
-                            idle_mb_s - last->idle_mb_s);
+        telemetry->SeriesAdd(instruments.minute_idle_mb_seconds, window_start,
+                             idle_mb_s - last->idle_mb_s);
         last->idle_mb_s = idle_mb_s;
-        registry->Inc(instruments->resource_container_loads,
-                      sampled.container_loads() - last->loads);
+        telemetry->Inc(instruments.resource_container_loads,
+                       sampled.container_loads() - last->loads);
         last->loads = sampled.container_loads();
-        registry->Inc(instruments->resource_container_unloads,
-                      sampled.container_unloads() - last->unloads);
+        telemetry->Inc(instruments.resource_container_unloads,
+                       sampled.container_unloads() - last->unloads);
         last->unloads = sampled.container_unloads();
-        registry->Set(instruments->resource_idle_gb_seconds,
-                      sampled.idle_gb_seconds(), now);
-        registry->Set(instruments->resource_busy_gb_seconds,
-                      sampled.busy_gb_seconds(), now);
-        registry->Set(instruments->resource_cpu_seconds,
-                      sampled.cpu_seconds(), now);
-        registry->Set(instruments->resource_cost_dollars,
-                      sampled.CostDollars(cost_model), now);
+        telemetry->Set(instruments.resource_idle_gb_seconds,
+                       sampled.idle_gb_seconds(), now);
+        telemetry->Set(instruments.resource_busy_gb_seconds,
+                       sampled.busy_gb_seconds(), now);
+        telemetry->Set(instruments.resource_cpu_seconds,
+                       sampled.cpu_seconds(), now);
+        telemetry->Set(instruments.resource_cost_dollars,
+                       sampled.CostDollars(cost_model), now);
       }
-      instruments->Fold();
+      telemetry->Fold();
       if (now + interval <= end) {
         queue.ScheduleAfter(interval, [sample]() { (*sample)(); });
       }
@@ -474,34 +438,24 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   result.policy_overhead_mean_us = controller.policy_overhead_mean_us();
   result.policy_overhead_max_us = controller.policy_overhead_max_us();
 
-  if (config_.resource_telemetry && instruments != nullptr) {
-    // End-of-replay ledger export: final gauge values at the horizon and
-    // one summary span over the whole replay window.
-    if (instruments->registry != nullptr) {
-      MetricsRegistry& r = *instruments->registry;
-      r.Set(instruments->resource_idle_gb_seconds,
-            result.resources.idle_gb_seconds(), end);
-      r.Set(instruments->resource_busy_gb_seconds,
-            result.resources.busy_gb_seconds(), end);
-      r.Set(instruments->resource_cpu_seconds, result.resources.cpu_seconds(),
-            end);
-      r.Set(instruments->resource_cost_dollars, result.cost_dollars, end);
+  if (telemetry != nullptr) {
+    if (config_.resource_telemetry) {
+      // End-of-replay ledger export: final gauge values at the horizon and
+      // one summary span over the whole replay window.
+      telemetry->Set(instruments.resource_idle_gb_seconds,
+                     result.resources.idle_gb_seconds(), end);
+      telemetry->Set(instruments.resource_busy_gb_seconds,
+                     result.resources.busy_gb_seconds(), end);
+      telemetry->Set(instruments.resource_cpu_seconds,
+                     result.resources.cpu_seconds(), end);
+      telemetry->Set(instruments.resource_cost_dollars, result.cost_dollars,
+                     end);
+      telemetry->Span(SpanName::kResourceCost, 0, TimePoint::Origin(),
+                      trace.horizon, 0,
+                      static_cast<int64_t>(result.resources.gb_seconds()),
+                      static_cast<int64_t>(result.cost_dollars * 1e6));
     }
-    if (instruments->spans != nullptr) {
-      SpanRecord record;
-      record.start_ms = 0;
-      record.dur_ms = trace.horizon.millis();
-      record.arg0 = static_cast<int64_t>(result.resources.gb_seconds());
-      record.arg1 = static_cast<int64_t>(result.cost_dollars * 1e6);
-      record.label_id = instruments->label_id;
-      record.name = static_cast<int16_t>(SpanName::kResourceCost);
-      record.pid = instruments->pid;
-      record.tid = 0;
-      instruments->spans->push_back(record);
-    }
-  }
-  if (instruments != nullptr) {
-    instruments->Fold();
+    telemetry->Fold();
   }
   return result;
 }

@@ -12,6 +12,13 @@
 
 namespace faas {
 
+namespace {
+
+// The controller's spans run on thread lane 0 (invoker i's on lane i + 1).
+constexpr int32_t kLane = 0;
+
+}  // namespace
+
 void FaultLedger::FoldNetCounters(const NetCounters& net) {
   net_messages_sent = net.messages_sent;
   net_delivered = net.delivered;
@@ -45,6 +52,7 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
                        bool collect_latencies,
                        LoadBalancingPolicy load_balancing, RetryPolicy retry,
                        OverloadControlConfig overload,
+                       TelemetryWriter* telemetry,
                        const ClusterInstruments* instruments, RpcPlane* rpc)
     : queue_(queue),
       invokers_(std::move(invokers)),
@@ -56,6 +64,7 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
       load_balancing_(load_balancing),
       retry_(retry),
       overload_(overload.CheckedValid()),
+      telemetry_(telemetry),
       instruments_(instruments),
       rpc_(rpc),
       admission_(overload_.admission),
@@ -89,67 +98,13 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
   }
 }
 
-void Controller::RecordInstant(SpanName name, int64_t trace_id,
-                               int64_t arg0) {
-  if (instruments_ == nullptr || instruments_->spans == nullptr) {
-    return;
-  }
-  SpanRecord record;
-  record.start_ms = queue_->now().millis_since_origin();
-  record.trace_id = trace_id;
-  record.arg0 = arg0;
-  record.label_id = instruments_->label_id;
-  record.name = static_cast<int16_t>(name);
-  record.pid = instruments_->pid;
-  record.tid = 0;
-  instruments_->spans->push_back(record);
-}
-
-void Controller::RecordSpan(SpanName name, TimePoint start, Duration dur,
-                            int64_t trace_id, int64_t arg0, int64_t arg1) {
-  if (instruments_ == nullptr || instruments_->spans == nullptr) {
-    return;
-  }
-  SpanRecord record;
-  record.start_ms = start.millis_since_origin();
-  record.dur_ms = std::max<int64_t>(0, dur.millis());
-  record.trace_id = trace_id;
-  record.arg0 = arg0;
-  record.arg1 = arg1;
-  record.label_id = instruments_->label_id;
-  record.name = static_cast<int16_t>(name);
-  record.pid = instruments_->pid;
-  record.tid = 0;
-  instruments_->spans->push_back(record);
-}
-
 void Controller::RecordActivationSpan(const PendingActivation& pending,
                                       int64_t trace_id,
                                       int64_t outcome_cold) {
-  RecordSpan(SpanName::kActivation, pending.created_at,
-             queue_->now() - pending.created_at, trace_id, pending.attempts,
-             outcome_cold);
-}
-
-void Controller::IncCounter(CounterId ClusterInstruments::*field,
-                            int64_t delta) {
-  if (instruments_ != nullptr && instruments_->metrics != nullptr) {
-    instruments_->metrics->Inc(instruments_->*field, delta);
-  }
-}
-
-void Controller::ObserveHistogram(HistogramId ClusterInstruments::*field,
-                                  double value) {
-  if (instruments_ != nullptr && instruments_->registry != nullptr) {
-    instruments_->registry->Observe(instruments_->*field, value);
-  }
-}
-
-void Controller::SetQueueDepthGauge() {
-  if (instruments_ != nullptr && instruments_->registry != nullptr) {
-    instruments_->registry->Set(instruments_->queue_depth,
-                                static_cast<double>(pending_.size()),
-                                queue_->now());
+  if (telemetry_ != nullptr) {
+    telemetry_->Span(SpanName::kActivation, kLane, pending.created_at,
+                     queue_->now() - pending.created_at, trace_id,
+                     pending.attempts, outcome_cold);
   }
 }
 
@@ -260,8 +215,11 @@ void Controller::OnInvocation(AppId app_id, FunctionId function_id,
   pending.created_at = queue_->now();
   pending.hedge_eligible = hedge_eligible;
   pending_.emplace(activation_id, std::move(pending));
-  IncCounter(&ClusterInstruments::invocations);
-  SetQueueDepthGauge();
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->invocations);
+    telemetry_->Set(instruments_->queue_depth,
+                    static_cast<double>(pending_.size()), queue_->now());
+  }
   SendAttempt(activation_id);
 }
 
@@ -317,13 +275,18 @@ void Controller::DropForCapacity(int64_t activation_id) {
   AppStats& stats = app_stats_[pending.app_id.index()];
   pending.timeout_event.Cancel();
   RecordActivationSpan(pending, activation_id, 0);
-  RecordInstant(SpanName::kDrop, activation_id, pending.attempts);
-  IncCounter(&ClusterInstruments::dropped);
+  if (telemetry_ != nullptr) {
+    telemetry_->Instant(SpanName::kDrop, kLane, queue_->now(), activation_id,
+                        pending.attempts);
+    telemetry_->Inc(instruments_->dropped);
+  }
   pending_.erase(it);
-  SetQueueDepthGauge();
+  if (telemetry_ != nullptr) {
+    telemetry_->Set(instruments_->queue_depth,
+                    static_cast<double>(pending_.size()), queue_->now());
+  }
   --state.inflight;
   ++stats.dropped;
-  ++total_dropped_;
 }
 
 // --- Placement scan --------------------------------------------------------
@@ -387,7 +350,9 @@ void Controller::AdvanceScan(int64_t activation_id) {
     }
     if (!breakers_.Admits(index)) {
       ++overload_ledger_.breaker_rejections;
-      IncCounter(&ClusterInstruments::breaker_rejected);
+      if (telemetry_ != nullptr) {
+        telemetry_->Inc(instruments_->breaker_rejected);
+      }
       continue;
     }
     Invoker* invoker = invokers_[index];
@@ -487,7 +452,10 @@ void Controller::FinishScan(int64_t activation_id) {
       primary_it->second.hedge_partner = 0;
     }
     pending_.erase(it);
-    SetQueueDepthGauge();
+    if (telemetry_ != nullptr) {
+      telemetry_->Set(instruments_->queue_depth,
+                      static_cast<double>(pending_.size()), queue_->now());
+    }
     return;
   }
   if (pending.saw_giveup) {
@@ -536,7 +504,10 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
       // holds a single inflight slot, released on the survivor's outcome).
       partner_it->second.hedge_partner = 0;
       pending_.erase(it);
-      SetQueueDepthGauge();
+      if (telemetry_ != nullptr) {
+        telemetry_->Set(instruments_->queue_depth,
+                        static_cast<double>(pending_.size()), queue_->now());
+      }
       return;
     }
     pending.hedge_partner = 0;
@@ -551,10 +522,13 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
     const Duration backoff = retry_.BackoffForRetry(retry_number, rng_);
     ++ledger_.retries_scheduled;
     ledger_.total_backoff_ms += backoff.seconds() * 1e3;
-    IncCounter(&ClusterInstruments::retries);
-    RecordInstant(SpanName::kRetry, activation_id, retry_number);
-    RecordSpan(SpanName::kBackoff, queue_->now(), backoff, activation_id,
-               retry_number);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->retries);
+      telemetry_->Instant(SpanName::kRetry, kLane, queue_->now(),
+                          activation_id, retry_number);
+      telemetry_->Span(SpanName::kBackoff, kLane, queue_->now(), backoff,
+                       activation_id, retry_number);
+    }
     // Re-key under a fresh attempt id so any result of the failed attempt
     // (e.g. a zombie execution finishing after a timeout) misses the table.
     const int64_t new_id = next_activation_id_++;
@@ -575,50 +549,54 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
   AppStats& stats = app_stats_[pending.app_id.index()];
   --state.inflight;
   RecordActivationSpan(pending, activation_id, 0);
+  // The terminal outcome's counter and instant.  The crash/network split
+  // counters exist only when the network model registered them.
+  CounterId ClusterInstruments::*counter = &ClusterInstruments::lost;
+  CounterId ClusterInstruments::*split = nullptr;
+  SpanName name = SpanName::kLost;
   switch (failure) {
     case FailureClass::kTimeout:
       ++stats.abandoned;
-      ++total_abandoned_;
       ++ledger_.abandoned;
-      IncCounter(&ClusterInstruments::abandoned);
-      RecordInstant(SpanName::kAbandon, activation_id, pending.attempts);
+      counter = &ClusterInstruments::abandoned;
+      name = SpanName::kAbandon;
       break;
     case FailureClass::kOutage:
       ++stats.rejected_outage;
-      ++total_rejected_outage_;
       ++ledger_.rejected_by_outage;
-      IncCounter(&ClusterInstruments::rejected_outage);
-      RecordInstant(SpanName::kRejectOutage, activation_id, pending.attempts);
+      counter = &ClusterInstruments::rejected_outage;
+      name = SpanName::kRejectOutage;
       break;
     case FailureClass::kCrash:
     case FailureClass::kTransient:
       ++stats.lost;
-      ++total_lost_;
       ++ledger_.lost;
       ++ledger_.lost_crash;
-      IncCounter(&ClusterInstruments::lost);
-      if (rpc_ != nullptr) {
-        // The crash/network split counters exist only when the network
-        // model registered them.
-        IncCounter(&ClusterInstruments::lost_crash);
-      }
-      RecordInstant(SpanName::kLost, activation_id, pending.attempts);
+      split = &ClusterInstruments::lost_crash;
       break;
     case FailureClass::kNetwork:
       ++stats.lost;
-      ++total_lost_;
       ++ledger_.lost;
       ++ledger_.lost_network;
-      IncCounter(&ClusterInstruments::lost);
-      IncCounter(&ClusterInstruments::lost_network);
-      RecordInstant(SpanName::kLost, activation_id, pending.attempts);
+      split = &ClusterInstruments::lost_network;
       break;
     case FailureClass::kNone:
       FAAS_CHECK(false) << "terminal failure without a class";
       break;
   }
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->*counter);
+    if (split != nullptr && rpc_ != nullptr) {
+      telemetry_->Inc(instruments_->*split);
+    }
+    telemetry_->Instant(name, kLane, queue_->now(), activation_id,
+                        pending.attempts);
+  }
   pending_.erase(it);
-  SetQueueDepthGauge();
+  if (telemetry_ != nullptr) {
+    telemetry_->Set(instruments_->queue_depth,
+                    static_cast<double>(pending_.size()), queue_->now());
+  }
 }
 
 void Controller::OnFailure(const FailureMessage& message) {
@@ -648,8 +626,11 @@ void Controller::OnTimeout(int64_t activation_id) {
     return;  // Completed or failed just before the timer fired.
   }
   ++ledger_.timeouts;
-  IncCounter(&ClusterInstruments::timeouts);
-  RecordInstant(SpanName::kTimeout, activation_id);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->timeouts);
+    telemetry_->Instant(SpanName::kTimeout, kLane, queue_->now(),
+                        activation_id);
+  }
   FailAttempt(activation_id, FailureClass::kTimeout);
 }
 
@@ -677,7 +658,9 @@ void Controller::OnCompletion(const CompletionMessage& message) {
       pending_.erase(partner_it);
       if (pending_it->second.is_hedge) {
         ++overload_ledger_.hedge_wins;
-        IncCounter(&ClusterInstruments::hedge_wins);
+        if (telemetry_ != nullptr) {
+          telemetry_->Inc(instruments_->hedge_wins);
+        }
       } else {
         ++overload_ledger_.hedge_primary_wins;
       }
@@ -691,14 +674,17 @@ void Controller::OnCompletion(const CompletionMessage& message) {
   pending_it->second.timeout_event.Cancel();
   RecordActivationSpan(pending_it->second, message.activation_id,
                        message.cold_start ? 1 : 0);
-  IncCounter(&ClusterInstruments::completions);
-  if (instruments_ != nullptr && instruments_->registry != nullptr) {
-    instruments_->registry->Observe(
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->completions);
+    telemetry_->Observe(
         instruments_->e2e_latency_ms,
         (queue_->now() - pending_it->second.created_at).seconds() * 1e3);
   }
   pending_.erase(pending_it);
-  SetQueueDepthGauge();
+  if (telemetry_ != nullptr) {
+    telemetry_->Set(instruments_->queue_depth,
+                    static_cast<double>(pending_.size()), queue_->now());
+  }
 
   AppState& state = apps_[message.app_id.index()];
   AppStats& stats = app_stats_[message.app_id.index()];
@@ -735,7 +721,9 @@ void Controller::OnCompletion(const CompletionMessage& message) {
   state.has_executed = true;
 
   const double billed_ms = message.billed_execution.seconds() * 1e3;
-  ObserveHistogram(&ClusterInstruments::billed_ms, billed_ms);
+  if (telemetry_ != nullptr) {
+    telemetry_->Observe(instruments_->billed_ms, billed_ms);
+  }
   billed_sum_ms_ += billed_ms;
   ++billed_count_;
   billed_p50_.Add(billed_ms);
@@ -840,10 +828,12 @@ void Controller::NoteDrained(int64_t activation_id,
   if (collect_latencies_) {
     queue_wait_ms_.push_back(wait_ms);
   }
-  ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
-  RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
-             queue_->now() - pending.queued_since, activation_id,
-             /*arg0=*/1);
+  if (telemetry_ != nullptr) {
+    telemetry_->Observe(instruments_->queue_wait_ms, wait_ms);
+    telemetry_->Span(SpanName::kAdmissionQueue, kLane, pending.queued_since,
+                     queue_->now() - pending.queued_since, activation_id,
+                     /*arg0=*/1);
+  }
 }
 
 void Controller::EnqueueAdmission(int64_t activation_id) {
@@ -862,7 +852,9 @@ void Controller::EnqueueAdmission(int64_t activation_id) {
   PendingActivation& pending = it->second;
   pending.queued = true;
   pending.queued_since = queue_->now();
-  IncCounter(&ClusterInstruments::queued);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->queued);
+  }
   if (overload_.admission.discipline == AdmissionDiscipline::kCoDel) {
     pending.shed_event = queue_->ScheduleAfter(
         overload_.admission.max_wait, [this, activation_id]() {
@@ -884,25 +876,29 @@ void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
   pending.timeout_event.Cancel();
   pending.shed_event.Cancel();
   pending.hedge_event.Cancel();
-  if (pending.queued) {
-    RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
-               queue_->now() - pending.queued_since, activation_id,
-               /*arg0=*/0);
+  if (telemetry_ != nullptr) {
+    if (pending.queued) {
+      telemetry_->Span(SpanName::kAdmissionQueue, kLane, pending.queued_since,
+                       queue_->now() - pending.queued_since, activation_id,
+                       /*arg0=*/0);
+    }
+    telemetry_->Instant(SpanName::kShed, kLane, queue_->now(), activation_id,
+                        static_cast<int64_t>(reason));
+    telemetry_->Inc(instruments_->shed);
   }
   AppState& state = apps_[pending.app_id.index()];
   AppStats& stats = app_stats_[pending.app_id.index()];
   RecordActivationSpan(pending, activation_id, 0);
-  RecordInstant(SpanName::kShed, activation_id,
-                static_cast<int64_t>(reason));
-  IncCounter(&ClusterInstruments::shed);
   overload_ledger_.BookShed(reason);
   // Sheds are capacity losses, so they fold into the same per-app column
   // as pre-overload drops (Completed() stays consistent either way).
   ++stats.dropped;
-  ++total_dropped_;
   --state.inflight;
   pending_.erase(it);
-  SetQueueDepthGauge();
+  if (telemetry_ != nullptr) {
+    telemetry_->Set(instruments_->queue_depth,
+                    static_cast<double>(pending_.size()), queue_->now());
+  }
 }
 
 // --- Hedged dispatch -------------------------------------------------------
@@ -951,9 +947,12 @@ void Controller::LaunchHedge(int64_t primary_id) {
   hedge.decision = apps_[hedge.app_id.index()].decision;
   pending_.emplace(hedge_id, std::move(hedge));
   ++overload_ledger_.hedges_launched;
-  IncCounter(&ClusterInstruments::hedges);
-  RecordInstant(SpanName::kHedge, primary_id);
-  SetQueueDepthGauge();
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->hedges);
+    telemetry_->Instant(SpanName::kHedge, kLane, queue_->now(), primary_id);
+    telemetry_->Set(instruments_->queue_depth,
+                    static_cast<double>(pending_.size()), queue_->now());
+  }
   // The hedge pays its own hop, then scans away from the invoker the
   // primary landed on; FinishScan fizzles it if no other invoker has room.
   SendOverHop(hedge_id, exclude);
@@ -967,18 +966,26 @@ void Controller::ApplyBreakerTransition(int invoker,
     case BreakerTransition::kNone:
       return;
     case BreakerTransition::kClosed:
-      RecordInstant(SpanName::kBreakerTransition, invoker, /*arg0=*/0);
+      if (telemetry_ != nullptr) {
+        telemetry_->Instant(SpanName::kBreakerTransition, kLane,
+                            queue_->now(), invoker, /*arg0=*/0);
+      }
       return;
     case BreakerTransition::kOpened: {
-      IncCounter(&ClusterInstruments::breaker_opens);
-      RecordInstant(SpanName::kBreakerTransition, invoker, /*arg0=*/1);
+      if (telemetry_ != nullptr) {
+        telemetry_->Inc(instruments_->breaker_opens);
+        telemetry_->Instant(SpanName::kBreakerTransition, kLane,
+                            queue_->now(), invoker, /*arg0=*/1);
+      }
       const uint32_t epoch = transition.epoch;
       queue_->ScheduleAfter(breakers_.open_duration(),
                             [this, invoker, epoch]() {
                               if (breakers_.HalfOpen(
-                                      static_cast<size_t>(invoker), epoch)) {
-                                RecordInstant(SpanName::kBreakerTransition,
-                                              invoker, /*arg0=*/2);
+                                      static_cast<size_t>(invoker), epoch) &&
+                                  telemetry_ != nullptr) {
+                                telemetry_->Instant(
+                                    SpanName::kBreakerTransition, kLane,
+                                    queue_->now(), invoker, /*arg0=*/2);
                               }
                             });
       return;
@@ -1001,9 +1008,28 @@ void Controller::FinalizeOverload() {
   breakers_.Finish(queue_->now());
 }
 
+void Controller::NoteInvokerCrash(int invoker) {
+  ++ledger_.invoker_crashes;
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->invoker_crashes);
+    telemetry_->Instant(SpanName::kInvokerCrash, invoker + 1, queue_->now());
+  }
+}
+
+void Controller::NoteInvokerRestart(int invoker) {
+  ++ledger_.invoker_restarts;
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->invoker_restarts);
+    telemetry_->Instant(SpanName::kInvokerRestart, invoker + 1,
+                        queue_->now());
+  }
+}
+
 void Controller::CheckpointPolicies() {
-  IncCounter(&ClusterInstruments::checkpoints);
-  RecordInstant(SpanName::kCheckpoint, 0);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->checkpoints);
+    telemetry_->Instant(SpanName::kCheckpoint, kLane, queue_->now());
+  }
   for (size_t i = 0; i < apps_.size(); ++i) {
     AppState& state = apps_[i];
     if (state.policy == nullptr) {
@@ -1020,8 +1046,10 @@ void Controller::CheckpointPolicies() {
 
 void Controller::WipePolicyState() {
   ++ledger_.policy_state_wipes;
-  IncCounter(&ClusterInstruments::policy_wipes);
-  RecordInstant(SpanName::kPolicyWipe, 0);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->policy_wipes);
+    telemetry_->Instant(SpanName::kPolicyWipe, kLane, queue_->now());
+  }
   for (size_t i = 0; i < apps_.size(); ++i) {
     AppState& state = apps_[i];
     if (state.policy == nullptr) {

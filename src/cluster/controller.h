@@ -221,10 +221,11 @@ class Controller : public RpcClient {
   // `entities` (non-owning, must outlive the controller) names the apps the
   // replay will route; all per-app state is dense arrays indexed by AppId,
   // and the only string the controller ever touches is the app name hashed
-  // once per app for home-invoker placement.  `instruments` (optional,
-  // non-owning) receives counters, latency histograms, the queue-depth
-  // gauge, and activation-lifecycle spans; null (the default) leaves every
-  // telemetry site as a single pointer test.  `rpc` (optional, non-owning)
+  // once per app for home-invoker placement.  `telemetry` (optional,
+  // non-owning; `instruments` must then name the replay's metrics) receives
+  // counters, latency histograms, the queue-depth gauge, and
+  // activation-lifecycle spans; null (the default) leaves every telemetry
+  // site as a single pointer test.  `rpc` (optional, non-owning)
   // routes every controller<->invoker message through the network model's
   // RPC plane (src/cluster/network.h); null keeps the direct in-process
   // channel, byte-identical to the pre-network controller.
@@ -235,6 +236,7 @@ class Controller : public RpcClient {
              LoadBalancingPolicy load_balancing =
                  LoadBalancingPolicy::kAppAffinity,
              RetryPolicy retry = {}, OverloadControlConfig overload = {},
+             TelemetryWriter* telemetry = nullptr,
              const ClusterInstruments* instruments = nullptr,
              RpcPlane* rpc = nullptr);
 
@@ -251,15 +253,9 @@ class Controller : public RpcClient {
   // non-representative policy enter degraded mode (standard keep-alive via
   // the policy's own fallback) until representative again.
   void WipePolicyState();
-  // Ledger bookkeeping for invoker crash/restart events.
-  void NoteInvokerCrash() {
-    ++ledger_.invoker_crashes;
-    IncCounter(&ClusterInstruments::invoker_crashes);
-  }
-  void NoteInvokerRestart() {
-    ++ledger_.invoker_restarts;
-    IncCounter(&ClusterInstruments::invoker_restarts);
-  }
+  // Ledger bookkeeping and telemetry for invoker crash/restart events.
+  void NoteInvokerCrash(int invoker);
+  void NoteInvokerRestart(int invoker);
 
   // --- Overload control plane ---
   // Invoker release hook: a container was destroyed or an invoker came
@@ -278,10 +274,6 @@ class Controller : public RpcClient {
   const std::vector<AppStats>& app_stats() const { return app_stats_; }
   // Stats slot for one app (zeros if the app was never routed).
   const AppStats& StatsFor(AppId app_id) const;
-  int64_t total_dropped() const { return total_dropped_; }
-  int64_t total_rejected_outage() const { return total_rejected_outage_; }
-  int64_t total_abandoned() const { return total_abandoned_; }
-  int64_t total_lost() const { return total_lost_; }
   const FaultLedger& ledger() const { return ledger_; }
   const OverloadLedger& overload_ledger() const { return overload_ledger_; }
   // Activations currently parked in the admission queue.
@@ -457,16 +449,9 @@ class Controller : public RpcClient {
   // Telemetry for a breaker transition; an open arms the half-open event.
   void ApplyBreakerTransition(int invoker, BreakerTransition transition);
 
-  // --- Telemetry helpers (no-ops when instruments are absent) ---
-  void RecordInstant(SpanName name, int64_t trace_id, int64_t arg0 = 0);
-  void RecordSpan(SpanName name, TimePoint start, Duration dur,
-                  int64_t trace_id, int64_t arg0 = 0, int64_t arg1 = 0);
   // Closes the lifecycle span of `pending` (terminal outcome reached).
   void RecordActivationSpan(const PendingActivation& pending,
                             int64_t trace_id, int64_t outcome_cold);
-  void IncCounter(CounterId ClusterInstruments::*field, int64_t delta = 1);
-  void ObserveHistogram(HistogramId ClusterInstruments::*field, double value);
-  void SetQueueDepthGauge();
 
   EventQueue* queue_;
   std::vector<Invoker*> invokers_;
@@ -478,6 +463,7 @@ class Controller : public RpcClient {
   LoadBalancingPolicy load_balancing_;
   RetryPolicy retry_;
   OverloadControlConfig overload_;
+  TelemetryWriter* telemetry_;
   const ClusterInstruments* instruments_;
   RpcPlane* rpc_;  // Null = direct in-process channel (network off).
   // Fixed-delay event lane of the activation timeout (-1 when there is no
@@ -511,10 +497,6 @@ class Controller : public RpcClient {
   // Fed the end-to-end completion latency while hedging is enabled.
   HedgeTrigger<SimClock> hedge_;
   std::vector<double> queue_wait_ms_;
-  int64_t total_dropped_ = 0;
-  int64_t total_rejected_outage_ = 0;
-  int64_t total_abandoned_ = 0;
-  int64_t total_lost_ = 0;
   int64_t next_activation_id_ = 1;
 
   std::vector<double> billed_execution_ms_;

@@ -11,6 +11,7 @@ namespace faas {
 
 Invoker::Invoker(int id, double memory_capacity_mb, EventQueue* queue,
                  const LatencyModel& latency, Rng rng, const FaultPlan* faults,
+                 TelemetryWriter* telemetry,
                  const ClusterInstruments* instruments)
     : id_(id),
       memory_capacity_mb_(memory_capacity_mb),
@@ -18,35 +19,12 @@ Invoker::Invoker(int id, double memory_capacity_mb, EventQueue* queue,
       latency_(latency),
       rng_(rng),
       faults_(faults),
+      telemetry_(telemetry),
       instruments_(instruments),
       last_memory_change_(queue->now()),
       last_split_change_(queue->now()) {
   FAAS_CHECK(queue != nullptr) << "invoker needs an event queue";
   FAAS_CHECK(memory_capacity_mb > 0.0) << "invoker memory must be positive";
-}
-
-void Invoker::IncCounter(CounterId ClusterInstruments::*field,
-                         int64_t delta) {
-  if (instruments_ != nullptr && instruments_->metrics != nullptr) {
-    instruments_->metrics->Inc(instruments_->*field, delta);
-  }
-}
-
-void Invoker::RecordSpanAt(SpanName name, TimePoint start, int64_t dur_ms,
-                           int64_t trace_id, int64_t arg0) {
-  if (instruments_ == nullptr || instruments_->spans == nullptr) {
-    return;
-  }
-  SpanRecord record;
-  record.start_ms = start.millis_since_origin();
-  record.dur_ms = dur_ms;
-  record.trace_id = trace_id;
-  record.arg0 = arg0;
-  record.label_id = instruments_->label_id;
-  record.name = static_cast<int16_t>(name);
-  record.pid = instruments_->pid;
-  record.tid = id_ + 1;  // Lane 0 is the controller.
-  instruments_->spans->push_back(record);
 }
 
 void Invoker::AccrueMemoryTime() {
@@ -124,10 +102,11 @@ bool Invoker::EvictIdleContainers(double needed_mb) {
     if (victim == containers_.end()) {
       return false;  // Everything resident is busy.
     }
-    ++evictions_;
     ++resources_.evictions;
-    IncCounter(&ClusterInstruments::evictions);
-    RecordSpanAt(SpanName::kEviction, queue_->now(), SpanRecord::kInstant, 0);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->evictions);
+      telemetry_->Instant(SpanName::kEviction, lane(), queue_->now());
+    }
     DestroyContainer(victim);
   }
   return true;
@@ -146,7 +125,6 @@ Invoker::ContainerList::iterator Invoker::CreateContainer(AppId app_id,
   it->app_id = app_id;
   it->memory_mb = memory_mb;
   memory_in_use_mb_ += memory_mb;
-  ++resident_containers_;
   return it;
 }
 
@@ -157,7 +135,6 @@ void Invoker::DestroyContainer(ContainerList::iterator it) {
   it->unload_timer.Cancel();
   it->exec_end_event.Cancel();
   memory_in_use_mb_ -= it->memory_mb;
-  --resident_containers_;
   containers_.erase(it);
   // Memory just freed: let the controller drain its admission queue.
   NotifyRelease();
@@ -220,7 +197,6 @@ int64_t Invoker::Crash() {
   }
   containers_.clear();
   memory_in_use_mb_ = 0.0;
-  resident_containers_ = 0;
   busy_containers_ = 0;
   busy_memory_mb_ = 0.0;
   if (on_failure_) {
@@ -260,9 +236,11 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
     // so fault-free replays consume an identical rng stream.
     const double p = faults_->TransientFailureProbabilityAt(queue_->now());
     if (p > 0.0 && rng_.Bernoulli(p)) {
-      IncCounter(&ClusterInstruments::transient_faults);
-      RecordSpanAt(SpanName::kTransientFault, queue_->now(),
-                   SpanRecord::kInstant, message.activation_id);
+      if (telemetry_ != nullptr) {
+        telemetry_->Inc(instruments_->transient_faults);
+        telemetry_->Instant(SpanName::kTransientFault, lane(), queue_->now(),
+                            message.activation_id);
+      }
       FailureMessage failure;
       failure.activation_id = message.activation_id;
       failure.app_id = message.app_id;
@@ -283,11 +261,12 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
   Duration bootstrap = Duration::Zero();
 
   if (it != containers_.end()) {
-    ++warm_starts_;
     ++resources_.warm_hits;
-    IncCounter(&ClusterInstruments::warm_starts);
-    RecordSpanAt(SpanName::kWarmHit, queue_->now(), SpanRecord::kInstant,
-                 message.activation_id);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->warm_starts);
+      telemetry_->Instant(SpanName::kWarmHit, lane(), queue_->now(),
+                          message.activation_id);
+    }
     it->unload_timer.Cancel();
   } else {
     it = CreateContainer(message.app_id, message.memory_mb);
@@ -295,20 +274,19 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
       return false;
     }
     cold = true;
-    ++cold_starts_;
     ++resources_.cold_loads;
     const double scale = faults_ == nullptr
                              ? 1.0
                              : faults_->LatencyMultiplierAt(queue_->now());
     bootstrap = latency_.SampleRuntimeBootstrap(rng_, scale);
     startup = latency_.SampleContainerInit(rng_, scale) + bootstrap;
-    IncCounter(&ClusterInstruments::cold_starts);
-    if (instruments_ != nullptr && instruments_->registry != nullptr) {
-      instruments_->registry->Observe(instruments_->cold_startup_ms,
-                                      startup.seconds() * 1e3);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->cold_starts);
+      telemetry_->Observe(instruments_->cold_startup_ms,
+                          startup.seconds() * 1e3);
+      telemetry_->Span(SpanName::kColdLoad, lane(), queue_->now(), startup,
+                       message.activation_id);
     }
-    RecordSpanAt(SpanName::kColdLoad, queue_->now(), startup.millis(),
-                 message.activation_id);
   }
   // The container is committed to this activation: advance the residency
   // split with the old busy footprint, then move it into the busy bucket.
@@ -320,8 +298,10 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
   ++busy_containers_;
 
   const TimePoint exec_end = queue_->now() + startup + message.execution;
-  RecordSpanAt(SpanName::kExecute, queue_->now() + startup,
-               message.execution.millis(), message.activation_id);
+  if (telemetry_ != nullptr) {
+    telemetry_->Span(SpanName::kExecute, lane(), queue_->now() + startup,
+                     message.execution, message.activation_id);
+  }
   const Duration total_latency = startup + message.execution;
   // OpenWhisk activation records charge the full initialisation (container
   // init + runtime bootstrap) to a cold activation's duration; warm
@@ -379,11 +359,11 @@ bool Invoker::HandlePrewarm(const PrewarmMessage& message) {
   if (it == containers_.end()) {
     return false;
   }
-  ++prewarm_loads_;
   ++resources_.prewarm_loads;
-  IncCounter(&ClusterInstruments::prewarm_loads);
-  RecordSpanAt(SpanName::kPrewarmLoad, queue_->now(), SpanRecord::kInstant,
-               0);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->prewarm_loads);
+    telemetry_->Instant(SpanName::kPrewarmLoad, lane(), queue_->now());
+  }
   ArmKeepAlive(it, message.keepalive);
   return true;
 }

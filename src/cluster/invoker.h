@@ -37,12 +37,14 @@ class Invoker {
   using FailureCallback = std::function<void(const FailureMessage&)>;
 
   // `faults` (optional) supplies latency-spike multipliers and transient
-  // failure windows; it must outlive the invoker.  `instruments` (optional,
-  // non-owning) receives container-lifecycle counters and spans on thread
-  // lane id + 1.
+  // failure windows; it must outlive the invoker.  `telemetry` (optional,
+  // non-owning; `instruments` must then name the replay's metrics) receives
+  // container-lifecycle counters, the cold-startup histogram and spans on
+  // thread lane id + 1.
   Invoker(int id, double memory_capacity_mb, EventQueue* queue,
           const LatencyModel& latency, Rng rng,
           const FaultPlan* faults = nullptr,
+          TelemetryWriter* telemetry = nullptr,
           const ClusterInstruments* instruments = nullptr);
 
   int id() const { return id_; }
@@ -95,11 +97,13 @@ class Invoker {
   // --- Introspection / metrics ---
   double memory_in_use_mb() const { return memory_in_use_mb_; }
   double memory_capacity_mb() const { return memory_capacity_mb_; }
-  int resident_containers() const { return resident_containers_; }
-  int64_t cold_starts() const { return cold_starts_; }
-  int64_t warm_starts() const { return warm_starts_; }
-  int64_t evictions() const { return evictions_; }
-  int64_t prewarm_loads() const { return prewarm_loads_; }
+  int resident_containers() const {
+    return static_cast<int>(containers_.size());
+  }
+  int64_t cold_starts() const { return resources_.cold_loads; }
+  int64_t warm_starts() const { return resources_.warm_hits; }
+  int64_t evictions() const { return resources_.evictions; }
+  int64_t prewarm_loads() const { return resources_.prewarm_loads; }
   // Activations refused because the concurrency cap was reached.
   int64_t cap_rejections() const { return cap_rejections_; }
   // Integral of resident container memory over time, MB*seconds.  Call
@@ -150,10 +154,8 @@ class Invoker {
     }
   }
 
-  // --- Telemetry helpers (no-ops when instruments are absent) ---
-  void IncCounter(CounterId ClusterInstruments::*field, int64_t delta = 1);
-  void RecordSpanAt(SpanName name, TimePoint start, int64_t dur_ms,
-                    int64_t trace_id, int64_t arg0 = 0);
+  // Trace thread lane of this invoker's spans (lane 0 is the controller).
+  int32_t lane() const { return id_ + 1; }
 
   int id_;
   bool healthy_ = true;
@@ -163,6 +165,7 @@ class Invoker {
   LatencyModel latency_;
   Rng rng_;
   const FaultPlan* faults_;
+  TelemetryWriter* telemetry_;
   const ClusterInstruments* instruments_;
   CompletionCallback on_completion_;
   FailureCallback on_failure_;
@@ -174,11 +177,6 @@ class Invoker {
   ContainerList containers_;
 
   double memory_in_use_mb_ = 0.0;
-  int resident_containers_ = 0;
-  int64_t cold_starts_ = 0;
-  int64_t warm_starts_ = 0;
-  int64_t evictions_ = 0;
-  int64_t prewarm_loads_ = 0;
   double memory_mb_seconds_ = 0.0;
   TimePoint last_memory_change_;
 

@@ -28,11 +28,13 @@ const char* NetMessageKindName(NetMessageKind kind) {
 
 NetworkModel::NetworkModel(EventQueue* queue, const NetworkConfig& config,
                            const FaultPlan* faults, int num_invokers, Rng rng,
+                           TelemetryWriter* telemetry,
                            const ClusterInstruments* instruments)
     : queue_(queue),
       config_(config),
       faults_(faults),
       num_invokers_(num_invokers),
+      telemetry_(telemetry),
       instruments_(instruments) {
   FAAS_CHECK(queue_ != nullptr) << "network model needs an event queue";
   FAAS_CHECK(faults_ != nullptr) << "network model needs a fault plan";
@@ -59,26 +61,6 @@ NetworkModel::Link& NetworkModel::LinkFor(NetDirection dir, int invoker) {
                                   : downlinks_[static_cast<size_t>(invoker)];
 }
 
-void NetworkModel::RecordDrop(int invoker, int64_t cause) {
-  if (instruments_ == nullptr) {
-    return;
-  }
-  if (instruments_->metrics != nullptr) {
-    instruments_->metrics->Inc(instruments_->net_dropped);
-  }
-  if (instruments_->spans != nullptr) {
-    SpanRecord record;
-    record.start_ms = queue_->now().millis_since_origin();
-    record.trace_id = invoker;
-    record.arg0 = cause;
-    record.label_id = instruments_->label_id;
-    record.name = static_cast<int16_t>(SpanName::kNetDrop);
-    record.pid = instruments_->pid;
-    record.tid = 0;
-    instruments_->spans->push_back(record);
-  }
-}
-
 NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
                                           NetPriority priority,
                                           NetMessageKind kind) {
@@ -91,7 +73,10 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   // without partitions perturbs nothing.
   if (faults_->LinkPartitionedAt(invoker, dir, now)) {
     ++counters_.lost_to_partition;
-    RecordDrop(invoker, /*cause=*/1);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->net_dropped);
+      telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker, /*arg0=*/1);
+    }
     return transit;
   }
 
@@ -102,7 +87,10 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   const double loss_p = faults_->NetLossProbabilityAt(invoker, now);
   if (loss_p > 0.0 && link.rng.Bernoulli(loss_p)) {
     ++counters_.lost_to_loss;
-    RecordDrop(invoker, /*cause=*/0);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->net_dropped);
+      telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker, /*arg0=*/0);
+    }
     return transit;
   }
 
@@ -120,7 +108,11 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
     }
     if (link.in_flight >= limit) {
       ++counters_.lost_to_queue;
-      RecordDrop(invoker, /*cause=*/2);
+      if (telemetry_ != nullptr) {
+        telemetry_->Inc(instruments_->net_dropped);
+        telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker,
+                            /*arg0=*/2);
+      }
       return transit;
     }
   }
@@ -163,8 +155,8 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   transit.delay = shaping + latency;
   if (duplicate) {
     ++counters_.duplicates_delivered;
-    if (instruments_ != nullptr && instruments_->metrics != nullptr) {
-      instruments_->metrics->Inc(instruments_->net_duplicates);
+    if (telemetry_ != nullptr) {
+      telemetry_->Inc(instruments_->net_duplicates);
     }
     transit.duplicate = true;
     transit.copy_delay = shaping + sample_latency(link.rng);
@@ -174,64 +166,27 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
 
 void NetworkModel::NoteRetransmit(int invoker) {
   ++counters_.rpc_retransmits;
-  if (instruments_ == nullptr) {
-    return;
-  }
-  if (instruments_->metrics != nullptr) {
-    instruments_->metrics->Inc(instruments_->net_retransmits);
-  }
-  if (instruments_->spans != nullptr) {
-    SpanRecord record;
-    record.start_ms = queue_->now().millis_since_origin();
-    record.trace_id = invoker;
-    record.label_id = instruments_->label_id;
-    record.name = static_cast<int16_t>(SpanName::kNetRetransmit);
-    record.pid = instruments_->pid;
-    record.tid = 0;
-    instruments_->spans->push_back(record);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->net_retransmits);
+    telemetry_->Instant(SpanName::kNetRetransmit, 0, queue_->now(), invoker);
   }
 }
 
 void NetworkModel::NoteDuplicateSuppressed(int invoker) {
   ++counters_.rpc_duplicates_suppressed;
-  if (instruments_ == nullptr) {
-    return;
-  }
-  if (instruments_->metrics != nullptr) {
-    instruments_->metrics->Inc(instruments_->net_dup_suppressed);
-  }
-  if (instruments_->spans != nullptr) {
-    SpanRecord record;
-    record.start_ms = queue_->now().millis_since_origin();
-    record.trace_id = invoker;
-    record.label_id = instruments_->label_id;
-    record.name = static_cast<int16_t>(SpanName::kNetDuplicate);
-    record.pid = instruments_->pid;
-    record.tid = 0;
-    instruments_->spans->push_back(record);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->net_dup_suppressed);
+    telemetry_->Instant(SpanName::kNetDuplicate, 0, queue_->now(), invoker);
   }
 }
 
 void NetworkModel::NoteGiveUp(int invoker) {
   ++counters_.rpc_give_ups;
-  if (instruments_ == nullptr) {
-    return;
-  }
-  if (instruments_->metrics != nullptr) {
-    instruments_->metrics->Inc(instruments_->net_give_ups);
-  }
-  if (instruments_->spans != nullptr) {
-    SpanRecord record;
-    record.start_ms = queue_->now().millis_since_origin();
-    record.trace_id = invoker;
-    record.label_id = instruments_->label_id;
-    record.name = static_cast<int16_t>(SpanName::kRpcGiveUp);
-    record.pid = instruments_->pid;
-    record.tid = 0;
-    instruments_->spans->push_back(record);
+  if (telemetry_ != nullptr) {
+    telemetry_->Inc(instruments_->net_give_ups);
+    telemetry_->Instant(SpanName::kRpcGiveUp, 0, queue_->now(), invoker);
   }
 }
-
 
 // --- Dedup window ----------------------------------------------------------
 

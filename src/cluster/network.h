@@ -146,10 +146,12 @@ class NetworkModel {
   // the model).  `rng` seeds the per-link streams: each of the 2N link
   // directions forks its own stream at construction, so an empty fault plan
   // draws only latency samples and the draw sequence of link i is
-  // independent of traffic on link j.  `instruments` (optional, non-owning)
-  // receives drop/duplicate counters and spans.
+  // independent of traffic on link j.  `telemetry` (optional, non-owning;
+  // `instruments` must then name the replay's metrics) receives
+  // drop/duplicate counters and spans on the controller's thread lane.
   NetworkModel(EventQueue* queue, const NetworkConfig& config,
                const FaultPlan* faults, int num_invokers, Rng rng,
+               TelemetryWriter* telemetry = nullptr,
                const ClusterInstruments* instruments = nullptr);
 
   // Sends one message on `dir`-direction of invoker `invoker`'s link; when
@@ -200,7 +202,6 @@ class NetworkModel {
   };
 
   Link& LinkFor(NetDirection dir, int invoker);
-  void RecordDrop(int invoker, int64_t cause);
   // Counts the send, runs the drop gauntlet and draws the latencies.
   Transit Admit(NetDirection dir, int invoker, NetPriority priority,
                 NetMessageKind kind);
@@ -219,6 +220,7 @@ class NetworkModel {
   NetworkConfig config_;
   const FaultPlan* faults_;
   int num_invokers_;
+  TelemetryWriter* telemetry_;
   const ClusterInstruments* instruments_;
   std::vector<Link> uplinks_;
   std::vector<Link> downlinks_;

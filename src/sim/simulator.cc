@@ -43,6 +43,7 @@ void ChargeLedger(AppSimResult& result, double wasted_ms, double memory_mb,
 
 AppSimResult ColdStartSimulator::SimulateApp(
     const CompiledTrace& compiled, size_t app_index, KeepAlivePolicy& policy,
+    TelemetryWriter* telemetry,
     const SimPolicyInstruments* instruments) const {
   FAAS_CHECK(app_index < compiled.num_apps()) << "app index out of range";
   const CompiledTrace::AppSpan span = compiled.spans[app_index];
@@ -53,24 +54,18 @@ AppSimResult ColdStartSimulator::SimulateApp(
                             : nullptr;
   AppSimResult result = SimulateStream(
       compiled.times_ms.data() + span.begin, exec, span.size(),
-      compiled.memory_mb[app_index], compiled.horizon, policy, instruments);
+      compiled.memory_mb[app_index], compiled.horizon, policy, telemetry,
+      instruments);
   result.app = AppId(app_index);
-  if (instruments != nullptr && instruments->spans != nullptr &&
-      span.size() > 0) {
+  if (telemetry != nullptr && span.size() > 0) {
     // One span per (policy, app): start at the first invocation, run to the
     // last, keyed so the span set is a pure function of the sweep shape.
-    SpanRecord record;
-    record.start_ms = compiled.times_ms[span.begin];
-    record.dur_ms = compiled.times_ms[span.end - 1] - record.start_ms;
-    record.trace_id =
-        instruments->trace_id_base + static_cast<int64_t>(app_index);
-    record.arg0 = result.invocations;
-    record.arg1 = result.cold_starts;
-    record.label_id = instruments->label_id;
-    record.name = static_cast<int16_t>(SpanName::kAppReplay);
-    record.pid = instruments->pid;
-    record.tid = 0;
-    instruments->spans->push_back(record);
+    const TimePoint first(compiled.times_ms[span.begin]);
+    telemetry->Span(SpanName::kAppReplay, 0, first,
+                    TimePoint(compiled.times_ms[span.end - 1]) - first,
+                    instruments->trace_id_base +
+                        static_cast<int64_t>(app_index),
+                    result.invocations, result.cold_starts);
   }
   return result;
 }
@@ -139,6 +134,7 @@ AppSimResult ColdStartSimulator::SimulateStaticStream(
 AppSimResult ColdStartSimulator::SimulateStream(
     const int64_t* times_ms, const int64_t* exec_ms, size_t count,
     double memory_mb, Duration horizon, KeepAlivePolicy& policy,
+    TelemetryWriter* telemetry,
     const SimPolicyInstruments* instruments) const {
   AppSimResult result;
   result.invocations = static_cast<int64_t>(count);
@@ -152,7 +148,7 @@ AppSimResult ColdStartSimulator::SimulateStream(
   // decisions take the general path: they are rare and branch-heavier.)
   const bool static_decision = policy.HasStaticDecision();
   const bool plain_replay =
-      instruments == nullptr || instruments->metrics == nullptr;
+      telemetry == nullptr || !telemetry->metrics_enabled();
   if (static_decision && plain_replay && !options_.track_hourly) {
     const PolicyDecision fixed = policy.NextWindows();
     if (!fixed.KeepsLoadedForever() && fixed.prewarm_window.IsZero()) {
@@ -172,13 +168,12 @@ AppSimResult ColdStartSimulator::SimulateStream(
   // Per-invocation telemetry rides the classification the loop already
   // makes.  Invocation times are ordered, so the per-minute series updates
   // are run-length batched: counts accumulate in two locals and flush to the
-  // task's metrics block only when the minute bin changes.  The counters flush once per
+  // writer only when the minute bin changes.  The counters flush once per
   // app below, keeping the per-invocation cost at a couple of arithmetic ops
   // when enabled and one pointer test when not.  The per-app histogram is
   // left to the sweep, which observes it in app order after the parallel
   // region.
-  MetricsBlock* metrics =
-      instruments != nullptr ? instruments->metrics : nullptr;
+  TelemetryWriter* const metrics = plain_replay ? nullptr : telemetry;
   int64_t series_bin = -1;
   int64_t bin_invocations = 0;
   int64_t bin_cold = 0;

@@ -125,13 +125,14 @@ class ColdStartSimulator {
 
   // Simulates app `app_index` of a compiled trace against `policy` (a fresh
   // instance per app) and stamps AppId(app_index) on the result; sweeps
-  // (sweep.h) call it once per (policy, app) cell.  `instruments`
-  // (optional) writes per-minute series updates and per-app counter flushes
-  // into its `metrics` block and one kAppReplay span into its `spans`
-  // buffer; the simulated result itself is unaffected.  The per-app
-  // cold-start histogram is the caller's to observe.
+  // (sweep.h) call it once per (policy, app) cell.  `telemetry` (optional;
+  // `instruments` must then name the policy's metrics) receives per-minute
+  // series updates, per-app counter flushes and one kAppReplay span; the
+  // simulated result itself is unaffected.  The per-app cold-start
+  // histogram is the caller's to observe.
   AppSimResult SimulateApp(const CompiledTrace& compiled, size_t app_index,
                            KeepAlivePolicy& policy,
+                           TelemetryWriter* telemetry = nullptr,
                            const SimPolicyInstruments* instruments =
                                nullptr) const;
 
@@ -142,8 +143,8 @@ class ColdStartSimulator {
   AppSimResult SimulateStream(const int64_t* times_ms, const int64_t* exec_ms,
                               size_t count, double memory_mb, Duration horizon,
                               KeepAlivePolicy& policy,
-                              const SimPolicyInstruments* instruments =
-                                  nullptr) const;
+                              TelemetryWriter* telemetry,
+                              const SimPolicyInstruments* instruments) const;
 
   // Devirtualized replay for policies with a static decision (fixed
   // keep-alive), used when no per-invocation telemetry is attached.

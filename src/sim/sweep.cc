@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "src/arima/auto_arima.h"
@@ -75,12 +74,12 @@ void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index,
 // without the memo, for any thread count and task order.
 //
 // `instruments` is empty or one bundle per policy.  An instrumented task
-// replays into a SimTaskTelemetry of its own (a metrics block and a span
-// buffer) and folds it into the shared registry and tracer when it ends;
-// counters, series and spans merge exactly in any fold order.  The per-app
-// cold-start histogram is observed after the region on this thread, in
-// policy-major then app order, so its floating-point sum does not depend on
-// which worker ran which app.  Uninstrumented, no task telemetry is made.
+// replays into writers of its own, one per policy, and folds them into the
+// shared registry and tracer when it ends; counters, series and spans merge
+// exactly in any fold order.  The per-app cold-start histogram is observed
+// after the region on this thread, in policy-major then app order, so its
+// floating-point sum does not depend on which worker ran which app.
+// Uninstrumented, no writer is made.
 void ReplayShards(const std::vector<const CompiledTrace*>& shards,
                   size_t app_offset,
                   const std::vector<const PolicyFactory*>& factories,
@@ -140,9 +139,10 @@ void ReplayShards(const std::vector<const CompiledTrace*>& shards,
         const Chunk& chunk = chunks[task - num_fills];
         ArimaMemo memo;
         const ArimaMemoScope memo_scope(&memo);
-        std::optional<SimTaskTelemetry> telemetry;
-        if (!instruments.empty()) {
-          telemetry.emplace(*options.telemetry, instruments);
+        std::vector<TelemetryWriter> telemetry;
+        telemetry.reserve(instruments.size());
+        for (const SimPolicyInstruments& policy : instruments) {
+          telemetry.emplace_back(*options.telemetry, policy.lane);
         }
         for (size_t i = chunk.begin; i < chunk.end; ++i) {
           const size_t app = chunk.app_id + i;
@@ -151,7 +151,8 @@ void ReplayShards(const std::vector<const CompiledTrace*>& shards,
                 factories[p]->CreateForApp();
             AppSimResult result = simulator.SimulateApp(
                 *chunk.shard, i, *policy,
-                telemetry ? &telemetry->policy(p) : nullptr);
+                telemetry.empty() ? nullptr : &telemetry[p],
+                telemetry.empty() ? nullptr : &instruments[p]);
             // SimulateApp stamps the shard-local id; lift it to the global
             // dense range.
             result.app = AppId(static_cast<int64_t>(app));
@@ -161,22 +162,19 @@ void ReplayShards(const std::vector<const CompiledTrace*>& shards,
           // memo to one app's fits.
           memo.Clear();
         }
-        if (telemetry) {
-          telemetry->Fold();
+        for (TelemetryWriter& writer : telemetry) {
+          writer.Fold();
         }
       },
       options.num_threads, /*chunk=*/1);
 
   for (size_t p = 0; p < instruments.size(); ++p) {
-    MetricsRegistry* metrics = instruments[p].registry;
-    if (metrics == nullptr) {
-      continue;
-    }
+    TelemetryWriter owner(*options.telemetry, instruments[p].lane);
     for (size_t i = 0; i < num_apps; ++i) {
       const AppSimResult& result = points[p].result.apps[app_offset + i];
       if (result.invocations > 0) {
-        metrics->Observe(instruments[p].app_cold_percent,
-                         result.ColdStartPercent());
+        owner.Observe(instruments[p].app_cold_percent,
+                      result.ColdStartPercent());
       }
     }
   }

@@ -20,7 +20,7 @@ void LatencyRecorder::Merge(const LatencyRecorder& other) {
 void LatencyRecorder::Reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   count_ = 0;
-  sum_ns_ = 0.0;
+  sum_ns_ = 0;
   max_ns_ = 0;
 }
 

@@ -13,8 +13,9 @@
 // recorder and updates it single-threaded; Merge() folds per-loop
 // recorders into one after the loops quiesce (or on a snapshot copy), the
 // same own-then-fold contract as a MetricsBlock.  Merging is exact —
-// buckets add — so percentiles over the merged recorder equal percentiles
-// over the union of samples up to bucket resolution.
+// buckets, counts and the integer nanosecond sum add — so percentiles over
+// the merged recorder equal percentiles over the union of samples up to
+// bucket resolution, and its sum and mean do not depend on merge order.
 
 #ifndef SRC_TELEMETRY_LATENCY_RECORDER_H_
 #define SRC_TELEMETRY_LATENCY_RECORDER_H_
@@ -42,7 +43,7 @@ class LatencyRecorder {
     const uint64_t v = value_ns > 0 ? static_cast<uint64_t>(value_ns) : 0;
     ++counts_[BucketIndex(v)];
     ++count_;
-    sum_ns_ += static_cast<double>(v);
+    sum_ns_ += v;
     if (value_ns > max_ns_) {
       max_ns_ = value_ns;
     }
@@ -53,9 +54,11 @@ class LatencyRecorder {
   void Reset();
 
   int64_t count() const { return count_; }
-  double sum_ms() const { return sum_ns_ / 1e6; }
+  double sum_ms() const { return static_cast<double>(sum_ns_) / 1e6; }
   double mean_ms() const {
-    return count_ > 0 ? sum_ns_ / static_cast<double>(count_) / 1e6 : 0.0;
+    return count_ > 0 ? static_cast<double>(sum_ns_) /
+                            static_cast<double>(count_) / 1e6
+                      : 0.0;
   }
   int64_t max_ns() const { return max_ns_; }
 
@@ -88,7 +91,9 @@ class LatencyRecorder {
  private:
   std::vector<int64_t> counts_;
   int64_t count_ = 0;
-  double sum_ns_ = 0.0;
+  // Every sample is below 2^63 and there are fewer than 2^63 of them, so
+  // the 128-bit sum never wraps.
+  unsigned __int128 sum_ns_ = 0;
   int64_t max_ns_ = 0;
 };
 

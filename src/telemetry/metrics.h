@@ -8,8 +8,8 @@
 //     in with Fold(), under the lock: a sweep task when it ends, the
 //     cluster replayer at each sampler tick.
 //   - A single owner may also write the registry directly (the cluster's
-//     gauges and sampler series, a tool exporting its final stats):
-//     Inc / Set / Observe / SeriesAdd each take the lock once.
+//     gauges, a tool exporting its final stats): Inc / Set / Observe /
+//     SeriesAdd each take the lock once.
 //   - A histogram has exactly one owner, which observes it straight into the
 //     registry in its own order.  Blocks carry no histograms: a double
 //     `_sum` added in fold order would depend on scheduling, while every

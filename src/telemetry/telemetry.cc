@@ -49,24 +49,18 @@ ClusterInstruments ClusterInstruments::Register(Telemetry& telemetry,
                                                 bool overload, bool network,
                                                 bool resources) {
   ClusterInstruments instruments;
-  instruments.pid = pid;
-  if (telemetry.metrics_enabled()) {
-    instruments.registry = &telemetry.metrics();
-  }
-  if (telemetry.trace_enabled()) {
-    instruments.tracer = &telemetry.tracer();
-  }
+  instruments.lane.pid = pid;
   const std::string label = PolicyLabel(policy_name);
-  if (instruments.tracer != nullptr) {
-    instruments.label_id = instruments.tracer->InternLabel(label);
-    instruments.tracer->RegisterProcess(
-        pid, "cluster " + std::string(policy_name));
-    instruments.tracer->RegisterThread(pid, 0, "controller");
+  if (telemetry.trace_enabled()) {
+    Tracer& tracer = telemetry.tracer();
+    instruments.lane.label_id = tracer.InternLabel(label);
+    tracer.RegisterProcess(pid, "cluster " + std::string(policy_name));
+    tracer.RegisterThread(pid, 0, "controller");
   }
-  if (instruments.registry == nullptr) {
+  if (!telemetry.metrics_enabled()) {
     return instruments;
   }
-  MetricsRegistry& r = *instruments.registry;
+  MetricsRegistry& r = telemetry.metrics();
   instruments.invocations = r.AddCounter(
       "faas_cluster_invocations_total", "Invocations replayed", label);
   instruments.completions = r.AddCounter(
@@ -242,38 +236,23 @@ ClusterInstruments ClusterInstruments::Register(Telemetry& telemetry,
   return instruments;
 }
 
-void ClusterInstruments::Fold() const {
-  if (metrics != nullptr) {
-    registry->Fold(*metrics);
-  }
-  if (spans != nullptr) {
-    tracer->Fold(*spans);
-  }
-}
-
 SimPolicyInstruments SimPolicyInstruments::Register(
     Telemetry& telemetry, std::string_view policy_name, int16_t pid,
     int64_t trace_id_base, Duration horizon) {
   SimPolicyInstruments instruments;
-  instruments.pid = pid;
+  instruments.lane.pid = pid;
   instruments.trace_id_base = trace_id_base;
-  if (telemetry.metrics_enabled()) {
-    instruments.registry = &telemetry.metrics();
-  }
-  if (telemetry.trace_enabled()) {
-    instruments.tracer = &telemetry.tracer();
-  }
   const std::string label = PolicyLabel(policy_name);
-  if (instruments.tracer != nullptr) {
-    instruments.label_id = instruments.tracer->InternLabel(label);
-    instruments.tracer->RegisterProcess(pid,
-                                        "sweep " + std::string(policy_name));
-    instruments.tracer->RegisterThread(pid, 0, "apps");
+  if (telemetry.trace_enabled()) {
+    Tracer& tracer = telemetry.tracer();
+    instruments.lane.label_id = tracer.InternLabel(label);
+    tracer.RegisterProcess(pid, "sweep " + std::string(policy_name));
+    tracer.RegisterThread(pid, 0, "apps");
   }
-  if (instruments.registry == nullptr) {
+  if (!telemetry.metrics_enabled()) {
     return instruments;
   }
-  MetricsRegistry& r = *instruments.registry;
+  MetricsRegistry& r = telemetry.metrics();
   instruments.apps =
       r.AddCounter("faas_sim_apps_total", "Apps simulated", label);
   instruments.invocations = r.AddCounter("faas_sim_invocations_total",
@@ -296,24 +275,45 @@ SimPolicyInstruments SimPolicyInstruments::Register(
   return instruments;
 }
 
-SimTaskTelemetry::SimTaskTelemetry(
-    Telemetry& telemetry, const std::vector<SimPolicyInstruments>& policies)
-    : telemetry_(telemetry), policies_(policies) {
+TelemetryWriter::TelemetryWriter(Telemetry& telemetry, TraceLane lane)
+    : lane_(lane) {
   if (telemetry.metrics_enabled()) {
-    metrics_.emplace(telemetry.metrics());
+    registry_ = &telemetry.metrics();
+    block_.emplace(*registry_);
   }
-  for (SimPolicyInstruments& policy : policies_) {
-    policy.metrics = metrics_ ? &*metrics_ : nullptr;
-    policy.spans = telemetry.trace_enabled() ? &spans_ : nullptr;
+  if (telemetry.trace_enabled()) {
+    tracer_ = &telemetry.tracer();
   }
 }
 
-void SimTaskTelemetry::Fold() {
-  if (metrics_) {
-    telemetry_.metrics().Fold(*metrics_);
+void TelemetryWriter::Span(SpanName name, int32_t tid, TimePoint start,
+                           Duration dur, int64_t trace_id, int64_t arg0,
+                           int64_t arg1) {
+  Record(name, tid, start.millis_since_origin(),
+         std::max<int64_t>(0, dur.millis()), trace_id, arg0, arg1);
+}
+
+void TelemetryWriter::Instant(SpanName name, int32_t tid, TimePoint at,
+                              int64_t trace_id, int64_t arg0) {
+  Record(name, tid, at.millis_since_origin(), SpanRecord::kInstant, trace_id,
+         arg0, 0);
+}
+
+void TelemetryWriter::Record(SpanName name, int32_t tid, int64_t start_ms,
+                             int64_t dur_ms, int64_t trace_id, int64_t arg0,
+                             int64_t arg1) {
+  if (tracer_ != nullptr) {
+    spans_.push_back({start_ms, dur_ms, trace_id, arg0, arg1, lane_.label_id,
+                      static_cast<int16_t>(name), lane_.pid, tid});
   }
-  if (telemetry_.trace_enabled()) {
-    telemetry_.tracer().Fold(spans_);
+}
+
+void TelemetryWriter::Fold() {
+  if (block_) {
+    registry_->Fold(*block_);
+  }
+  if (tracer_ != nullptr) {
+    tracer_->Fold(spans_);
   }
 }
 

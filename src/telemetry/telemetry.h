@@ -1,23 +1,24 @@
 // Telemetry facade: one object owning the metrics registry and the tracer,
-// plus the pre-registered instrument bundles the simulators record into.
+// the pre-registered instrument bundles the simulators record with, and the
+// writer they record through.
 //
 // Disabled-by-default contract: every instrumented component holds a plain
-// pointer (`const ClusterInstruments*` / `const SimPolicyInstruments*`) that
-// is null when telemetry is off, and each instrumentation site is a single
-// `if (instruments != nullptr)` branch on that cached pointer.  No events
-// are scheduled, no RNG is drawn, and no metric slot is touched when the
-// pointer is null, so fault-free replays with telemetry off are
-// bit-identical to a build without the subsystem.
+// `TelemetryWriter*` that is null when telemetry is off, and each
+// instrumentation site is a single `if (telemetry != nullptr)` branch on
+// that cached pointer.  No events are scheduled, no RNG is drawn, and no
+// writer, block or buffer exists when the pointer is null, so fault-free
+// replays with telemetry off are bit-identical to a build without the
+// subsystem.
 //
-// The instrument bundles are registered per policy with a pre-rendered
-// Prometheus label body (`policy="hybrid"`), so one registry can hold every
-// policy of a sweep side by side.
+// The instrument bundles hold only metric ids and a trace lane.  They are
+// registered per policy with a pre-rendered Prometheus label body
+// (`policy="hybrid"`), so one registry can hold every policy of a sweep
+// side by side.
 //
-// Writers own what they record (metrics.h, tracer.h).  A sweep's replay
-// tasks run beside each other, so each records into a SimTaskTelemetry of
-// its own and folds it in when the task ends.  A cluster replay, one owner
-// on one thread, folds its counter block and span buffer at each sampler
-// tick and writes its gauges and histograms to the registry directly.
+// Writers own what they record (metrics.h, tracer.h).  A TelemetryWriter
+// is one writer's telemetry: a sweep task has one per policy and folds them
+// when it ends; a cluster replay has one and folds it at each sampler tick
+// and at the end.
 
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
@@ -61,18 +62,18 @@ class Telemetry {
   Tracer tracer_;
 };
 
-// Instruments for one policy's cluster replay (controller + invokers).
-// All pointers are non-owning and null when that half of telemetry is
-// disabled; call sites must check before use.  Counters and spans go to the
-// replay's own `metrics` block and `spans` buffer (set by the replay, null
-// in the registered bundle); histograms and gauges go to `registry`.
+// Chrome-trace identity of one writer's spans: the interned
+// `policy="<name>"` label and the process lane.
+struct TraceLane {
+  int32_t label_id = -1;
+  int16_t pid = 0;
+};
+
+// Instruments for one policy's cluster replay (controller + invokers +
+// network): metric ids, invalid while metrics are off, and the replay's
+// trace lane.
 struct ClusterInstruments {
-  MetricsRegistry* registry = nullptr;
-  Tracer* tracer = nullptr;
-  MetricsBlock* metrics = nullptr;
-  SpanBuffer* spans = nullptr;
-  int32_t label_id = -1;  // Interned `policy="<name>"` for spans.
-  int16_t pid = 0;        // Chrome-trace process lane.
+  TraceLane lane;
 
   // Controller-side counters.
   CounterId invocations;
@@ -148,26 +149,15 @@ struct ClusterInstruments {
                                      bool overload = false,
                                      bool network = false,
                                      bool resources = false);
-
-  // Folds `metrics` and `spans` into the registry and tracer, emptying
-  // both.
-  void Fold() const;
 };
 
 // Instruments for one policy of an analytic sweep.  The hot loop
-// (ColdStartSimulator::SimulateStream) records into `metrics` and `spans`,
-// the writing task's own block and buffer (null in the registered bundle),
-// and batches its series adds per minute bin and its counters per app.
-// `app_cold_percent` is observed straight into `registry` by the sweep
-// (sweep.cc) after its parallel region, in app order, so its sum is
+// (ColdStartSimulator::SimulateStream) batches its series adds per minute
+// bin and its counters per app.  `app_cold_percent` is observed by the
+// sweep (sweep.cc) after its parallel region, in app order, so its sum is
 // thread-count independent.
 struct SimPolicyInstruments {
-  MetricsRegistry* registry = nullptr;
-  Tracer* tracer = nullptr;
-  MetricsBlock* metrics = nullptr;
-  SpanBuffer* spans = nullptr;
-  int32_t label_id = -1;
-  int16_t pid = 0;
+  TraceLane lane;
   // kAppReplay spans use trace_id_base + app_index, so the span set of a
   // sweep is a deterministic function of (policy ordinal, app index).
   int64_t trace_id_base = 0;
@@ -186,26 +176,66 @@ struct SimPolicyInstruments {
                                        Duration horizon);
 };
 
-// One sweep task's telemetry: a metrics block and a span buffer of its own,
-// and a copy of every policy's bundle pointed at them.  Fold() merges both
-// into the shared registry and tracer, each under its lock.
-class SimTaskTelemetry {
+// One writer's telemetry on one trace lane.  Counters, series and spans go
+// to the writer's own block and buffer without a lock and reach the
+// registry and tracer at Fold(); gauges and histograms go straight to the
+// registry under its lock, because a histogram is observed by its single
+// owner in that owner's order and a block carries no doubles (metrics.h).
+// Every call is a no-op while its half of telemetry is disabled.  Not
+// thread-safe: one thread at a time writes and folds it.
+class TelemetryWriter {
  public:
-  SimTaskTelemetry(Telemetry& telemetry,
-                   const std::vector<SimPolicyInstruments>& policies);
+  TelemetryWriter(Telemetry& telemetry, TraceLane lane);
+  // A copy would fold the same records twice.
+  TelemetryWriter(const TelemetryWriter&) = delete;
+  TelemetryWriter& operator=(const TelemetryWriter&) = delete;
+  TelemetryWriter(TelemetryWriter&&) = default;
 
-  SimTaskTelemetry(const SimTaskTelemetry&) = delete;
-  SimTaskTelemetry& operator=(const SimTaskTelemetry&) = delete;
+  bool metrics_enabled() const { return block_.has_value(); }
 
-  const SimPolicyInstruments& policy(size_t p) const { return policies_[p]; }
+  void Inc(CounterId id, int64_t delta = 1) {
+    if (block_) {
+      block_->Inc(id, delta);
+    }
+  }
+  void SeriesAdd(SeriesId id, TimePoint at, int64_t delta) {
+    if (block_) {
+      block_->SeriesAdd(id, at, delta);
+    }
+  }
+  void Set(GaugeId id, double value, TimePoint at) {
+    if (registry_ != nullptr) {
+      registry_->Set(id, value, at);
+    }
+  }
+  void Observe(HistogramId id, double value) {
+    if (registry_ != nullptr) {
+      registry_->Observe(id, value);
+    }
+  }
 
+  // A span of `dur` (clamped at zero) from `start`, and a point event at
+  // `at`, on thread lane `tid` of the writer's trace lane.  `trace_id`
+  // groups the spans of one activation or app; the args are name-specific
+  // (tracer.h).
+  void Span(SpanName name, int32_t tid, TimePoint start, Duration dur,
+            int64_t trace_id = 0, int64_t arg0 = 0, int64_t arg1 = 0);
+  void Instant(SpanName name, int32_t tid, TimePoint at,
+               int64_t trace_id = 0, int64_t arg0 = 0);
+
+  // Merges the block and the buffer into the registry and the tracer, each
+  // under its lock, and empties both for reuse.
   void Fold();
 
  private:
-  Telemetry& telemetry_;
-  std::optional<MetricsBlock> metrics_;
+  void Record(SpanName name, int32_t tid, int64_t start_ms, int64_t dur_ms,
+              int64_t trace_id, int64_t arg0, int64_t arg1);
+
+  MetricsRegistry* registry_ = nullptr;
+  Tracer* tracer_ = nullptr;
+  TraceLane lane_;
+  std::optional<MetricsBlock> block_;
   SpanBuffer spans_;
-  std::vector<SimPolicyInstruments> policies_;
 };
 
 }  // namespace faas

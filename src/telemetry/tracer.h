@@ -7,7 +7,9 @@
 //
 // Spans are owned by their writer, like metrics (metrics.h): a writer
 // appends to a SpanBuffer of its own and folds it in with Fold() — a sweep
-// task when it ends, the cluster replayer at each sampler tick.
+// task when it ends, the cluster replayer at each sampler tick.  The
+// simulators record through TelemetryWriter (telemetry.h), which stamps
+// each record's label, process and thread lane.
 // Collect() runs under the same lock, so it may run beside the writers and
 // sees each fold whole; it resolves interned label strings and sorts the
 // spans into a canonical order that is independent of fold order.

@@ -121,7 +121,7 @@ TEST_F(ControllerTest, FailsOverToAnotherInvoker) {
   Invoke("a", Duration::Minutes(5));
   Invoke("b", Duration::Minutes(5));
   queue_.Run();
-  EXPECT_EQ(controller_->total_dropped(), 0);
+  EXPECT_EQ(Stats("a").dropped + Stats("b").dropped, 0);
   EXPECT_EQ(invokers_[0]->cold_starts() + invokers_[1]->cold_starts(), 2);
   EXPECT_EQ(invokers_[0]->cold_starts(), 1);
   EXPECT_EQ(invokers_[1]->cold_starts(), 1);
@@ -133,7 +133,7 @@ TEST_F(ControllerTest, DropsWhenClusterIsFull) {
   Invoke("a", Duration::Minutes(5));
   Invoke("b", Duration::Minutes(5));  // No room anywhere: dropped.
   queue_.Run();
-  EXPECT_EQ(controller_->total_dropped(), 1);
+  EXPECT_EQ(Stats("a").dropped, 0);
   EXPECT_EQ(Stats("b").dropped, 1);
 }
 
@@ -202,8 +202,8 @@ TEST_F(ControllerTest, AffinityFailsOverDuringOutageAndReturnsHome) {
   EXPECT_EQ(invokers_[static_cast<size_t>(home)]->cold_starts(), 2);
   EXPECT_EQ(invokers_[static_cast<size_t>(next)]->cold_starts(), 1);
   EXPECT_EQ(invokers_[static_cast<size_t>(next)]->warm_starts(), 0);
-  EXPECT_EQ(controller_->total_dropped(), 0);
-  EXPECT_EQ(controller_->total_rejected_outage(), 0);
+  EXPECT_EQ(Stats("app").dropped, 0);
+  EXPECT_EQ(Stats("app").rejected_outage, 0);
 }
 
 TEST_F(ControllerTest, MeasuresPolicyOverhead) {

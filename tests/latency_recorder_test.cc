@@ -4,8 +4,10 @@
 #include "src/telemetry/latency_recorder.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -92,7 +94,7 @@ TEST(LatencyRecorderTest, MergeIsExact) {
   shard_a.Merge(shard_b);
   EXPECT_EQ(shard_a.count(), reference.count());
   EXPECT_EQ(shard_a.max_ns(), reference.max_ns());
-  EXPECT_DOUBLE_EQ(shard_a.sum_ms(), reference.sum_ms());
+  EXPECT_EQ(shard_a.sum_ms(), reference.sum_ms());
   for (const double p : {50.0, 90.0, 99.0, 99.9}) {
     EXPECT_DOUBLE_EQ(shard_a.PercentileNs(p), reference.PercentileNs(p));
   }
@@ -103,6 +105,40 @@ TEST(LatencyRecorderTest, MergeIsExact) {
     EXPECT_EQ(merged_buckets[i].lo_ns, reference_buckets[i].lo_ns);
     EXPECT_EQ(merged_buckets[i].count, reference_buckets[i].count);
   }
+}
+
+TEST(LatencyRecorderTest, MergeIsExactInEveryOrder) {
+  // Double addition is not associative here: 2^53 + 1 rounds back to 2^53,
+  // so a floating-point sum would depend on the order the recorders are
+  // merged in.  The integer sum does not.
+  const std::array<int64_t, 4> samples = {int64_t{1} << 53, 1, 1, 1};
+  std::vector<LatencyRecorder> shards(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    shards[i].Record(samples[i]);
+  }
+  const double exact_ns = static_cast<double>((uint64_t{1} << 53) + 3);
+  std::array<size_t, 4> order = {0, 1, 2, 3};
+  int orders = 0;
+  do {
+    LatencyRecorder merged;
+    for (const size_t i : order) {
+      merged.Merge(shards[i]);
+    }
+    EXPECT_EQ(merged.count(), 4);
+    EXPECT_EQ(merged.sum_ms(), exact_ns / 1e6);
+    EXPECT_EQ(merged.mean_ms(), exact_ns / 4.0 / 1e6);
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 24);
+
+  // The sum stays exact past 2^64 at the top of Record's domain.
+  LatencyRecorder top;
+  for (int i = 0; i < 4; ++i) {
+    top.Record(std::numeric_limits<int64_t>::max());
+  }
+  const unsigned __int128 top_ns =
+      4 * static_cast<unsigned __int128>(std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(top.sum_ms(), static_cast<double>(top_ns) / 1e6);
 }
 
 TEST(LatencyRecorderTest, ResetClears) {

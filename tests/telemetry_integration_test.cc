@@ -7,7 +7,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +27,7 @@
 #include "src/sim/sweep.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/telemetry.h"
+#include "src/workload/arrival.h"
 #include "src/workload/generator.h"
 
 namespace faas {
@@ -106,10 +111,10 @@ TEST(TelemetryIntegration, SweepTraceBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(TelemetryIntegration, TaskFoldsAreExactInEveryOrder) {
-  // Four sweep tasks replay disjoint apps into their own blocks and span
-  // buffers, as ReplayShards does, and also set a gauge (two at one
-  // timestamp); folding them in each of the 24 orders must give identical
-  // exports.  Histograms stay out of blocks: a double sum folded in task
+  // Four sweep tasks replay disjoint apps into writers of their own, one
+  // per policy, as ReplayShards does, and also set a gauge in a block of
+  // their own (two at one timestamp); folding them in each of the 24
+  // orders must give identical exports.  Histograms stay out of blocks: a double sum folded in task
   // order would differ between orders.
   const CompiledTrace compiled = CompiledTrace::Compile(MakeTrace(16));
   const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
@@ -132,22 +137,28 @@ TEST(TelemetryIntegration, TaskFoldsAreExactInEveryOrder) {
     }
     const GaugeId gauge =
         telemetry.metrics().AddGauge("harness_gauge", "Harness gauge");
-    std::vector<std::unique_ptr<SimTaskTelemetry>> tasks;
+    std::vector<std::vector<TelemetryWriter>> tasks(4);
+    std::vector<MetricsBlock> gauge_blocks;
     for (size_t t = 0; t < 4; ++t) {
-      tasks.push_back(std::make_unique<SimTaskTelemetry>(telemetry,
-                                                         instruments));
+      for (const SimPolicyInstruments& policy : instruments) {
+        tasks[t].emplace_back(telemetry, policy.lane);
+      }
       for (size_t app = t; app < compiled.num_apps(); app += 4) {
         for (size_t p = 0; p < factories.size(); ++p) {
           const auto policy = factories[p]->CreateForApp();
-          simulator.SimulateApp(compiled, app, *policy,
-                                &tasks[t]->policy(p));
+          simulator.SimulateApp(compiled, app, *policy, &tasks[t][p],
+                                &instruments[p]);
         }
       }
-      tasks[t]->policy(0).metrics->Set(
-          gauge, gauge_samples[t].first, TimePoint(gauge_samples[t].second));
+      gauge_blocks.emplace_back(telemetry.metrics());
+      gauge_blocks[t].Set(gauge, gauge_samples[t].first,
+                          TimePoint(gauge_samples[t].second));
     }
     for (const int t : order) {
-      tasks[static_cast<size_t>(t)]->Fold();
+      for (TelemetryWriter& writer : tasks[static_cast<size_t>(t)]) {
+        writer.Fold();
+      }
+      telemetry.metrics().Fold(gauge_blocks[static_cast<size_t>(t)]);
     }
     const std::string exports = AllExports(telemetry);
     if (orders == 0) {
@@ -397,22 +408,211 @@ TEST(TelemetryIntegration, TelemetryDoesNotChangeClusterResults) {
   }
 }
 
-TEST(TelemetryIntegration, DisabledHalvesLeaveNullInstrumentPointers) {
+// ---- Pinned exports --------------------------------------------------------
+//
+// The exact bytes every export writes for replays that reach every write
+// site the simulators have, pinned by FNV-1a digests.  A change to how the
+// components record (who writes what, with which label, lane or timestamp)
+// that moves any of these bytes is a behaviour change, not a cleanup.
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 1469598103934665603ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+struct ExportDigests {
+  uint64_t prometheus = 0;
+  uint64_t series_csv = 0;
+  uint64_t chrome_trace = 0;
+
+  bool operator==(const ExportDigests&) const = default;
+};
+
+ExportDigests DigestExports(const Telemetry& telemetry) {
+  const RegistrySnapshot snapshot = telemetry.metrics().Scrape();
+  std::ostringstream prometheus;
+  std::ostringstream series;
+  std::ostringstream chrome;
+  WritePrometheusText(snapshot, prometheus);
+  WriteSeriesCsv(snapshot, series);
+  WriteChromeTrace(telemetry.tracer().Collect(), chrome);
+  return {Fnv1a(prometheus.str()), Fnv1a(series.str()), Fnv1a(chrome.str())};
+}
+
+std::string Hex(const ExportDigests& d) {
+  char buffer[80];
+  std::snprintf(buffer, sizeof(buffer), "{0x%016llxull, 0x%016llxull, 0x%016llxull}",
+                static_cast<unsigned long long>(d.prometheus),
+                static_cast<unsigned long long>(d.series_csv),
+                static_cast<unsigned long long>(d.chrome_trace));
+  return buffer;
+}
+
+// Eight regular apps (so the hybrid policy's histograms turn representative
+// and it pre-warms) with mixed footprints, plus two flash crowds that
+// overrun three small invokers.
+Trace ChaosTrace() {
+  Trace trace;
+  trace.horizon = Duration::Hours(3);
+  for (int a = 0; a < 8; ++a) {
+    AppTrace app;
+    app.owner_id = "o";
+    app.app_id = "app" + std::to_string(a);
+    const double memory_mb = 128.0 * (1 + a % 3);
+    app.memory = {memory_mb, memory_mb, memory_mb, 10};
+    FunctionTrace function;
+    function.function_id = "f";
+    function.trigger = TriggerType::kHttp;
+    const int64_t period_ms = 60'000 * (3 + a);
+    for (int64_t t = 7'000 * a; t < trace.horizon.millis(); t += period_ms) {
+      function.invocations.push_back(TimePoint(t));
+    }
+    const double exec_ms = 400.0 + 700.0 * a;
+    function.execution = {exec_ms, exec_ms * 0.5, exec_ms * 3.0,
+                          static_cast<int64_t>(function.invocations.size())};
+    app.functions.push_back(std::move(function));
+    trace.apps.push_back(std::move(app));
+  }
+  FlashCrowdSpec crowd;
+  crowd.count = 2;
+  crowd.duration = Duration::Minutes(2);
+  crowd.fraction = 1.0;
+  crowd.events_per_function = 12.0;
+  Rng crowd_rng(2024);
+  ApplyFlashCrowd(trace, crowd, crowd_rng);
+  return trace;
+}
+
+// Every plane on: network model (with a shaped, bounded uplink queue),
+// overload plane, a fault plan with each fault class, an outage window,
+// checkpoints and resource telemetry.
+// `admission` picks the admission queue (sheds) over capacity drops.
+ClusterConfig ChaosConfig(Telemetry* telemetry, bool admission) {
+  ClusterConfig config;
+  config.num_invokers = 3;
+  config.invoker_memory_mb = 512.0;
+  config.seed = 41;
+  config.retry.max_retries = 1;
+  config.retry.activation_timeout = Duration::Seconds(12);
+  if (admission) {
+    config.overload.admission.capacity = 16;
+    config.overload.admission.max_wait = Duration::Seconds(5);
+  }
+  config.overload.invoker_concurrency_cap = 2;
+  config.overload.breaker.enabled = true;
+  config.overload.breaker.window = 8;
+  config.overload.breaker.min_samples = 4;
+  config.overload.breaker.open_duration = Duration::Seconds(15);
+  config.overload.breaker.half_open_probes = 2;
+  config.overload.hedge.after = Duration::Millis(300);
+  config.network.enabled = true;
+  config.network.uplink.queue_capacity = 4;
+  config.network.uplink.rate_msgs_per_sec = 20.0;
+  std::string error;
+  const std::optional<FaultPlan> plan = FaultPlan::Parse(
+      "crash:invoker=0,at=25m,down=2m; crash:invoker=0,at=61m,down=3m; "
+      "crash:invoker=2,at=61m,down=3m; wipe:at=50m; "
+      "spike:at=30m,for=10m,x=4; flaky:at=40m,for=10m,p=0.3; "
+      "partition:at=90m,for=2m; netloss:at=0s,for=3h,p=0.02; "
+      "netdup:at=100m,for=20m,p=0.2",
+      &error);
+  EXPECT_TRUE(plan.has_value()) << error;
+  config.faults = plan.value_or(FaultPlan{});
+  config.outages.push_back({1, Duration::Minutes(60), Duration::Minutes(65)});
+  config.policy_checkpoint_interval = Duration::Minutes(20);
+  config.resource_telemetry = true;
+  config.cost.dollars_per_gb_second = 0.0000166667;
+  config.telemetry = telemetry;
+  return config;
+}
+
+TEST(TelemetryIntegration, ClusterExportsMatchPinnedDigests) {
+  const Trace trace = ChaosTrace();
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  const ExportDigests pins[] = {
+      // Admission queue off: capacity drops.
+      {0xe25d5cb2c5f662f3ull, 0xe0c101b4276c0339ull, 0x9960be49ec1620a4ull},
+      // Admission queue on: queue waits and sheds.
+      {0x26bfdfa4b300437aull, 0x7d7b050faa0980b9ull, 0xdf3fec7d6547cb18ull},
+  };
+  std::set<int16_t> emitted;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(::testing::Message() << "admission=" << run);
+    Telemetry telemetry;
+    ClusterSimulator(ChaosConfig(&telemetry, run == 1)).Replay(trace, hybrid);
+    const ExportDigests digests = DigestExports(telemetry);
+    EXPECT_EQ(digests, pins[run]) << Hex(digests);
+    for (const SpanRecord& span : telemetry.tracer().Collect().spans) {
+      emitted.insert(span.name);
+    }
+  }
+  // Together the runs reach every span the cluster can emit.
+  for (int16_t name = 0;
+       name < static_cast<int16_t>(SpanName::kNumSpanNames); ++name) {
+    if (name != static_cast<int16_t>(SpanName::kAppReplay)) {
+      EXPECT_TRUE(emitted.count(name) > 0)
+          << SpanNameString(static_cast<SpanName>(name)) << " never emitted";
+    }
+  }
+}
+
+TEST(TelemetryIntegration, SweepExportsMatchPinnedDigests) {
+  GeneratorConfig config;
+  config.num_apps = 60;
+  config.days = 1;
+  config.seed = 23;
+  const Trace trace = WorkloadGenerator(config).Generate();
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  const std::vector<const PolicyFactory*> factories = {&fixed10, &hybrid};
+  const ExportDigests pin = {0xa4d776c84d5293dfull, 0x552e07d043a7c93full,
+                             0xdefa39513fd4e55aull};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    Telemetry telemetry;
+    SimulatorOptions options;
+    options.num_threads = threads;
+    options.telemetry = &telemetry;
+    EvaluatePolicies(trace, factories, 0, options);
+    const ExportDigests digests = DigestExports(telemetry);
+    EXPECT_EQ(digests, pin) << Hex(digests);
+  }
+}
+
+TEST(TelemetryIntegration, DisabledHalvesRecordNothing) {
   TelemetryConfig config;
   config.trace_enabled = false;
-  Telemetry telemetry(config);
+  Telemetry metrics_only(config);
   const ClusterInstruments cluster = ClusterInstruments::Register(
-      telemetry, "p", 0, Duration::Hours(1), Duration::Minutes(1));
-  EXPECT_EQ(cluster.tracer, nullptr);
-  ASSERT_NE(cluster.registry, nullptr);
+      metrics_only, "p", 0, Duration::Hours(1), Duration::Minutes(1));
+  EXPECT_EQ(cluster.lane.label_id, -1);
+  ASSERT_TRUE(cluster.invocations.valid());
+  TelemetryWriter metrics_writer(metrics_only, cluster.lane);
+  EXPECT_TRUE(metrics_writer.metrics_enabled());
+  metrics_writer.Inc(cluster.invocations);
+  metrics_writer.Instant(SpanName::kRetry, 0, TimePoint(5));
+  metrics_writer.Fold();
+  EXPECT_EQ(metrics_only.metrics().CounterValue(cluster.invocations), 1);
+  EXPECT_EQ(metrics_only.tracer().num_spans(), 0u);
 
   TelemetryConfig metrics_off;
   metrics_off.metrics_enabled = false;
   Telemetry trace_only(metrics_off);
   const SimPolicyInstruments sim = SimPolicyInstruments::Register(
       trace_only, "p", 0, 0, Duration::Hours(1));
-  EXPECT_EQ(sim.registry, nullptr);
-  ASSERT_NE(sim.tracer, nullptr);
+  EXPECT_FALSE(sim.apps.valid());
+  ASSERT_GE(sim.lane.label_id, 0);
+  TelemetryWriter trace_writer(trace_only, sim.lane);
+  EXPECT_FALSE(trace_writer.metrics_enabled());
+  trace_writer.Inc(sim.apps);
+  trace_writer.Span(SpanName::kAppReplay, 0, TimePoint(5), Duration::Millis(3));
+  trace_writer.Fold();
+  EXPECT_TRUE(trace_only.metrics().Scrape().metrics.empty());
+  EXPECT_EQ(trace_only.tracer().num_spans(), 1u);
 }
 
 }  // namespace
