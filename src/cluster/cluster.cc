@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,6 +31,91 @@ struct ReplayEvent {
 
   bool operator<(const ReplayEvent& other) const { return at < other.at; }
 };
+
+// Publishes the replay's own counts at `now`.  Every registered
+// faas_cluster_*_total counter is a view of the count the replay already
+// keeps for it (its twin) and moves by the twin's change since the last
+// call; at a sampler tick (`window` set) the same change is credited to the
+// counter's per-minute series, if it has one.  Counters of a bundle that
+// was not registered (overload, network) hold invalid ids and are skipped.
+// `published` carries the twins between calls.
+void Publish(const Controller& controller,
+             const std::vector<Invoker*>& invokers,
+             const NetworkModel* network, const ClusterInstruments& in,
+             TimePoint now, std::optional<TimePoint> window,
+             std::vector<int64_t>& published, TelemetryWriter& telemetry) {
+  const FaultLedger& faults = controller.ledger();
+  const OverloadLedger& overload = controller.overload_ledger();
+  // Sheds fold into the apps' dropped column; the counter is capacity drops.
+  int64_t dropped = -overload.TotalShed();
+  for (const Controller::AppStats& stats : controller.app_stats()) {
+    dropped += stats.dropped;
+  }
+  ResourceLedger resources;
+  int64_t transient_faults = 0;
+  for (const Invoker* invoker : invokers) {
+    resources += invoker->resources();
+    transient_faults += invoker->transient_faults();
+  }
+  const NetCounters net =
+      network != nullptr ? network->counters() : NetCounters{};
+  struct Twin {
+    Twin(CounterId c, int64_t v, SeriesId m = {})
+        : counter(c), value(v), minute(m) {}
+    CounterId counter;
+    int64_t value;
+    SeriesId minute;
+  };
+  const Twin twins[] = {
+      {in.invocations, controller.policy_invocations(), in.minute_invocations},
+      {in.completions, controller.completions()},
+      {in.retries, faults.retries_scheduled},
+      {in.timeouts, faults.timeouts},
+      {in.dropped, dropped},
+      {in.rejected_outage, faults.rejected_by_outage},
+      {in.abandoned, faults.abandoned},
+      {in.lost, faults.lost},
+      {in.policy_wipes, faults.policy_state_wipes},
+      {in.checkpoints, controller.checkpoints()},
+      {in.cold_starts, resources.cold_loads, in.minute_cold_starts},
+      {in.warm_starts, resources.warm_hits},
+      {in.prewarm_loads, resources.prewarm_loads},
+      {in.evictions, resources.evictions},
+      {in.transient_faults, transient_faults},
+      {in.invoker_crashes, faults.invoker_crashes},
+      {in.invoker_restarts, faults.invoker_restarts},
+      {in.queued, overload.queued},
+      {in.shed, overload.TotalShed(), in.minute_shed},
+      {in.hedges, overload.hedges_launched},
+      {in.hedge_wins, overload.hedge_wins},
+      {in.breaker_opens, overload.breaker_opens},
+      {in.breaker_rejected, overload.breaker_rejections},
+      {in.net_dropped,
+       net.lost_to_loss + net.lost_to_partition + net.lost_to_queue,
+       in.minute_net_drops},
+      {in.net_duplicates, net.duplicates_delivered},
+      {in.net_retransmits, net.rpc_retransmits, in.minute_net_retransmits},
+      {in.net_dup_suppressed, net.rpc_duplicates_suppressed},
+      {in.net_give_ups, net.rpc_give_ups},
+      {in.lost_network, faults.lost_network},
+      {in.lost_crash, faults.lost_crash},
+  };
+  published.resize(std::size(twins));
+  for (size_t i = 0; i < std::size(twins); ++i) {
+    const Twin& twin = twins[i];
+    if (!twin.counter.valid()) {
+      continue;
+    }
+    const int64_t delta = twin.value - published[i];
+    published[i] = twin.value;
+    telemetry.Inc(twin.counter, delta);
+    if (window && twin.minute.valid()) {
+      telemetry.SeriesAdd(twin.minute, *window, delta);
+    }
+  }
+  telemetry.Set(in.queue_depth,
+                static_cast<double>(controller.pending_activations()), now);
+}
 
 }  // namespace
 
@@ -92,7 +178,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   if (config_.network.enabled) {
     network = std::make_unique<NetworkModel>(
         &queue, config_.network, &config_.faults, config_.num_invokers,
-        rng.Fork(), telemetry, &instruments);
+        rng.Fork(), telemetry);
     rpc = std::make_unique<RpcPlane>(network.get());
   }
   const std::shared_ptr<const EntityIndex> entities = EntityIndexFor(trace);
@@ -147,6 +233,8 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   for (const ClusterConfig::Outage& outage : config_.outages) {
     FAAS_CHECK(outage.invoker >= 0 && outage.invoker < config_.num_invokers)
         << "outage for unknown invoker " << outage.invoker;
+    FAAS_CHECK(!outage.start.IsNegative() && outage.end >= outage.start)
+        << "outage with negative time or duration";
     Invoker* target = invoker_ptrs[static_cast<size_t>(outage.invoker)];
     queue.Schedule(TimePoint::Origin() + outage.start,
                    [target]() { target->SetHealthy(false); });
@@ -224,24 +312,21 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     queue.Schedule(TimePoint::Origin() + interval, [tick]() { (*tick)(); });
   }
 
-  // Telemetry interval sampler: at each boundary, credit the just-elapsed
-  // window's bin with the counter deltas and the sampled queue depth /
-  // resident memory.  Read-only with respect to simulation state, so the
-  // replayed behaviour is unchanged; scheduled at all only when telemetry is
-  // on, so a telemetry-off replay consumes identical event sequence numbers.
+  // Telemetry interval sampler: at each boundary, publish the replay's
+  // counts (the counters and queue depth reach the registry only here and
+  // once at the end) and credit the just-elapsed window's bins with the
+  // sampled queue depth / resident memory.  Read-only with respect to
+  // simulation state, so the replayed behaviour is unchanged; scheduled at
+  // all only when telemetry is on, so a telemetry-off replay consumes
+  // identical event sequence numbers.
+  std::vector<int64_t> published;
   if (telemetry != nullptr && telemetry->metrics_enabled() &&
       config_.metrics_interval > Duration::Zero()) {
     const Duration interval = config_.metrics_interval;
     const bool overload_on = config_.overload.AnyEnabled();
     const bool resources_on = config_.resource_telemetry;
     const CostModel cost_model = config_.cost;
-    NetworkModel* network_ptr = network.get();
     struct SampleState {
-      int64_t invocations = 0;
-      int64_t cold = 0;
-      int64_t shed = 0;
-      int64_t net_drops = 0;
-      int64_t net_retransmits = 0;
       int64_t idle_mb_s = 0;
       int64_t loads = 0;
       int64_t unloads = 0;
@@ -249,24 +334,13 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     auto last = std::make_shared<SampleState>();
     repeating_events.push_back(std::make_unique<std::function<void()>>());
     std::function<void()>* sample = repeating_events.back().get();
-    *sample = [&queue, &controller, &invoker_ptrs, &instruments, sample, last,
-               telemetry, interval, end, overload_on, network_ptr,
-               resources_on, cost_model]() {
+    *sample = [&queue, &controller, &invoker_ptrs, &network, &instruments,
+               &published, sample, last, telemetry, interval, end,
+               overload_on, resources_on, cost_model]() {
       const TimePoint now = queue.now();
       const TimePoint window_start = now - interval;
-      // Deltas of the replay's own counts, which move in step with the
-      // invocation and cold-start counters.
-      const int64_t invocations = controller.policy_invocations();
-      int64_t cold = 0;
-      for (const Invoker* invoker : invoker_ptrs) {
-        cold += invoker->cold_starts();
-      }
-      telemetry->SeriesAdd(instruments.minute_invocations, window_start,
-                           invocations - last->invocations);
-      telemetry->SeriesAdd(instruments.minute_cold_starts, window_start,
-                           cold - last->cold);
-      last->invocations = invocations;
-      last->cold = cold;
+      Publish(controller, invoker_ptrs, network.get(), instruments, now,
+              window_start, published, *telemetry);
       double memory_mb = 0.0;
       for (Invoker* invoker : invoker_ptrs) {
         memory_mb += invoker->memory_in_use_mb();
@@ -278,27 +352,10 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                            static_cast<int64_t>(memory_mb));
       telemetry->Set(instruments.memory_in_use_mb, memory_mb, now);
       if (overload_on) {
-        // These slots exist only when the control plane registered them.
-        const int64_t shed =
-            controller.overload_ledger().TotalShed();
-        telemetry->SeriesAdd(instruments.minute_shed, window_start,
-                             shed - last->shed);
-        last->shed = shed;
+        // This slot exists only when the control plane registered it.
         telemetry->SeriesAdd(
             instruments.minute_admission_queue, window_start,
             static_cast<int64_t>(controller.admission_queue_depth()));
-      }
-      if (network_ptr != nullptr) {
-        // Transport series slots exist only when the network registered.
-        const NetCounters& net = network_ptr->counters();
-        const int64_t drops =
-            net.lost_to_loss + net.lost_to_partition + net.lost_to_queue;
-        telemetry->SeriesAdd(instruments.minute_net_drops, window_start,
-                             drops - last->net_drops);
-        last->net_drops = drops;
-        telemetry->SeriesAdd(instruments.minute_net_retransmits, window_start,
-                             net.rpc_retransmits - last->net_retransmits);
-        last->net_retransmits = net.rpc_retransmits;
       }
       if (resources_on) {
         // Resource-ledger slots exist only when resource telemetry is on.
@@ -455,6 +512,8 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                       static_cast<int64_t>(result.resources.gb_seconds()),
                       static_cast<int64_t>(result.cost_dollars * 1e6));
     }
+    Publish(controller, invoker_ptrs, network.get(), instruments, queue.now(),
+            std::nullopt, published, *telemetry);
     telemetry->Fold();
   }
   return result;

@@ -98,14 +98,20 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
   }
 }
 
-void Controller::RecordActivationSpan(const PendingActivation& pending,
-                                      int64_t trace_id,
-                                      int64_t outcome_cold) {
-  if (telemetry_ != nullptr) {
-    telemetry_->Span(SpanName::kActivation, kLane, pending.created_at,
-                     queue_->now() - pending.created_at, trace_id,
-                     pending.attempts, outcome_cold);
+void Controller::Retire(PendingMap::iterator it, Exit exit) {
+  PendingActivation& pending = it->second;
+  pending.timeout_event.Cancel();
+  pending.shed_event.Cancel();
+  pending.hedge_event.Cancel();
+  if (exit != Exit::kAttempt) {
+    --apps_[pending.app_id.index()].inflight;
+    if (telemetry_ != nullptr) {
+      telemetry_->Span(SpanName::kActivation, kLane, pending.created_at,
+                       queue_->now() - pending.created_at, it->first,
+                       pending.attempts, exit == Exit::kCold ? 1 : 0);
+    }
   }
+  pending_.erase(it);
 }
 
 Controller::AppState& Controller::GetOrCreateApp(AppId app_id) {
@@ -215,11 +221,6 @@ void Controller::OnInvocation(AppId app_id, FunctionId function_id,
   pending.created_at = queue_->now();
   pending.hedge_eligible = hedge_eligible;
   pending_.emplace(activation_id, std::move(pending));
-  if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->invocations);
-    telemetry_->Set(instruments_->queue_depth,
-                    static_cast<double>(pending_.size()), queue_->now());
-  }
   SendAttempt(activation_id);
 }
 
@@ -265,28 +266,6 @@ void Controller::SendOverHop(int64_t activation_id, int exclude_invoker) {
                         [this, activation_id, exclude_invoker]() {
                           StartScan(activation_id, exclude_invoker);
                         });
-}
-
-void Controller::DropForCapacity(int64_t activation_id) {
-  auto it = pending_.find(activation_id);
-  FAAS_CHECK(it != pending_.end()) << "dropping an unknown activation";
-  PendingActivation& pending = it->second;
-  AppState& state = apps_[pending.app_id.index()];
-  AppStats& stats = app_stats_[pending.app_id.index()];
-  pending.timeout_event.Cancel();
-  RecordActivationSpan(pending, activation_id, 0);
-  if (telemetry_ != nullptr) {
-    telemetry_->Instant(SpanName::kDrop, kLane, queue_->now(), activation_id,
-                        pending.attempts);
-    telemetry_->Inc(instruments_->dropped);
-  }
-  pending_.erase(it);
-  if (telemetry_ != nullptr) {
-    telemetry_->Set(instruments_->queue_depth,
-                    static_cast<double>(pending_.size()), queue_->now());
-  }
-  --state.inflight;
-  ++stats.dropped;
 }
 
 // --- Placement scan --------------------------------------------------------
@@ -350,9 +329,6 @@ void Controller::AdvanceScan(int64_t activation_id) {
     }
     if (!breakers_.Admits(index)) {
       ++overload_ledger_.breaker_rejections;
-      if (telemetry_ != nullptr) {
-        telemetry_->Inc(instruments_->breaker_rejected);
-      }
       continue;
     }
     Invoker* invoker = invokers_[index];
@@ -451,11 +427,7 @@ void Controller::FinishScan(int64_t activation_id) {
     if (primary_it != pending_.end()) {
       primary_it->second.hedge_partner = 0;
     }
-    pending_.erase(it);
-    if (telemetry_ != nullptr) {
-      telemetry_->Set(instruments_->queue_depth,
-                      static_cast<double>(pending_.size()), queue_->now());
-    }
+    Retire(it, Exit::kAttempt);
     return;
   }
   if (pending.saw_giveup) {
@@ -475,7 +447,12 @@ void Controller::FinishScan(int64_t activation_id) {
   }
   // Memory pressure with every worker up: drop (retrying against a full
   // cluster is not failover).
-  DropForCapacity(activation_id);
+  ++app_stats_[pending.app_id.index()].dropped;
+  if (telemetry_ != nullptr) {
+    telemetry_->Instant(SpanName::kDrop, kLane, queue_->now(), activation_id,
+                        pending.attempts);
+  }
+  Retire(it, Exit::kEnded);
 }
 
 void Controller::ScanEnded(int64_t activation_id, bool reprobe_drain) {
@@ -503,11 +480,7 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
       // activation, and the failed attempt simply disappears (the pair
       // holds a single inflight slot, released on the survivor's outcome).
       partner_it->second.hedge_partner = 0;
-      pending_.erase(it);
-      if (telemetry_ != nullptr) {
-        telemetry_->Set(instruments_->queue_depth,
-                        static_cast<double>(pending_.size()), queue_->now());
-      }
+      Retire(it, Exit::kAttempt);
       return;
     }
     pending.hedge_partner = 0;
@@ -523,7 +496,6 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
     ++ledger_.retries_scheduled;
     ledger_.total_backoff_ms += backoff.seconds() * 1e3;
     if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->retries);
       telemetry_->Instant(SpanName::kRetry, kLane, queue_->now(),
                           activation_id, retry_number);
       telemetry_->Span(SpanName::kBackoff, kLane, queue_->now(), backoff,
@@ -544,27 +516,18 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
     return;
   }
 
-  // Budget spent: terminal failure.
-  AppState& state = apps_[pending.app_id.index()];
+  // Budget spent: terminal failure, split by cause.
   AppStats& stats = app_stats_[pending.app_id.index()];
-  --state.inflight;
-  RecordActivationSpan(pending, activation_id, 0);
-  // The terminal outcome's counter and instant.  The crash/network split
-  // counters exist only when the network model registered them.
-  CounterId ClusterInstruments::*counter = &ClusterInstruments::lost;
-  CounterId ClusterInstruments::*split = nullptr;
   SpanName name = SpanName::kLost;
   switch (failure) {
     case FailureClass::kTimeout:
       ++stats.abandoned;
       ++ledger_.abandoned;
-      counter = &ClusterInstruments::abandoned;
       name = SpanName::kAbandon;
       break;
     case FailureClass::kOutage:
       ++stats.rejected_outage;
       ++ledger_.rejected_by_outage;
-      counter = &ClusterInstruments::rejected_outage;
       name = SpanName::kRejectOutage;
       break;
     case FailureClass::kCrash:
@@ -572,31 +535,21 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
       ++stats.lost;
       ++ledger_.lost;
       ++ledger_.lost_crash;
-      split = &ClusterInstruments::lost_crash;
       break;
     case FailureClass::kNetwork:
       ++stats.lost;
       ++ledger_.lost;
       ++ledger_.lost_network;
-      split = &ClusterInstruments::lost_network;
       break;
     case FailureClass::kNone:
       FAAS_CHECK(false) << "terminal failure without a class";
       break;
   }
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->*counter);
-    if (split != nullptr && rpc_ != nullptr) {
-      telemetry_->Inc(instruments_->*split);
-    }
     telemetry_->Instant(name, kLane, queue_->now(), activation_id,
                         pending.attempts);
   }
-  pending_.erase(it);
-  if (telemetry_ != nullptr) {
-    telemetry_->Set(instruments_->queue_depth,
-                    static_cast<double>(pending_.size()), queue_->now());
-  }
+  Retire(it, Exit::kEnded);
 }
 
 void Controller::OnFailure(const FailureMessage& message) {
@@ -627,7 +580,6 @@ void Controller::OnTimeout(int64_t activation_id) {
   }
   ++ledger_.timeouts;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->timeouts);
     telemetry_->Instant(SpanName::kTimeout, kLane, queue_->now(),
                         activation_id);
   }
@@ -646,45 +598,31 @@ void Controller::OnCompletion(const CompletionMessage& message) {
   if (pending_it == pending_.end()) {
     return;  // Zombie execution of a timed-out attempt: result discarded.
   }
-  // First-completion-wins: the losing attempt of a hedged pair is erased
+  // First-completion-wins: the losing attempt of a hedged pair is retired
   // here; its execution finishes as a zombie and is discarded above — that
   // zombie IS the cancellation.
-  if (pending_it->second.hedge_partner != 0) {
-    auto partner_it = pending_.find(pending_it->second.hedge_partner);
+  PendingActivation& pending = pending_it->second;
+  if (pending.hedge_partner != 0) {
+    auto partner_it = pending_.find(pending.hedge_partner);
     if (partner_it != pending_.end()) {
-      partner_it->second.timeout_event.Cancel();
-      partner_it->second.hedge_event.Cancel();
-      partner_it->second.shed_event.Cancel();
-      pending_.erase(partner_it);
-      if (pending_it->second.is_hedge) {
+      Retire(partner_it, Exit::kAttempt);
+      if (pending.is_hedge) {
         ++overload_ledger_.hedge_wins;
-        if (telemetry_ != nullptr) {
-          telemetry_->Inc(instruments_->hedge_wins);
-        }
       } else {
         ++overload_ledger_.hedge_primary_wins;
       }
     }
-    pending_it->second.hedge_partner = 0;
+    pending.hedge_partner = 0;
   }
-  pending_it->second.hedge_event.Cancel();
-  hedge_.Observe(queue_->now() - pending_it->second.created_at);
-  const int attempts = pending_it->second.attempts;
-  const FailureClass first_failure = pending_it->second.first_failure;
-  pending_it->second.timeout_event.Cancel();
-  RecordActivationSpan(pending_it->second, message.activation_id,
-                       message.cold_start ? 1 : 0);
+  const Duration end_to_end = queue_->now() - pending.created_at;
+  hedge_.Observe(end_to_end);
+  const int attempts = pending.attempts;
+  const FailureClass first_failure = pending.first_failure;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->completions);
-    telemetry_->Observe(
-        instruments_->e2e_latency_ms,
-        (queue_->now() - pending_it->second.created_at).seconds() * 1e3);
+    telemetry_->Observe(instruments_->e2e_latency_ms,
+                        end_to_end.seconds() * 1e3);
   }
-  pending_.erase(pending_it);
-  if (telemetry_ != nullptr) {
-    telemetry_->Set(instruments_->queue_depth,
-                    static_cast<double>(pending_.size()), queue_->now());
-  }
+  Retire(pending_it, message.cold_start ? Exit::kCold : Exit::kEnded);
 
   AppState& state = apps_[message.app_id.index()];
   AppStats& stats = app_stats_[message.app_id.index()];
@@ -716,7 +654,6 @@ void Controller::OnCompletion(const CompletionMessage& message) {
   if (attempts > 1) {
     ++ledger_.retry_successes;
   }
-  --state.inflight;
   state.last_exec_end = message.execution_end;
   state.has_executed = true;
 
@@ -725,7 +662,7 @@ void Controller::OnCompletion(const CompletionMessage& message) {
     telemetry_->Observe(instruments_->billed_ms, billed_ms);
   }
   billed_sum_ms_ += billed_ms;
-  ++billed_count_;
+  ++completions_;
   billed_p50_.Add(billed_ms);
   billed_p99_.Add(billed_ms);
   if (collect_latencies_) {
@@ -852,9 +789,6 @@ void Controller::EnqueueAdmission(int64_t activation_id) {
   PendingActivation& pending = it->second;
   pending.queued = true;
   pending.queued_since = queue_->now();
-  if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->queued);
-  }
   if (overload_.admission.discipline == AdmissionDiscipline::kCoDel) {
     pending.shed_event = queue_->ScheduleAfter(
         overload_.admission.max_wait, [this, activation_id]() {
@@ -872,10 +806,7 @@ void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
   if (it == pending_.end()) {
     return;
   }
-  PendingActivation& pending = it->second;
-  pending.timeout_event.Cancel();
-  pending.shed_event.Cancel();
-  pending.hedge_event.Cancel();
+  const PendingActivation& pending = it->second;
   if (telemetry_ != nullptr) {
     if (pending.queued) {
       telemetry_->Span(SpanName::kAdmissionQueue, kLane, pending.queued_since,
@@ -884,21 +815,12 @@ void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
     }
     telemetry_->Instant(SpanName::kShed, kLane, queue_->now(), activation_id,
                         static_cast<int64_t>(reason));
-    telemetry_->Inc(instruments_->shed);
   }
-  AppState& state = apps_[pending.app_id.index()];
-  AppStats& stats = app_stats_[pending.app_id.index()];
-  RecordActivationSpan(pending, activation_id, 0);
   overload_ledger_.BookShed(reason);
   // Sheds are capacity losses, so they fold into the same per-app column
   // as pre-overload drops (Completed() stays consistent either way).
-  ++stats.dropped;
-  --state.inflight;
-  pending_.erase(it);
-  if (telemetry_ != nullptr) {
-    telemetry_->Set(instruments_->queue_depth,
-                    static_cast<double>(pending_.size()), queue_->now());
-  }
+  ++app_stats_[pending.app_id.index()].dropped;
+  Retire(it, Exit::kEnded);
 }
 
 // --- Hedged dispatch -------------------------------------------------------
@@ -948,10 +870,7 @@ void Controller::LaunchHedge(int64_t primary_id) {
   pending_.emplace(hedge_id, std::move(hedge));
   ++overload_ledger_.hedges_launched;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->hedges);
     telemetry_->Instant(SpanName::kHedge, kLane, queue_->now(), primary_id);
-    telemetry_->Set(instruments_->queue_depth,
-                    static_cast<double>(pending_.size()), queue_->now());
   }
   // The hedge pays its own hop, then scans away from the invoker the
   // primary landed on; FinishScan fizzles it if no other invoker has room.
@@ -973,7 +892,6 @@ void Controller::ApplyBreakerTransition(int invoker,
       return;
     case BreakerTransition::kOpened: {
       if (telemetry_ != nullptr) {
-        telemetry_->Inc(instruments_->breaker_opens);
         telemetry_->Instant(SpanName::kBreakerTransition, kLane,
                             queue_->now(), invoker, /*arg0=*/1);
       }
@@ -1011,7 +929,6 @@ void Controller::FinalizeOverload() {
 void Controller::NoteInvokerCrash(int invoker) {
   ++ledger_.invoker_crashes;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->invoker_crashes);
     telemetry_->Instant(SpanName::kInvokerCrash, invoker + 1, queue_->now());
   }
 }
@@ -1019,15 +936,14 @@ void Controller::NoteInvokerCrash(int invoker) {
 void Controller::NoteInvokerRestart(int invoker) {
   ++ledger_.invoker_restarts;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->invoker_restarts);
     telemetry_->Instant(SpanName::kInvokerRestart, invoker + 1,
                         queue_->now());
   }
 }
 
 void Controller::CheckpointPolicies() {
+  ++checkpoints_taken_;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->checkpoints);
     telemetry_->Instant(SpanName::kCheckpoint, kLane, queue_->now());
   }
   for (size_t i = 0; i < apps_.size(); ++i) {
@@ -1047,7 +963,6 @@ void Controller::CheckpointPolicies() {
 void Controller::WipePolicyState() {
   ++ledger_.policy_state_wipes;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->policy_wipes);
     telemetry_->Instant(SpanName::kPolicyWipe, kLane, queue_->now());
   }
   for (size_t i = 0; i < apps_.size(); ++i) {

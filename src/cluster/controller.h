@@ -223,9 +223,10 @@ class Controller : public RpcClient {
   // and the only string the controller ever touches is the app name hashed
   // once per app for home-invoker placement.  `telemetry` (optional,
   // non-owning; `instruments` must then name the replay's metrics) receives
-  // counters, latency histograms, the queue-depth gauge, and
-  // activation-lifecycle spans; null (the default) leaves every telemetry
-  // site as a single pointer test.  `rpc` (optional, non-owning)
+  // the latency histograms and the activation-lifecycle spans and instants;
+  // null (the default) leaves every telemetry site as a single pointer
+  // test.  The controller publishes no counter: the cluster's sampler reads
+  // its ledgers and getters instead.  `rpc` (optional, non-owning)
   // routes every controller<->invoker message through the network model's
   // RPC plane (src/cluster/network.h); null keeps the direct in-process
   // channel, byte-identical to the pre-network controller.
@@ -292,8 +293,9 @@ class Controller : public RpcClient {
   // Streaming latency statistics, maintained in O(1) memory even when
   // per-sample collection is disabled (P-square estimators).
   double billed_mean_ms_stream() const {
-    return billed_count_ > 0 ? billed_sum_ms_ / static_cast<double>(billed_count_)
-                             : 0.0;
+    return completions_ > 0
+               ? billed_sum_ms_ / static_cast<double>(completions_)
+               : 0.0;
   }
   double billed_p50_ms_stream() const {
     return billed_p50_.count() > 0 ? billed_p50_.Value() : 0.0;
@@ -306,6 +308,10 @@ class Controller : public RpcClient {
   double policy_overhead_mean_us() const;
   double policy_overhead_max_us() const { return policy_overhead_max_us_; }
   int64_t policy_invocations() const { return policy_invocations_; }
+  // Activations that completed (hedged pairs count once).
+  int64_t completions() const { return completions_; }
+  // Policy-state checkpoints taken (CheckpointPolicies calls).
+  int64_t checkpoints() const { return checkpoints_taken_; }
 
  private:
   // Why an attempt failed (kNone = never failed).
@@ -374,6 +380,12 @@ class Controller : public RpcClient {
     bool saw_unhealthy = false;   // A candidate was down at probe time.
     bool saw_giveup = false;      // A candidate's RPC spent its budget.
   };
+  using PendingMap = std::unordered_map<int64_t, PendingActivation>;
+
+  // How an entry leaves `pending_` for good: the activation ends (cold or
+  // not, for its span), or one attempt of a hedged pair vanishes while its
+  // partner carries the activation on.
+  enum class Exit { kEnded, kCold, kAttempt };
 
   AppState& GetOrCreateApp(AppId app_id);
   void OnCompletion(const CompletionMessage& message) override;
@@ -393,9 +405,6 @@ class Controller : public RpcClient {
   std::vector<size_t> InvokersByFreeMemory() const;
 
   // --- Placement scan (one path for both channels) ---
-  // Terminal bookkeeping for an activation no healthy invoker had room for
-  // (admission queue off).
-  void DropForCapacity(int64_t activation_id);
   // Builds the candidate order and begins probing: the least-loaded
   // snapshot, or the home invoker first (container affinity, like
   // OpenWhisk's hash-based co-primary) then the rest round-robin.  Skips
@@ -413,8 +422,9 @@ class Controller : public RpcClient {
   void OnProbeAccepted(int64_t activation_id, int invoker);
   void OnProbeGiveUp(int64_t activation_id, int invoker) override;
   // Every candidate declined, gave up, or was down: routes the terminal
-  // outcome (drain stall / hedge fizzle / kNetwork / kOutage /
-  // queue-or-drop).
+  // outcome (drain stall / hedge fizzle / kNetwork / kOutage / queue, or a
+  // capacity drop when no healthy invoker had room and the admission queue
+  // is off).
   void FinishScan(int64_t activation_id);
   // Clears the drain slot when scan `activation_id` ends; `reprobe_drain`
   // serves the next head (false when the head simply found no room and
@@ -449,9 +459,10 @@ class Controller : public RpcClient {
   // Telemetry for a breaker transition; an open arms the half-open event.
   void ApplyBreakerTransition(int invoker, BreakerTransition transition);
 
-  // Closes the lifecycle span of `pending` (terminal outcome reached).
-  void RecordActivationSpan(const PendingActivation& pending,
-                            int64_t trace_id, int64_t outcome_cold);
+  // The one exit from `pending_`: cancels the entry's timers and erases it.
+  // An ended activation also closes its kActivation span and releases its
+  // app's inflight slot (a hedged pair holds one, released by the survivor).
+  void Retire(PendingMap::iterator it, Exit exit);
 
   EventQueue* queue_;
   std::vector<Invoker*> invokers_;
@@ -475,7 +486,7 @@ class Controller : public RpcClient {
   // references stable while new apps grow the array.
   std::deque<AppState> apps_;
   std::vector<AppStats> app_stats_;
-  std::unordered_map<int64_t, PendingActivation> pending_;
+  PendingMap pending_;
   // Latest policy-state checkpoint per app, parallel to `apps_`
   // (WipePolicyState restores these).
   std::vector<std::unique_ptr<PolicyStateSnapshot>> checkpoints_;
@@ -502,12 +513,13 @@ class Controller : public RpcClient {
   std::vector<double> billed_execution_ms_;
   std::vector<double> end_to_end_latency_ms_;
   double billed_sum_ms_ = 0.0;
-  int64_t billed_count_ = 0;
+  int64_t completions_ = 0;
   P2Quantile billed_p50_{0.5};
   P2Quantile billed_p99_{0.99};
   double policy_overhead_total_us_ = 0.0;
   double policy_overhead_max_us_ = 0.0;
   int64_t policy_invocations_ = 0;
+  int64_t checkpoints_taken_ = 0;
 };
 
 }  // namespace faas

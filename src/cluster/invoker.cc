@@ -104,7 +104,6 @@ bool Invoker::EvictIdleContainers(double needed_mb) {
     }
     ++resources_.evictions;
     if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->evictions);
       telemetry_->Instant(SpanName::kEviction, lane(), queue_->now());
     }
     DestroyContainer(victim);
@@ -236,8 +235,8 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
     // so fault-free replays consume an identical rng stream.
     const double p = faults_->TransientFailureProbabilityAt(queue_->now());
     if (p > 0.0 && rng_.Bernoulli(p)) {
+      ++transient_faults_;
       if (telemetry_ != nullptr) {
-        telemetry_->Inc(instruments_->transient_faults);
         telemetry_->Instant(SpanName::kTransientFault, lane(), queue_->now(),
                             message.activation_id);
       }
@@ -263,7 +262,6 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
   if (it != containers_.end()) {
     ++resources_.warm_hits;
     if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->warm_starts);
       telemetry_->Instant(SpanName::kWarmHit, lane(), queue_->now(),
                           message.activation_id);
     }
@@ -281,7 +279,6 @@ bool Invoker::HandleActivation(const ActivationMessage& message) {
     bootstrap = latency_.SampleRuntimeBootstrap(rng_, scale);
     startup = latency_.SampleContainerInit(rng_, scale) + bootstrap;
     if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->cold_starts);
       telemetry_->Observe(instruments_->cold_startup_ms,
                           startup.seconds() * 1e3);
       telemetry_->Span(SpanName::kColdLoad, lane(), queue_->now(), startup,
@@ -361,7 +358,6 @@ bool Invoker::HandlePrewarm(const PrewarmMessage& message) {
   }
   ++resources_.prewarm_loads;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->prewarm_loads);
     telemetry_->Instant(SpanName::kPrewarmLoad, lane(), queue_->now());
   }
   ArmKeepAlive(it, message.keepalive);

@@ -39,8 +39,9 @@ class Invoker {
   // `faults` (optional) supplies latency-spike multipliers and transient
   // failure windows; it must outlive the invoker.  `telemetry` (optional,
   // non-owning; `instruments` must then name the replay's metrics) receives
-  // container-lifecycle counters, the cold-startup histogram and spans on
-  // thread lane id + 1.
+  // the cold-startup histogram and container-lifecycle spans on thread lane
+  // id + 1; the container counts live in resources() and transient_faults(),
+  // where the cluster's sampler reads them.
   Invoker(int id, double memory_capacity_mb, EventQueue* queue,
           const LatencyModel& latency, Rng rng,
           const FaultPlan* faults = nullptr,
@@ -106,6 +107,8 @@ class Invoker {
   int64_t prewarm_loads() const { return resources_.prewarm_loads; }
   // Activations refused because the concurrency cap was reached.
   int64_t cap_rejections() const { return cap_rejections_; }
+  // Accepted activations failed by a transient sandbox fault.
+  int64_t transient_faults() const { return transient_faults_; }
   // Integral of resident container memory over time, MB*seconds.  Call
   // FinalizeAt once at the end of the run to close the integral.
   double memory_mb_seconds() const { return memory_mb_seconds_; }
@@ -173,6 +176,7 @@ class Invoker {
   int concurrency_cap_ = 0;
   int busy_containers_ = 0;
   int64_t cap_rejections_ = 0;
+  int64_t transient_faults_ = 0;
 
   ContainerList containers_;
 

@@ -28,14 +28,12 @@ const char* NetMessageKindName(NetMessageKind kind) {
 
 NetworkModel::NetworkModel(EventQueue* queue, const NetworkConfig& config,
                            const FaultPlan* faults, int num_invokers, Rng rng,
-                           TelemetryWriter* telemetry,
-                           const ClusterInstruments* instruments)
+                           TelemetryWriter* telemetry)
     : queue_(queue),
       config_(config),
       faults_(faults),
       num_invokers_(num_invokers),
-      telemetry_(telemetry),
-      instruments_(instruments) {
+      telemetry_(telemetry) {
   FAAS_CHECK(queue_ != nullptr) << "network model needs an event queue";
   FAAS_CHECK(faults_ != nullptr) << "network model needs a fault plan";
   FAAS_CHECK(num_invokers_ > 0) << "network model needs at least one link";
@@ -74,7 +72,6 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   if (faults_->LinkPartitionedAt(invoker, dir, now)) {
     ++counters_.lost_to_partition;
     if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->net_dropped);
       telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker, /*arg0=*/1);
     }
     return transit;
@@ -88,7 +85,6 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   if (loss_p > 0.0 && link.rng.Bernoulli(loss_p)) {
     ++counters_.lost_to_loss;
     if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->net_dropped);
       telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker, /*arg0=*/0);
     }
     return transit;
@@ -109,9 +105,7 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
     if (link.in_flight >= limit) {
       ++counters_.lost_to_queue;
       if (telemetry_ != nullptr) {
-        telemetry_->Inc(instruments_->net_dropped);
-        telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker,
-                            /*arg0=*/2);
+        telemetry_->Instant(SpanName::kNetDrop, 0, now, invoker, /*arg0=*/2);
       }
       return transit;
     }
@@ -155,9 +149,6 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
   transit.delay = shaping + latency;
   if (duplicate) {
     ++counters_.duplicates_delivered;
-    if (telemetry_ != nullptr) {
-      telemetry_->Inc(instruments_->net_duplicates);
-    }
     transit.duplicate = true;
     transit.copy_delay = shaping + sample_latency(link.rng);
   }
@@ -167,7 +158,6 @@ NetworkModel::Transit NetworkModel::Admit(NetDirection dir, int invoker,
 void NetworkModel::NoteRetransmit(int invoker) {
   ++counters_.rpc_retransmits;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->net_retransmits);
     telemetry_->Instant(SpanName::kNetRetransmit, 0, queue_->now(), invoker);
   }
 }
@@ -175,7 +165,6 @@ void NetworkModel::NoteRetransmit(int invoker) {
 void NetworkModel::NoteDuplicateSuppressed(int invoker) {
   ++counters_.rpc_duplicates_suppressed;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->net_dup_suppressed);
     telemetry_->Instant(SpanName::kNetDuplicate, 0, queue_->now(), invoker);
   }
 }
@@ -183,7 +172,6 @@ void NetworkModel::NoteDuplicateSuppressed(int invoker) {
 void NetworkModel::NoteGiveUp(int invoker) {
   ++counters_.rpc_give_ups;
   if (telemetry_ != nullptr) {
-    telemetry_->Inc(instruments_->net_give_ups);
     telemetry_->Instant(SpanName::kRpcGiveUp, 0, queue_->now(), invoker);
   }
 }

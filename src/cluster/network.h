@@ -146,13 +146,13 @@ class NetworkModel {
   // the model).  `rng` seeds the per-link streams: each of the 2N link
   // directions forks its own stream at construction, so an empty fault plan
   // draws only latency samples and the draw sequence of link i is
-  // independent of traffic on link j.  `telemetry` (optional, non-owning;
-  // `instruments` must then name the replay's metrics) receives
-  // drop/duplicate counters and spans on the controller's thread lane.
+  // independent of traffic on link j.  `telemetry` (optional, non-owning)
+  // receives drop, retransmit, duplicate and give-up instants on the
+  // controller's thread lane; the counts themselves live in counters(),
+  // where the cluster's sampler reads them.
   NetworkModel(EventQueue* queue, const NetworkConfig& config,
                const FaultPlan* faults, int num_invokers, Rng rng,
-               TelemetryWriter* telemetry = nullptr,
-               const ClusterInstruments* instruments = nullptr);
+               TelemetryWriter* telemetry = nullptr);
 
   // Sends one message on `dir`-direction of invoker `invoker`'s link; when
   // the message survives the gauntlet (partition -> loss -> bounded queue ->
@@ -221,7 +221,6 @@ class NetworkModel {
   const FaultPlan* faults_;
   int num_invokers_;
   TelemetryWriter* telemetry_;
-  const ClusterInstruments* instruments_;
   std::vector<Link> uplinks_;
   std::vector<Link> downlinks_;
   NetCounters counters_;

@@ -71,7 +71,12 @@ struct TraceLane {
 
 // Instruments for one policy's cluster replay (controller + invokers +
 // network): metric ids, invalid while metrics are off, and the replay's
-// trace lane.
+// trace lane.  The components observe the histograms and record spans as
+// events happen; the counters and the queue-depth gauge are published by
+// the cluster's sampler (cluster.cc) from the counts the replay keeps
+// anyway (its ledgers and getters), so each fact is counted once: the
+// faas_cluster_* ones at each tick and once at the end, the resource-ledger
+// ones at each tick.
 struct ClusterInstruments {
   TraceLane lane;
 

@@ -260,6 +260,31 @@ TEST(ClusterFaultTest, RecoveryRestoresNormalOperation) {
             result.total_invocations);
 }
 
+TEST(ClusterFaultTest, ReversedOrNegativeOutageWindowIsRejected) {
+  // A window ending before it starts would schedule the recovery before
+  // the drain and leave the invoker out of rotation for the whole replay.
+  const Trace trace = MakePeriodicTrace(1, 4, Duration::Minutes(5));
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  ClusterConfig config;
+  config.num_invokers = 2;
+  config.outages.push_back({.invoker = 0,
+                            .start = Duration::Minutes(12),
+                            .end = Duration::Minutes(7)});
+  EXPECT_DEATH(ClusterSimulator(config).Replay(trace, fixed10),
+               "outage with negative time or duration");
+  config.outages = {{.invoker = 0,
+                     .start = Duration::Minutes(-1),
+                     .end = Duration::Minutes(7)}};
+  EXPECT_DEATH(ClusterSimulator(config).Replay(trace, fixed10),
+               "outage with negative time or duration");
+  // A zero-length window is a no-op, not an error.
+  config.outages = {{.invoker = 0,
+                     .start = Duration::Minutes(7),
+                     .end = Duration::Minutes(7)}};
+  EXPECT_EQ(ClusterSimulator(config).Replay(trace, fixed10).total_invocations,
+            4);
+}
+
 TEST(ClusterTest, GeneratedTraceReplaysEndToEnd) {
   GeneratorConfig gen_config;
   gen_config.num_apps = 40;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -314,72 +315,6 @@ TEST(TelemetryIntegration, SweepCountersMatchResults) {
   EXPECT_EQ(replay_spans, static_cast<int64_t>(trace.apps.size()));
 }
 
-TEST(TelemetryIntegration, ClusterReplayCountersMatchResult) {
-  const Trace trace = MakeTrace();
-  Telemetry telemetry;
-  ClusterConfig config;
-  config.num_invokers = 4;
-  config.telemetry = &telemetry;
-  const ClusterSimulator simulator(config);
-  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
-  const ClusterResult result = simulator.Replay(trace, fixed10);
-
-  const RegistrySnapshot snapshot = telemetry.metrics().Scrape();
-  const std::string label = "policy=\"" + result.policy_name + "\"";
-  EXPECT_EQ(snapshot.Find("faas_cluster_invocations_total", label)->counter,
-            result.total_invocations);
-  EXPECT_EQ(snapshot.Find("faas_cluster_cold_starts_total", label)->counter,
-            result.total_cold_starts);
-  EXPECT_EQ(snapshot.Find("faas_cluster_warm_starts_total", label)->counter,
-            result.total_warm_starts);
-  EXPECT_EQ(snapshot.Find("faas_cluster_evictions_total", label)->counter,
-            result.total_evictions);
-  EXPECT_EQ(snapshot.Find("faas_cluster_dropped_total", label)->counter,
-            result.total_dropped);
-
-  int64_t completed = 0;
-  for (const ClusterAppResult& app : result.apps) {
-    completed += app.Completed();
-  }
-  EXPECT_EQ(snapshot.Find("faas_cluster_completions_total", label)->counter,
-            completed);
-  const MetricSnapshot* latency =
-      snapshot.Find("faas_cluster_e2e_latency_ms", label);
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->observations, completed);
-
-  // Every completion contributed one activation span; cold starts emitted
-  // cold_load spans on the invoker lanes.
-  const CollectedTrace collected = telemetry.tracer().Collect();
-  int64_t activations = 0;
-  int64_t cold_loads = 0;
-  for (const SpanRecord& span : collected.spans) {
-    if (span.name == static_cast<int16_t>(SpanName::kActivation)) {
-      ++activations;
-      EXPECT_GE(span.dur_ms, 0);
-      EXPECT_EQ(span.tid, 0);
-    } else if (span.name == static_cast<int16_t>(SpanName::kColdLoad)) {
-      ++cold_loads;
-      EXPECT_GE(span.tid, 1);  // Invoker lanes start at 1.
-    }
-  }
-  EXPECT_EQ(activations, completed + result.total_dropped +
-                             result.total_rejected_outage +
-                             result.total_abandoned + result.total_lost);
-  EXPECT_EQ(cold_loads, result.total_cold_starts);
-
-  // The interval sampler filled the per-minute series.
-  const MetricSnapshot* minute =
-      snapshot.Find("faas_cluster_minute_invocations", label);
-  ASSERT_NE(minute, nullptr);
-  int64_t binned = 0;
-  for (int64_t bin : minute->bins) {
-    binned += bin;
-  }
-  EXPECT_GT(binned, 0);
-  EXPECT_LE(binned, result.total_invocations);
-}
-
 TEST(TelemetryIntegration, TelemetryDoesNotChangeClusterResults) {
   const Trace trace = MakeTrace();
   ClusterConfig plain_config;
@@ -557,6 +492,154 @@ TEST(TelemetryIntegration, ClusterExportsMatchPinnedDigests) {
       EXPECT_TRUE(emitted.count(name) > 0)
           << SpanNameString(static_cast<SpanName>(name)) << " never emitted";
     }
+  }
+}
+
+// Every faas_cluster_*_total counter equals the count the replay keeps for
+// it, as ClusterResult exposes it, on a plain replay and on both chaos
+// replays (every plane on, admission queue off and on).  The chaos replays
+// sample every 19 minutes, which does not divide their horizon: events
+// after the last tick reach the export only through the final publish, and
+// the last tick sees an activation still pending, so the queue-depth
+// gauge reads 0 only once the final publish has set it.
+TEST(TelemetryIntegration, ClusterReplayCountersMatchResult) {
+  const Trace plain_trace = MakeTrace();
+  const Trace chaos_trace = ChaosTrace();
+  const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
+  const HybridPolicyFactory hybrid{HybridPolicyConfig{}};
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(::testing::Message() << "run=" << run);
+    Telemetry telemetry;
+    ClusterConfig config;
+    config.num_invokers = 4;
+    config.telemetry = &telemetry;
+    if (run > 0) {
+      config = ChaosConfig(&telemetry, /*admission=*/run == 2);
+      config.metrics_interval = Duration::Minutes(19);
+    }
+    const Trace& trace = run == 0 ? plain_trace : chaos_trace;
+    const PolicyFactory& factory =
+        run == 0 ? static_cast<const PolicyFactory&>(fixed10) : hybrid;
+    const ClusterResult result =
+        ClusterSimulator(config).Replay(trace, factory);
+
+    int64_t completed = 0;
+    for (const ClusterAppResult& app : result.apps) {
+      completed += app.Completed();
+    }
+    const FaultLedger& faults = result.faults;
+    const OverloadLedger& overload = result.overload;
+    const int64_t checkpoints =
+        config.policy_checkpoint_interval > Duration::Zero()
+            ? trace.horizon.millis() /
+                  config.policy_checkpoint_interval.millis()
+            : 0;
+    std::map<std::string, int64_t> twins = {
+        {"invocations", result.total_invocations},
+        {"completions", completed},
+        {"retries", faults.retries_scheduled},
+        {"timeouts", faults.timeouts},
+        {"dropped", result.total_dropped - overload.TotalShed()},
+        {"rejected_outage", faults.rejected_by_outage},
+        {"abandoned", faults.abandoned},
+        {"lost", faults.lost},
+        {"policy_wipes", faults.policy_state_wipes},
+        {"checkpoints", checkpoints},
+        {"cold_starts", result.total_cold_starts},
+        {"warm_starts", result.total_warm_starts},
+        {"prewarm_loads", result.total_prewarm_loads},
+        {"evictions", result.total_evictions},
+        {"invoker_crashes", faults.invoker_crashes},
+        {"invoker_restarts", faults.invoker_restarts},
+    };
+    if (config.overload.AnyEnabled()) {
+      twins.insert({{"queued", overload.queued},
+                    {"shed", overload.TotalShed()},
+                    {"hedges", overload.hedges_launched},
+                    {"hedge_wins", overload.hedge_wins},
+                    {"breaker_opens", overload.breaker_opens},
+                    {"breaker_rejected", overload.breaker_rejections}});
+    }
+    if (config.network.enabled) {
+      twins.insert({{"net_dropped", faults.net_lost_to_loss +
+                                        faults.net_lost_to_partition +
+                                        faults.net_lost_to_queue},
+                    {"net_duplicates", faults.net_duplicates_delivered},
+                    {"net_retransmits", faults.rpc_retransmits},
+                    {"net_dup_suppressed", faults.rpc_duplicates_suppressed},
+                    {"net_give_ups", faults.rpc_give_ups},
+                    {"lost_network", faults.lost_network},
+                    {"lost_crash", faults.lost_crash}});
+    }
+
+    // Each registered cluster counter is checked against its twin, and every
+    // twin is registered.  Transient faults have none in ClusterResult:
+    // the ledger counts only those that reached a live attempt.
+    const RegistrySnapshot snapshot = telemetry.metrics().Scrape();
+    const std::string label = "policy=\"" + result.policy_name + "\"";
+    const std::string prefix = "faas_cluster_";
+    const std::string suffix = "_total";
+    size_t checked = 0;
+    for (const MetricSnapshot& metric : snapshot.metrics) {
+      if (metric.kind != MetricKind::kCounter || metric.label != label ||
+          !metric.name.starts_with(prefix) || !metric.name.ends_with(suffix)) {
+        continue;
+      }
+      const std::string key = metric.name.substr(
+          prefix.size(), metric.name.size() - prefix.size() - suffix.size());
+      if (key == "transient_faults") {
+        EXPECT_GE(metric.counter, faults.transient_failures);
+        continue;
+      }
+      const auto twin = twins.find(key);
+      ASSERT_NE(twin, twins.end()) << metric.name << " has no twin";
+      EXPECT_EQ(metric.counter, twin->second) << metric.name;
+      ++checked;
+    }
+    EXPECT_EQ(checked, twins.size());
+
+    // The queue drains before the end, where the gauge is published.
+    const MetricSnapshot* depth =
+        snapshot.Find("faas_cluster_queue_depth", label);
+    ASSERT_NE(depth, nullptr);
+    EXPECT_TRUE(depth->gauge_set);
+    EXPECT_EQ(depth->gauge, 0.0);
+
+    const MetricSnapshot* latency =
+        snapshot.Find("faas_cluster_e2e_latency_ms", label);
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->observations, completed);
+
+    // Every ended activation contributed one activation span; cold starts
+    // emitted cold_load spans on the invoker lanes.
+    const CollectedTrace collected = telemetry.tracer().Collect();
+    int64_t activations = 0;
+    int64_t cold_loads = 0;
+    for (const SpanRecord& span : collected.spans) {
+      if (span.name == static_cast<int16_t>(SpanName::kActivation)) {
+        ++activations;
+        EXPECT_GE(span.dur_ms, 0);
+        EXPECT_EQ(span.tid, 0);
+      } else if (span.name == static_cast<int16_t>(SpanName::kColdLoad)) {
+        ++cold_loads;
+        EXPECT_GE(span.tid, 1);  // Invoker lanes start at 1.
+      }
+    }
+    EXPECT_EQ(activations, completed + result.total_dropped +
+                               result.total_rejected_outage +
+                               result.total_abandoned + result.total_lost);
+    EXPECT_EQ(cold_loads, result.total_cold_starts);
+
+    // The interval sampler filled the per-minute series.
+    const MetricSnapshot* minute =
+        snapshot.Find("faas_cluster_minute_invocations", label);
+    ASSERT_NE(minute, nullptr);
+    int64_t binned = 0;
+    for (int64_t bin : minute->bins) {
+      binned += bin;
+    }
+    EXPECT_GT(binned, 0);
+    EXPECT_LE(binned, result.total_invocations);
   }
 }
 

@@ -6,22 +6,68 @@
 # --quick skips both sanitizer legs and instead runs a pareto_sweep smoke
 # over a small generated trace and a 2-second serve_chaos hostile-client
 # battery against an in-process loopback server.
+# --results builds the tier-1 tree and only regenerates the deterministic
+# results/*.csv (fig14, fig15, fig20, the chaos/network/overload cluster
+# tables and the pareto frontier) into build/results-check/, then compares
+# each byte for byte with the committed file; any difference fails.
+# resilience.csv and serving.csv are left out: they hold wall-clock
+# measurements that differ from run to run.
 #
-# Usage: tools/check.sh [--quick] [--skip-tsan] [--skip-asan]
+# Usage: tools/check.sh [--quick] [--skip-tsan] [--skip-asan] [--results]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 SKIP_TSAN=0
 SKIP_ASAN=0
+RESULTS=0
 for arg in "$@"; do
   case "${arg}" in
     --quick) SKIP_TSAN=1; SKIP_ASAN=1 ;;
+    --results) RESULTS=1 ;;
     --skip-tsan) SKIP_TSAN=1 ;;
     --skip-asan) SKIP_ASAN=1 ;;
     *) echo "unknown argument: ${arg}" >&2; exit 2 ;;
   esac
 done
+
+# Regenerates the deterministic results/*.csv and compares them with the
+# committed files.
+results_leg() {
+  local out=build/results-check
+  rm -rf "${out}"
+  mkdir -p "${out}"
+  echo "== results: regenerate into ${out} =="
+  local bench
+  for bench in fig14_fixed_keepalive fig15_pareto fig20_cluster \
+      chaos_cluster network_cluster overload_cluster; do
+    FAAS_BENCH_RESULTS_DIR="${out}" FAAS_BENCH_PARETO_JSON=off \
+        FAAS_BENCH_NETWORK_JSON=off "./build/bench/bench_${bench}" >/dev/null
+  done
+  # The canonical frontier run (EXPERIMENTS.md, "Cost Pareto frontier").
+  ./build/tools/pareto_sweep --gen-apps 1200 --gen-days 7 --threads 8 \
+      --cost-gb-s 1.66667e-5 --cost-invoke 0.20 \
+      --out "${out}/pareto_frontier.csv" >/dev/null
+  local name status=0
+  for name in fig14_fixed_keepalive fig15_pareto fig20_cluster \
+      chaos_cluster network_cluster overload_cluster pareto_frontier; do
+    if cmp "results/${name}.csv" "${out}/${name}.csv"; then
+      echo "  identical: results/${name}.csv"
+    else
+      echo "  DIFFERS: results/${name}.csv" >&2
+      status=1
+    fi
+  done
+  return "${status}"
+}
+
+if [[ "${RESULTS}" == "1" ]]; then
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "${JOBS}"
+  results_leg
+  echo "== results match =="
+  exit 0
+fi
 
 echo "== tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
