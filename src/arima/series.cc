@@ -242,6 +242,58 @@ inline double AbsForCompare(std::complex<double> z, double limit) {
 
 }  // namespace
 
+namespace detail {
+
+// 1 - sum_i a_i w^i with a_i = c_i rho^i has the roots of the original
+// polynomial divided by rho, so "every root outside |z| = rho" is "every
+// root outside |w| = 1": every reflection coefficient of the step-down
+// (reverse Levinson-Durbin) has magnitude below 1.  Durand-Kerner, whose
+// answer this must reproduce, computes a simple root to about eps but an
+// m-fold one only to about eps^(1/m) (6e-6 for m = 3), so its rounding can
+// decide the answer only where a cluster of roots sits near the circle,
+// and such a cluster pulls a reflection coefficient towards magnitude 1
+// (a double or triple root d outside the circle leaves one about d^2 / 2
+// or d^2 / 6 from it).  The band leaves all of those to Durand-Kerner with
+// a wide margin; tests/series_test.cc checks that against the verbatim
+// Durand-Kerner on near-multiple roots, where a band of 1e-6 fails.
+RootVerdict SchurCohnVerdict(std::span<const double> coefficients) {
+  constexpr size_t kMaxDegree = 3;
+  constexpr double kMaxMagnitude = 256.0;
+  constexpr double kRadius = 1.0 + 1e-8;
+  const size_t degree = coefficients.size();
+  if (degree > kMaxDegree) {
+    return RootVerdict::kUndecided;
+  }
+  std::array<double, kMaxDegree> a;
+  double scale = 1.0;
+  for (size_t i = 0; i < degree; ++i) {
+    // Also false for NaN.
+    if (!(std::fabs(coefficients[i]) <= kMaxMagnitude)) {
+      return RootVerdict::kUndecided;
+    }
+    scale *= kRadius;
+    a[i] = coefficients[i] * scale;
+  }
+  for (size_t k = degree; k > 0; --k) {
+    const double kappa = a[k - 1];
+    const double magnitude = std::fabs(kappa);
+    if (magnitude >= 1.0 + kSchurCohnBand) {
+      return RootVerdict::kNotOutside;
+    }
+    if (magnitude > 1.0 - kSchurCohnBand) {
+      return RootVerdict::kUndecided;
+    }
+    const double denom = 1.0 - kappa * kappa;
+    const std::array<double, kMaxDegree> previous = a;
+    for (size_t i = 0; i + 1 < k; ++i) {
+      a[i] = (previous[i] + kappa * previous[k - 2 - i]) / denom;
+    }
+  }
+  return RootVerdict::kOutside;
+}
+
+}  // namespace detail
+
 bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
   // Polynomial: 1 - c1 z - ... - cp z^p.  Strip trailing zeros.
   size_t degree = coefficients.size();
@@ -250,6 +302,14 @@ bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
   }
   if (degree == 0) {
     return true;
+  }
+  switch (detail::SchurCohnVerdict(coefficients.first(degree))) {
+    case detail::RootVerdict::kOutside:
+      return true;
+    case detail::RootVerdict::kNotOutside:
+      return false;
+    case detail::RootVerdict::kUndecided:
+      break;
   }
   constexpr size_t kMaxDegree = 8;
   FAAS_CHECK(degree <= kMaxDegree) << "root check limited to degree 8";

@@ -52,8 +52,28 @@ int EstimateDifferencingOrder(std::span<const double> series, int max_d);
 
 // True if all roots of 1 - c1*z - c2*z^2 - ... - cp*z^p lie strictly outside
 // the unit circle (stationarity for AR coefficients, invertibility for
-// negated MA coefficients).  Uses Durand-Kerner iteration; degree <= 8.
+// negated MA coefficients); a root within 1e-8 of it counts as on it.
+// The answer is always the one Durand-Kerner iteration gives: a Schur-Cohn
+// step-down decides degree <= 3 polynomials whose roots are clearly off the
+// circle, and Durand-Kerner decides the rest; degree <= 8.
 bool RootsOutsideUnitCircle(std::span<const double> coefficients);
+
+namespace detail {
+
+// Half-width of the guard band around |reflection coefficient| = 1 inside
+// which the Schur-Cohn step-down leaves the root check to Durand-Kerner.
+inline constexpr double kSchurCohnBand = 1e-3;
+
+enum class RootVerdict { kOutside, kNotOutside, kUndecided };
+
+// The fast path of RootsOutsideUnitCircle, on coefficients whose trailing
+// zeros are already stripped: a Schur-Cohn step-down of
+// 1 - sum_i c_i (rho z)^i, rho = 1 + 1e-8.  kUndecided when the degree is
+// above 3, an entry is non-finite or above 256 in magnitude, or a
+// reflection coefficient lies within kSchurCohnBand of magnitude 1.
+RootVerdict SchurCohnVerdict(std::span<const double> coefficients);
+
+}  // namespace detail
 
 }  // namespace faas
 

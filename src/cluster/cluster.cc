@@ -312,10 +312,11 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     queue.Schedule(TimePoint::Origin() + interval, [tick]() { (*tick)(); });
   }
 
-  // Telemetry interval sampler: at each boundary, publish the replay's
-  // counts (the counters and queue depth reach the registry only here and
-  // once at the end) and credit the just-elapsed window's bins with the
-  // sampled queue depth / resident memory.  Read-only with respect to
+  // Telemetry interval sampler: at each boundary, and at the horizon when
+  // the interval does not divide it, publish the replay's counts (the
+  // counters and queue depth reach the registry only here and once at the
+  // end) and credit the just-elapsed window's bins with the sampled queue
+  // depth / resident memory.  Read-only with respect to
   // simulation state, so the replayed behaviour is unchanged; scheduled at
   // all only when telemetry is on, so a telemetry-off replay consumes
   // identical event sequence numbers.
@@ -327,6 +328,7 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
     const bool resources_on = config_.resource_telemetry;
     const CostModel cost_model = config_.cost;
     struct SampleState {
+      TimePoint window_start = TimePoint::Origin();
       int64_t idle_mb_s = 0;
       int64_t loads = 0;
       int64_t unloads = 0;
@@ -338,7 +340,8 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                &published, sample, last, telemetry, interval, end,
                overload_on, resources_on, cost_model]() {
       const TimePoint now = queue.now();
-      const TimePoint window_start = now - interval;
+      const TimePoint window_start = last->window_start;
+      last->window_start = now;
       Publish(controller, invoker_ptrs, network.get(), instruments, now,
               window_start, published, *telemetry);
       double memory_mb = 0.0;
@@ -386,8 +389,10 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
                        sampled.CostDollars(cost_model), now);
       }
       telemetry->Fold();
-      if (now + interval <= end) {
-        queue.ScheduleAfter(interval, [sample]() { (*sample)(); });
+      if (now < end) {
+        // The last window ends at the horizon, whole or not.
+        queue.ScheduleAfter(std::min(interval, end - now),
+                            [sample]() { (*sample)(); });
       }
     };
     queue.Schedule(TimePoint::Origin() + interval,

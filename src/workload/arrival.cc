@@ -12,6 +12,34 @@ namespace {
 
 constexpr double kMillisPerDay = 86'400'000.0;
 
+// Sorts `arrivals` ascending.  Most bursty streams are already sorted or
+// close to it, and an insertion pass sorts those in one read of the
+// vector.  Once the pass has moved as many elements as the vector holds it
+// hands the whole vector to std::sort, so it never costs more than that
+// linear pass on top of the std::sort it replaces.
+void SortMostlyAscending(std::vector<TimePoint>& arrivals) {
+  size_t budget = arrivals.size();
+  for (size_t i = 1; i < arrivals.size(); ++i) {
+    if (!(arrivals[i] < arrivals[i - 1])) {
+      continue;
+    }
+    const TimePoint value = arrivals[i];
+    size_t j = i;
+    while (j > 0 && value < arrivals[j - 1]) {
+      if (budget == 0) {
+        // Filling the hole at j leaves a permutation of the input.
+        arrivals[j] = value;
+        std::sort(arrivals.begin(), arrivals.end());
+        return;
+      }
+      --budget;
+      arrivals[j] = arrivals[j - 1];
+      --j;
+    }
+    arrivals[j] = value;
+  }
+}
+
 }  // namespace
 
 DiurnalProfile::DiurnalProfile(const GeneratorConfig& config)
@@ -109,8 +137,10 @@ std::vector<TimePoint> GeneratePeriodicArrivals(Duration period,
     }
     arrivals.emplace_back(instant);
   }
-  if (jitter_ms > 0.0) {
-    // Without jitter the loop already emitted ascending instants.
+  if (jitter_fraction > 1.0) {
+    // Up to a jitter of one period the loop already emitted ascending
+    // instants: neighbours start a period apart, each moves by at most
+    // half of it, and truncation toward zero and the clamp keep order.
     std::sort(arrivals.begin(), arrivals.end());
   }
   return arrivals;
@@ -177,7 +207,7 @@ std::vector<TimePoint> GenerateBurstyArrivals(double mean_rate_per_day,
       arrivals.emplace_back(static_cast<int64_t>(t_ms));
     }
   }
-  std::sort(arrivals.begin(), arrivals.end());
+  SortMostlyAscending(arrivals);
   return arrivals;
 }
 

@@ -1,5 +1,6 @@
 #include "src/workload/arrival.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -249,6 +250,43 @@ TEST(PeriodicArrivalsTest, JitterRaisesCvSlightly) {
   EXPECT_LT(cv, 0.5);
 }
 
+TEST(PeriodicArrivalsTest, JitterUpToOnePeriodIsAlreadyAscending) {
+  // Only a jitter above one period is sorted; below it the stream must
+  // come out ascending by itself, for any period (down to 1 ms, where the
+  // truncation of the jitter matters) and horizon (the clamp at both ends).
+  Rng params(511);
+  for (int i = 0; i < 4000; ++i) {
+    const int64_t period_ms =
+        i % 2 == 0 ? 1 + static_cast<int64_t>(params.UniformInt(7))
+                   : 1 + static_cast<int64_t>(params.UniformInt(3'600'000));
+    const int64_t horizon_ms =
+        period_ms * (1 + static_cast<int64_t>(params.UniformInt(60))) +
+        static_cast<int64_t>(params.UniformInt(
+            static_cast<uint64_t>(period_ms)));
+    double fraction = params.NextDouble();
+    if (i % 4 == 1) {
+      fraction = 1.0;
+    } else if (i % 4 == 3) {
+      fraction = std::nextafter(1.0, 0.0);
+    }
+    Rng rng(static_cast<uint64_t>(i));
+    const std::vector<TimePoint> arrivals =
+        GeneratePeriodicArrivals(Duration::Millis(period_ms),
+                                 Duration::Millis(horizon_ms), rng, fraction);
+    ASSERT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()))
+        << "period " << period_ms << " ms, horizon " << horizon_ms
+        << " ms, jitter " << fraction;
+    ASSERT_FALSE(arrivals.empty());
+    EXPECT_GE(arrivals.front().millis_since_origin(), 0);
+    EXPECT_LT(arrivals.back().millis_since_origin(), horizon_ms);
+  }
+  // Above one period neighbours can cross, and the stream is sorted.
+  Rng rng(512);
+  const std::vector<TimePoint> wide = GeneratePeriodicArrivals(
+      Duration::Millis(10), Duration::Days(1), rng, 3.0);
+  EXPECT_TRUE(std::is_sorted(wide.begin(), wide.end()));
+}
+
 TEST(PoissonArrivalsTest, MeanRateMatchesRequest) {
   const GeneratorConfig config;
   const DiurnalProfile profile(config);
@@ -359,6 +397,50 @@ TEST(BurstyArrivalsTest, IntraBurstSpacingIndependentOfRarity) {
     minutes.push_back(iat.minutes());
   }
   EXPECT_LT(Median(minutes), 10.0);
+}
+
+TEST(BurstyArrivalsTest, OutputIsTheSortedRawStream) {
+  // The generator sorts its raw stream with an insertion pass that hands
+  // over to std::sort when its move budget runs out.  Tight bursts barely
+  // overlap (the pass finishes); long ones overlap everywhere (the budget
+  // runs out).  Either way the result is the raw stream, sorted: rebuild
+  // the raw stream from the same draws and compare.
+  const GeneratorConfig config;
+  const DiurnalProfile profile(config);
+  const Duration horizon = Duration::Days(3);
+  uint64_t seed = 513;
+  for (const double events_per_burst : {1.0, 3.0, 40.0}) {
+    for (const Duration iat :
+         {Duration::Seconds(1), Duration::Minutes(30), Duration::Hours(6)}) {
+      for (const double rate : {50.0, 5000.0}) {
+        Rng rng(seed);
+        Rng mirror(seed);
+        ++seed;
+        const std::vector<TimePoint> arrivals = GenerateBurstyArrivals(
+            rate, horizon, profile, rng, events_per_burst, iat);
+        std::vector<TimePoint> raw;
+        const double horizon_ms = static_cast<double>(horizon.millis());
+        for (TimePoint epoch : GeneratePoissonArrivals(
+                 rate / events_per_burst, horizon, profile, mirror)) {
+          raw.push_back(epoch);
+          const double extra = mirror.NextPoisson(events_per_burst - 1.0);
+          double t_ms = static_cast<double>(epoch.millis_since_origin());
+          for (double k = 0; k < extra; k += 1.0) {
+            t_ms += mirror.NextExponential(
+                1.0 / static_cast<double>(iat.millis()));
+            if (t_ms >= horizon_ms) {
+              break;
+            }
+            raw.emplace_back(static_cast<int64_t>(t_ms));
+          }
+        }
+        std::sort(raw.begin(), raw.end());
+        EXPECT_EQ(arrivals, raw)
+            << events_per_burst << " per burst, " << iat.millis()
+            << " ms apart, " << rate << " per day";
+      }
+    }
+  }
 }
 
 TEST(SnapToTimerPeriodTest, PicksNearestGridEntry) {

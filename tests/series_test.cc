@@ -397,6 +397,101 @@ TEST(RootsTest, MatchesReferenceOnTheUnitCircleBoundary) {
   EXPECT_EQ(check.disagreements(), 0u) << "of " << check.checked();
 }
 
+TEST(RootsTest, MatchesReferenceNearMultipleRoots) {
+  // Durand-Kerner finds an m-fold root only to about eps^(1/m), so near a
+  // double or triple root its rounding decides the answer up to ~1e-5 from
+  // the circle.  Place double and triple real roots and conjugate pairs at
+  // log-uniform distances of 1e-12 to 1e-2 inside or outside
+  // |z| = 1 + 1e-8; a Schur-Cohn band that decides any of them where
+  // Durand-Kerner's rounding does shows up here (a band of 1e-6 does).
+  // Triple roots and a double root beside a third near root cost Durand-
+  // Kerner all 200 iterations, and get one vector in 20 each.
+  constexpr double kBoundary = 1.0 + 1e-8;
+  Rng rng(503);
+  const auto near_root = [&rng](bool real) {
+    const double distance =
+        std::exp(std::log(1e-12) + std::log(1e10) * rng.NextDouble());
+    const double m =
+        kBoundary * (rng.NextDouble() < 0.5 ? 1.0 + distance : 1.0 - distance);
+    if (real) {
+      return std::complex<double>(rng.NextDouble() < 0.5 ? m : -m, 0.0);
+    }
+    return std::polar(m, 3.141592653589793 * rng.NextDouble());
+  };
+  RootCheckDifferential check;
+  for (int i = 0; i < 1000000; ++i) {
+    const int slot = i % 40;
+    std::vector<std::complex<double>> roots;
+    if (slot < 14) {
+      const std::complex<double> r = near_root(true);
+      roots = {r, r};
+    } else if (slot < 25) {
+      const std::complex<double> r = near_root(false);
+      roots = {r, std::conj(r)};
+    } else if (slot < 36) {
+      const std::complex<double> r = near_root(false);
+      roots = {r, std::conj(r), near_root(true)};
+    } else if (slot < 38) {
+      const std::complex<double> r = near_root(true);
+      roots = {r, r, r};
+    } else {
+      const std::complex<double> r = near_root(true);
+      roots = {r, r, near_root(true)};
+    }
+    if (roots.size() == 2 && rng.NextDouble() < 0.2) {
+      // A third root off the circle.
+      const double m = 0.3 + 3.0 * rng.NextDouble();
+      roots.emplace_back(rng.NextDouble() < 0.5 ? m : -m, 0.0);
+    }
+    check.Check(CoefficientsFromRoots(roots));
+  }
+  EXPECT_EQ(check.checked(), 1000000u);
+  EXPECT_EQ(check.disagreements(), 0u) << "of " << check.checked();
+}
+
+TEST(RootsTest, SchurCohnDecidesOnlyOutsideTheBand) {
+  using detail::RootVerdict;
+  using detail::SchurCohnVerdict;
+  const auto verdict = [](std::vector<double> c) {
+    return SchurCohnVerdict(c);
+  };
+  // Clearly stable and clearly unstable AR(1) and AR(2) inputs never reach
+  // Durand-Kerner.
+  EXPECT_EQ(verdict({0.5}), RootVerdict::kOutside);
+  EXPECT_EQ(verdict({-0.9}), RootVerdict::kOutside);
+  EXPECT_EQ(verdict({1.2}), RootVerdict::kNotOutside);
+  EXPECT_EQ(verdict({-1.05}), RootVerdict::kNotOutside);
+  EXPECT_EQ(verdict({0.5, 0.3}), RootVerdict::kOutside);
+  EXPECT_EQ(verdict({-0.5, 0.3}), RootVerdict::kOutside);
+  EXPECT_EQ(verdict({0.8, 0.3}), RootVerdict::kNotOutside);
+  EXPECT_EQ(verdict({0.0, 1.1}), RootVerdict::kNotOutside);
+  EXPECT_EQ(verdict({0.2, -0.3, 0.1}), RootVerdict::kOutside);
+  // A root on the circle, or within the band of it, goes to Durand-Kerner,
+  // as does a double root 1e-3 outside it (its reflection coefficient sits
+  // about 1e-6 from 1) and every recorded boundary fit.
+  const double band = detail::kSchurCohnBand;
+  EXPECT_EQ(verdict({1.0}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({-1.0}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({1.0 - 0.5 * band}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({1.0 + 0.5 * band}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({0.0, -1.0}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict(CoefficientsFromRoots({1.001, 1.001})),
+            RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({0.14429573376544325, 0.85570424767751441}),
+            RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({0.97227110160401065, -0.99999998000000034}),
+            RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({0.99999998000000034}), RootVerdict::kUndecided);
+  // Degree 4 and above, non-finite and large entries go to Durand-Kerner.
+  EXPECT_EQ(verdict({0.1, 0.1, 0.1, 0.1}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({0.1, 0.0, 0.0, 0.0, 0.1}), RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({std::numeric_limits<double>::quiet_NaN()}),
+            RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({0.1, std::numeric_limits<double>::infinity()}),
+            RootVerdict::kUndecided);
+  EXPECT_EQ(verdict({300.0}), RootVerdict::kUndecided);
+}
+
 // `x` and the `k` doubles on either side of it.
 std::vector<double> UlpNeighbourhood(double x, int k) {
   double lo = x;

@@ -643,6 +643,66 @@ TEST(TelemetryIntegration, ClusterReplayCountersMatchResult) {
   }
 }
 
+// A metrics interval that does not divide the horizon still samples the
+// last, partial window: the sampler ticks once more at the horizon.  At 19
+// minutes over 3 hours the tenth window runs from minute 171 to 180; every
+// invocation lands in some bin, and the sampled series have a value there.
+// One ten-minute activation straddles the horizon, so the tick there sees
+// it pending and the queue-depth gauge reads 0 only after the final
+// publish.
+TEST(TelemetryIntegration, ClusterSamplerCreditsThePartialLastWindow) {
+  Trace trace = ChaosTrace();
+  ASSERT_EQ(trace.horizon, Duration::Hours(3));
+  AppTrace straddler;
+  straddler.owner_id = "o";
+  straddler.app_id = "straddler";
+  straddler.memory = {128.0, 128.0, 128.0, 10};
+  FunctionTrace function;
+  function.function_id = "f";
+  function.trigger = TriggerType::kHttp;
+  function.invocations.push_back(
+      TimePoint(trace.horizon.millis() - 60'000));
+  function.execution = {600'000.0, 600'000.0, 600'000.0, 1};
+  straddler.functions.push_back(std::move(function));
+  trace.apps.push_back(std::move(straddler));
+  Telemetry telemetry;
+  ClusterConfig config;
+  config.num_invokers = 4;
+  config.telemetry = &telemetry;
+  config.metrics_interval = Duration::Minutes(19);
+  const ClusterResult result = ClusterSimulator(config).Replay(
+      trace, FixedKeepAliveFactory(Duration::Minutes(10)));
+  const RegistrySnapshot snapshot = telemetry.metrics().Scrape();
+  const std::string label = "policy=\"" + result.policy_name + "\"";
+
+  const MetricSnapshot* invocations =
+      snapshot.Find("faas_cluster_minute_invocations", label);
+  ASSERT_NE(invocations, nullptr);
+  ASSERT_EQ(invocations->bins.size(), 10u);
+  int64_t binned = 0;
+  for (int64_t bin : invocations->bins) {
+    binned += bin;
+  }
+  EXPECT_EQ(binned, result.total_invocations);
+  EXPECT_GT(invocations->bins.back(), 0);
+
+  const MetricSnapshot* memory =
+      snapshot.Find("faas_cluster_minute_memory_mb", label);
+  ASSERT_NE(memory, nullptr);
+  ASSERT_EQ(memory->bins.size(), 10u);
+  EXPECT_GT(memory->bins.back(), 0);
+
+  const MetricSnapshot* depth =
+      snapshot.Find("faas_cluster_minute_queue_depth", label);
+  ASSERT_NE(depth, nullptr);
+  ASSERT_EQ(depth->bins.size(), 10u);
+  EXPECT_GT(depth->bins.back(), 0);
+  const MetricSnapshot* gauge = snapshot.Find("faas_cluster_queue_depth", label);
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_TRUE(gauge->gauge_set);
+  EXPECT_EQ(gauge->gauge, 0.0);
+}
+
 TEST(TelemetryIntegration, SweepExportsMatchPinnedDigests) {
   GeneratorConfig config;
   config.num_apps = 60;

@@ -11,7 +11,10 @@
 # tables and the pareto frontier) into build/results-check/, then compares
 # each byte for byte with the committed file; any difference fails.
 # resilience.csv and serving.csv are left out: they hold wall-clock
-# measurements that differ from run to run.
+# measurements that differ from run to run.  The same leg then runs the
+# repository benchmark (perfbench/run.py, 1 s, untraced) on the three replay
+# workloads at seeds 7 and 90210; each run must exit 0, which includes
+# matching perfbench/reference_digests.json.
 #
 # Usage: tools/check.sh [--quick] [--skip-tsan] [--skip-asan] [--results]
 set -euo pipefail
@@ -61,10 +64,31 @@ results_leg() {
   return "${status}"
 }
 
+# Runs the replay workloads of the repository benchmark; each run checks its
+# output against the reference digests and exits non-zero on a mismatch.
+perfbench_leg() {
+  echo "== results: perfbench replay workloads =="
+  local workload seed output status=0
+  for workload in sweep-stream sweep-hybrid cluster-replay; do
+    for seed in 7 90210; do
+      if output="$(python3 perfbench/run.py --workload "${workload}" \
+          --seed "${seed}" --seconds 1 --trace 0 2>&1)"; then
+        echo "  passed: ${workload} seed ${seed}"
+      else
+        echo "  FAILED: ${workload} seed ${seed}" >&2
+        tail -n 5 <<<"${output}" >&2
+        status=1
+      fi
+    done
+  done
+  return "${status}"
+}
+
 if [[ "${RESULTS}" == "1" ]]; then
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}"
   results_leg
+  perfbench_leg
   echo "== results match =="
   exit 0
 fi
